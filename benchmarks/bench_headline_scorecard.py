@@ -14,7 +14,10 @@ The per-kernel inputs come from the parallel cached runner
 in-process suite sweep; a one-kernel serial re-execution cross-checks
 that the pooled numbers are identical to in-process ones.
 
-This is the machine-checked version of EXPERIMENTS.md.
+This is the machine-checked version of EXPERIMENTS.md.  The same
+measurement, at ``CLAIMS_SCALE``, is pinned value for value in
+``BENCH_claims.json`` and gated by ``tests/test_claims.py``;
+``benchmarks/regen_claims_baseline.py`` rewrites the pins.
 """
 
 import numpy as np
@@ -31,6 +34,9 @@ CORR_KEYS = {
     "corr_prev_fullpc_gtid": "Prev+FullPC+Gtid",
     "corr_prev_fullpc_ltid": "Prev+FullPC+Ltid",
 }
+
+#: workload scale of the pinned claims gate (``BENCH_claims.json``)
+CLAIMS_SCALE = 0.25
 
 
 def _measure(runner_results, adder_model):
@@ -75,6 +81,18 @@ def _measure(runner_results, adder_model):
     return m
 
 
+def measure_claims(scale: float = CLAIMS_SCALE) -> dict:
+    """Every headline claim measured from a fresh, uncached, serial
+    runner pass over the 23-kernel suite at ``scale``."""
+    from repro.runner import RunOptions, build_units, run_suite_units
+    from repro.st2.architecture import default_adder_model
+
+    units = build_units("all", scale=scale, seed=0)
+    keyed = run_suite_units(units, RunOptions(workers=1, use_cache=False))
+    results = {kernel: result for (kernel, _cfg), result in keyed.items()}
+    return _measure(results, default_adder_model())
+
+
 GRADING = (
     # key, grade, tolerance (relative unless 'abs')
     ("crf_bytes_per_sm", "exact", 0),
@@ -98,6 +116,27 @@ GRADING = (
 )
 
 
+def grade(measured: dict) -> tuple:
+    """``(table rows, failed claim keys)`` of ``measured`` against the
+    paper's numbers and each claim's documented tolerance."""
+    rows = []
+    failures = []
+    for key, kind, tol in GRADING:
+        paper = value(key)
+        got = measured[key]
+        if kind == "exact":
+            ok = got == paper
+        elif kind == "band-abs":
+            ok = abs(got - paper) <= tol
+        else:   # relative band / shape
+            ok = abs(got - paper) <= tol * abs(paper)
+        rows.append((key, paper, f"{got:.4g}", kind,
+                     "PASS" if ok else "FAIL"))
+        if not ok:
+            failures.append(key)
+    return rows, failures
+
+
 def test_headline_scorecard(benchmark, runner_results, adder_model,
                             bench_scale, artifact_dir):
     measured = benchmark.pedantic(
@@ -113,22 +152,7 @@ def test_headline_scorecard(benchmark, runner_results, adder_model,
                          runner_results["qrng_K2"]), \
         "runner result diverged from serial in-process evaluation"
 
-    rows = []
-    failures = []
-    for key, grade, tol in GRADING:
-        paper = value(key)
-        got = measured[key]
-        if grade == "exact":
-            ok = got == paper
-        elif grade == "band-abs":
-            ok = abs(got - paper) <= tol
-        else:   # relative band / shape
-            ok = abs(got - paper) <= tol * abs(paper)
-        rows.append((key, paper, f"{got:.4g}", grade,
-                     "PASS" if ok else "FAIL"))
-        if not ok:
-            failures.append(key)
-
+    rows, failures = grade(measured)
     txt = table("reproduction scorecard (machine-checked EXPERIMENTS.md)",
                 ["claim", "paper", "measured", "grade", "status"], rows)
     txt += (f"\n\n{len(rows) - len(failures)}/{len(rows)} claims within"

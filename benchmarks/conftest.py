@@ -5,9 +5,11 @@ Every benchmark regenerates one of the paper's tables/figures.  The
 characterisation are session-scoped: they are exactly the shared inputs
 the paper's experiments reuse.
 
-``REPRO_BENCH_SCALE`` (default 1.0) scales workload sizes; the rendered
-figures and measured-vs-paper records are written to
-``benchmarks/out/``.
+``REPRO_BENCH_SCALE`` (default 1.0) scales workload sizes.  The
+rendered figures and measured-vs-paper records go to a temporary
+directory, so a bench run leaves the checkout clean; ``pytest
+benchmarks --regen`` writes them to the committed ``benchmarks/out/``
+instead.
 """
 
 from __future__ import annotations
@@ -19,6 +21,12 @@ import pytest
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 OUT_DIR = Path(__file__).parent / "out"
+
+
+def pytest_addoption(parser):
+    parser.addoption("--regen", action="store_true",
+                     help="write bench artifacts to the committed "
+                          "benchmarks/out/ (default: a temp dir)")
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +89,9 @@ def runner_results() -> dict:
 
 
 @pytest.fixture(scope="session")
-def artifact_dir() -> Path:
+def artifact_dir(request, tmp_path_factory) -> Path:
+    if not request.config.getoption("--regen"):
+        return tmp_path_factory.mktemp("bench-out")
     OUT_DIR.mkdir(exist_ok=True)
     return OUT_DIR
 
