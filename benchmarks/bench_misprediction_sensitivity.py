@@ -15,7 +15,7 @@ from repro.analysis.ascii_charts import table
 from repro.core.predictors import (Prediction, evaluate_trace,
                                    predict_trace)
 from repro.core.speculation import ST2_DESIGN
-from repro.sim.pipeline import simulate_sm_pair, warp_misprediction_map
+from repro.sim.pipeline import compare_baseline_st2
 
 KERNEL = "pathfinder"
 INJECT_RATES = (0.0, 0.05, 0.1, 0.2, 0.4, 0.8)
@@ -35,9 +35,7 @@ def _sweep(run, adder_model):
                           has_prev=base_pred.has_prev,
                           peek_known=base_pred.peek_known)
         res = evaluate_trace(trace, pred)
-        base_t, st2_t = simulate_sm_pair(
-            run.insts, run.launch,
-            warp_misprediction_map(trace, res.mispredicted))
+        base_t, st2_t = compare_baseline_st2(run, res.mispredicted)
         slowdown = st2_t.total_cycles / base_t.total_cycles - 1
         saving = adder_model.saving(
             res.thread_misprediction_rate,

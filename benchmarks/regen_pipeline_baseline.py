@@ -5,8 +5,7 @@ The baseline pins the deterministic 4-kernel × 2-config grid the
 ``obs-smoke`` CI job replays (``--no-cache`` + a fresh trace store, so
 every functional counter is machine-independent).  This script:
 
-1. runs the pinned grid with the **vectorized** engine into a
-   temporary trace store / manifest,
+1. runs the pinned grid into a temporary trace store / manifest,
 2. seeds a baseline from the measured metrics
    (:func:`repro.obs.metrics.baseline_from_metrics` — counters pinned
    at 5 % relative tolerance, runner timers bounded at 25× measured),
@@ -15,9 +14,10 @@ every functional counter is machine-independent).  This script:
    a ``max`` of ``--eval-factor`` × measured (default 2.0 — a >2×
    eval-stage slowdown fails ``st2-stats check``),
 4. self-checks against the previous baseline: every counter the old
-   file pinned must come out **identical** (the vec engine's counter
-   parity with the interpreter means regeneration must not move a
-   single functional counter; if one moved, that's a bug, not drift).
+   file pinned must come out **identical** (regeneration must not move
+   a single functional counter; if one moved, that's a bug, not
+   drift).  A deliberate counter change is regenerated with ``--out``
+   pointing at a fresh path, reviewed, then moved into place.
 
 Usage::
 
@@ -53,13 +53,12 @@ EVAL_REFS = ("timers.runner.stage.eval.total_s", "meta.stage_eval_s")
 
 
 def run_pinned_grid(workdir: Path) -> dict:
-    """Run the pinned grid (vec engine) and return its metrics file."""
+    """Run the pinned grid and return its metrics file."""
     manifest = workdir / "bench-manifest.jsonl"
     rc = runner_cli.main([
         "--kernels", GRID_KERNELS, "--configs", GRID_CONFIGS,
         "--scale", GRID_SCALE, "--seed", GRID_SEED,
-        "--workers", GRID_WORKERS, "--engine", "vec",
-        "--no-cache", "--no-aux",
+        "--workers", GRID_WORKERS, "--no-cache", "--no-aux",
         "--trace-store", str(workdir / "traces"),
         "--out", str(manifest), "--quiet",
     ])
@@ -70,9 +69,9 @@ def run_pinned_grid(workdir: Path) -> dict:
 
 def build_baseline(metrics: dict, eval_factor: float) -> dict:
     description = (
-        "4-kernel x 2-config pipeline baseline (vec engine): st2-run "
+        "4-kernel x 2-config pipeline baseline: st2-run "
         f"--kernels {GRID_KERNELS} --configs {GRID_CONFIGS} "
-        f"--scale {GRID_SCALE} --seed {GRID_SEED} --engine vec "
+        f"--scale {GRID_SCALE} --seed {GRID_SEED} "
         "--no-aux --no-cache --trace-store <fresh>; regenerate with "
         "benchmarks/regen_pipeline_baseline.py")
     payload = baseline_from_metrics(metrics, rel_tol=0.05,
@@ -90,7 +89,7 @@ def build_baseline(metrics: dict, eval_factor: float) -> dict:
 
 def check_counters_unchanged(new: dict, old: dict) -> list:
     """Every counter the old baseline pinned must be pinned at the
-    same value in the new one (vec/interp counter parity)."""
+    same value in the new one."""
     pinned = {e["metric"]: e for e in new["metrics"]}
     problems = []
     for entry in old["metrics"]:
@@ -108,8 +107,7 @@ def check_counters_unchanged(new: dict, old: dict) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="regenerate BENCH_pipeline.json with the "
-                    "vectorized engine")
+        description="regenerate BENCH_pipeline.json")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
                         help="baseline file to write "
                              f"(default {DEFAULT_OUT})")
@@ -128,8 +126,7 @@ def main(argv=None) -> int:
         problems = check_counters_unchanged(payload,
                                             load_baseline(args.out))
         if problems:
-            print("regen_pipeline_baseline: pinned counters moved "
-                  "(vec/interp counter parity is broken?):",
+            print("regen_pipeline_baseline: pinned counters moved:",
                   file=sys.stderr)
             for problem in problems:
                 print(f"  {problem}", file=sys.stderr)

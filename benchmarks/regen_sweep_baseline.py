@@ -64,8 +64,8 @@ def build_baseline(metrics: dict) -> dict:
     description = (
         "pinned design-space sweep baseline: st2-sweep run "
         "benchmarks/sweep_ci.yaml --workers 2 --no-cache (8-combo "
-        "grid -> 4 equivalence classes over qrng_K1 x affineChain, "
-        "vec engine; the static1 classes are pruned pre-execution by "
+        "grid -> 4 equivalence classes over qrng_K1 x affineChain; "
+        "the static1 classes are pruned pre-execution by "
         "the static bounds stage); counters pin the functional "
         "totals AND the prune/frontier decisions — including "
         "sweep.prune.static.units_skipped >= 1 — regenerate with "

@@ -27,11 +27,12 @@ Lossless translation
 
 A :class:`JobSpec` is exactly the experiment-defining subset of the
 ``st2-run`` surface: it expands to the same
-:class:`~repro.runner.units.UnitSpec` grid via :meth:`JobSpec.units`
-and to a server-side :class:`~repro.runner.options.RunOptions` via
-:meth:`JobSpec.run_options`, so a served :class:`JobResult` is
-``results_equal`` to what ``st2-run`` computes offline for the same
-grid — the equivalence the serve-smoke CI job enforces.
+:class:`~repro.runner.units.UnitSpec` grid via :meth:`JobSpec.units`,
+so a served :class:`JobResult` is ``results_equal`` to what ``st2-run``
+computes offline for the same grid — the equivalence the serve-smoke
+CI job enforces.  (Documents written before the evaluation engine
+became the only one may carry an ``"engine"`` key; like any unknown
+field it is ignored.)
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:                   # pragma: no cover - typing only
-    from repro.runner.options import RunOptions
     from repro.runner.units import UnitSpec
     from repro.st2.results import RunResult
 
@@ -116,17 +116,12 @@ class JobSpec:
     seed: int = 0
     aux: bool = False
     per_kernel_seeds: bool = False
-    engine: str = "auto"
     priority: int = 0
     client: str = "anon"
 
     def __post_init__(self) -> None:
-        from repro.runner.units import ENGINES
         if not self.kernels:
             raise WireError("job_spec: kernels must be non-empty")
-        if self.engine not in ENGINES:
-            raise WireError(f"job_spec: unknown engine "
-                            f"{self.engine!r}; choose one of {ENGINES}")
         if not (isinstance(self.scale, (int, float))
                 and self.scale > 0):
             raise WireError(f"job_spec: scale must be positive, "
@@ -143,7 +138,6 @@ class JobSpec:
             "seed": self.seed,
             "aux": self.aux,
             "per_kernel_seeds": self.per_kernel_seeds,
-            "engine": self.engine,
             "priority": self.priority,
             "client": self.client,
         }
@@ -159,17 +153,14 @@ class JobSpec:
         configs = _string_tuple(doc, "job_spec", "configs") \
             if "configs" in doc else ("st2",)
         client = doc.get("client", "anon")
-        engine = doc.get("engine", "auto")
-        if not isinstance(client, str) or not isinstance(engine, str):
-            raise WireError("job_spec: client and engine must be "
-                            "strings")
+        if not isinstance(client, str):
+            raise WireError("job_spec: client must be a string")
         return cls(
             kernels=kernels, configs=configs,
             scale=_number(doc.get("scale", 1.0), "job_spec", "scale"),
             seed=_integer(doc.get("seed", 0), "job_spec", "seed"),
             aux=bool(doc.get("aux", False)),
             per_kernel_seeds=bool(doc.get("per_kernel_seeds", False)),
-            engine=engine,
             priority=_integer(doc.get("priority", 0), "job_spec",
                               "priority"),
             client=client)
@@ -192,26 +183,17 @@ class JobSpec:
         except KeyError as exc:
             raise WireError(f"job_spec: {exc.args[0]}") from None
 
-    def run_options(self, **server_side: Any) -> "RunOptions":
-        """A :class:`RunOptions` carrying this job's engine choice;
-        everything else (workers, caches, trace store) is server
-        policy, passed through ``server_side``."""
-        from repro.runner.options import RunOptions
-
-        return RunOptions(engine=self.engine, **server_side)
-
     @classmethod
     def from_run_args(cls, kernels: Tuple[str, ...],
                       configs: Tuple[str, ...], scale: float = 1.0,
                       seed: int = 0, aux: bool = False,
-                      per_kernel_seeds: bool = False,
-                      engine: str = "auto", priority: int = 0,
+                      per_kernel_seeds: bool = False, priority: int = 0,
                       client: str = "anon") -> "JobSpec":
         """The inverse translation: build a spec from the ``st2-run``
         style grid arguments (used by ``st2-client``)."""
         return cls(kernels=tuple(kernels), configs=tuple(configs),
                    scale=scale, seed=seed, aux=aux,
-                   per_kernel_seeds=per_kernel_seeds, engine=engine,
+                   per_kernel_seeds=per_kernel_seeds,
                    priority=priority, client=client)
 
 
@@ -253,11 +235,9 @@ class SweepSpec:
     name: str = "sweep"
     scale: float = 1.0
     seed: int = 0
-    engine: str = "auto"
     aux: bool = False
 
     def __post_init__(self) -> None:
-        from repro.runner.units import ENGINES
         if not self.kernels \
                 or not all(isinstance(k, str) for k in self.kernels):
             raise WireError("sweep_spec: kernels must be a non-empty "
@@ -265,9 +245,6 @@ class SweepSpec:
         if not self.name or not isinstance(self.name, str):
             raise WireError("sweep_spec: name must be a non-empty "
                             "string")
-        if self.engine not in ENGINES:
-            raise WireError(f"sweep_spec: unknown engine "
-                            f"{self.engine!r}; choose one of {ENGINES}")
         if not (isinstance(self.scale, (int, float))
                 and not isinstance(self.scale, bool)
                 and self.scale > 0):
@@ -384,7 +361,6 @@ class SweepSpec:
             "axes": {axis: list(values) for axis, values in self.axes},
             "scale": self.scale,
             "seed": self.seed,
-            "engine": self.engine,
             "aux": self.aux,
         }
 
@@ -407,15 +383,13 @@ class SweepSpec:
                                 f"must be a list, got {values!r}")
             axes.append((axis, tuple(values)))
         name = doc.get("name", "sweep")
-        engine = doc.get("engine", "auto")
-        if not isinstance(name, str) or not isinstance(engine, str):
-            raise WireError("sweep_spec: name and engine must be "
-                            "strings")
+        if not isinstance(name, str):
+            raise WireError("sweep_spec: name must be a string")
         return cls(
             kernels=kernels, axes=tuple(axes), name=name,
             scale=_number(doc.get("scale", 1.0), "sweep_spec", "scale"),
             seed=_integer(doc.get("seed", 0), "sweep_spec", "seed"),
-            engine=engine, aux=bool(doc.get("aux", False)))
+            aux=bool(doc.get("aux", False)))
 
     def job_spec(self, configs: Tuple[str, ...],
                  kernels: Optional[Tuple[str, ...]] = None,
@@ -427,7 +401,7 @@ class SweepSpec:
             kernels=tuple(kernels) if kernels is not None
             else self.kernels,
             configs=configs, scale=self.scale, seed=self.seed,
-            aux=self.aux, engine=self.engine, priority=priority,
+            aux=self.aux, priority=priority,
             client=client)
 
 

@@ -1,10 +1,7 @@
-"""Batched carry-speculation kernels for the vectorized replay engine.
+"""Batched carry-speculation kernels: the one evaluation path.
 
-The reference implementations in :mod:`repro.core.predictors` and
-:mod:`repro.core.adder` evaluate a trace per unique adder width (and
-the history mechanism per slice boundary, one stable argsort each).
-This module computes the same quantities once for a *whole trace* in
-padded ``(N, 8)`` / ``(N, 7)`` arrays:
+Every prediction and ST2-adder evaluation in the repository runs here,
+over a *whole trace* in padded ``(N, 8)`` / ``(N, 7)`` arrays:
 
 * :class:`TracePack` — every config-independent derived array of one
   trace: true slice carries, per-slice generate/propagate summaries
@@ -18,23 +15,22 @@ padded ``(N, 8)`` / ``(N, 7)`` arrays:
 * :func:`predict_trace_batch` / :func:`evaluate_trace_batch` — padded
   whole-trace prediction and ST2-adder evaluation.
 
-Everything here is **bit-identical** to the reference path — same
-integer identities, same dtypes, same tie-breaking — which the vec
-engine's equivalence suite asserts over the full kernel suite.  No
-``repro.obs`` instrumentation happens at this level: the engine emits
-aggregate counters that match the interpreter's totals exactly.
+The public per-trace entry points of :mod:`repro.core.predictors` are
+thin wrappers over these kernels.  Correctness comes from slow,
+independent references: the dict-based
+:class:`~repro.core.history.ReferencePredictor` and the per-width
+:class:`~repro.core.adder.ST2Adder`, cross-checked in the tests.  No
+``repro.obs`` instrumentation happens at this level; callers count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.predictors import (MAX_PREDICTIONS, Prediction,
-                                   SpeculationConfig,
-                                   _operand_predictions,
-                                   _valhalla_predictions, history_keys,
+                                   SpeculationConfig, history_keys,
                                    trace_groups, trace_n_predictions)
 
 #: widest supported adder: 64 bits = 8 slices of 8 bits
@@ -58,11 +54,9 @@ def _operands_u64(trace) -> tuple:
 def _slice_carries_all(trace) -> np.ndarray:
     """``(N, 8)`` true slice carry-ins, one pass over every width.
 
-    Bit-identical to
-    :func:`~repro.core.predictors.trace_slice_carries`: slice ``j``
-    always starts at bit ``8j``, and a row's carry word is masked to
-    its width, so shifting past it reads the same zero the reference
-    pads with — no per-width gather/scatter needed.
+    Slice ``j`` always starts at bit ``8j``, and a row's carry word is
+    masked to its width, so shifting past it reads zero — the padding
+    for slices a narrow adder does not have.
     """
     a, b, width, m = _operands_u64(trace)
     cin = np.asarray(trace.cin, dtype=_U64)
@@ -77,11 +71,12 @@ def _slice_carries_all(trace) -> np.ndarray:
 
 def _peek_all(trace, pred_valid: np.ndarray) -> tuple:
     """``(known, value)`` of the runtime Peek rule, one pass over every
-    width — bit-identical to :func:`~repro.core.predictors.trace_peek`.
+    width.
 
     The MSB of slice ``j`` sits at ``min(8j + 8, width) - 1``; columns
-    past a row's last boundary are masked off with ``pred_valid``
-    (matching the zeros the reference never writes).
+    past a row's last boundary are masked off with ``pred_valid``.
+    ``value`` (both MSbs one) is also the CASA-style ``operand``
+    prediction: the generate bit of the previous slice's MSB.
     """
     width = np.asarray(trace.width).astype(_U64)
     # only bits below each row's width are read, so the raw uint64
@@ -110,9 +105,8 @@ class TracePack:
 
     Built once per trace (a few vectorised passes over the memmapped
     columns) and shared by every SpeculationConfig evaluated against
-    it — the predict/evaluate work that the interpreter repeats per
-    config (and repeats again inside the static-peek ablation) reads
-    these arrays instead.
+    it, by the static-peek overlay and by the auxiliary VaLHALLA and
+    Figure 3 measurements.
     """
 
     n_rows: int
@@ -128,7 +122,7 @@ class TracePack:
     @property
     def history_lookups(self) -> int:
         """Total (row, boundary) pairs a history table would look up —
-        the interpreter's ``core.predict.history_lookups`` per call."""
+        ``core.predict.history_lookups`` per prediction."""
         return int(self.pred_valid.sum())
 
     def rows(self, idx: np.ndarray) -> "TracePack":
@@ -144,11 +138,8 @@ class TracePack:
 
 def _gen_prop_all(trace) -> tuple:
     """Per-slice generate/propagate summaries, one pass over every
-    width — bit-identical to the per-width loop over
-    :func:`~repro.core.bitops.carry_out` pairs: ``g`` is the slice's
-    carry-out under carry-in 0, ``p`` marks carry-in 1 flipping it.
-    Columns past a row's last slice are zero, as the reference never
-    writes them.
+    width: ``g`` is the slice's carry-out under carry-in 0, ``p`` marks
+    carry-in 1 flipping it.  Columns past a row's last slice are zero.
     """
     a, b, width, _m = _operands_u64(trace)
     n = len(width)
@@ -179,8 +170,19 @@ def _gen_prop_all(trace) -> tuple:
 
 
 def build_pack(trace) -> TracePack:
-    """Derive every config-independent array of ``trace``."""
+    """Derive every config-independent array of ``trace``.
+
+    Raises :class:`ValueError` naming the ``width`` field when a row's
+    adder width is outside the 1–64-bit range the packed uint64
+    arithmetic covers.
+    """
     n = len(trace)
+    width = np.asarray(trace.width)
+    if n and (int(width.min()) < 1 or int(width.max()) > 64):
+        bad = int(width.min()) if int(width.min()) < 1 \
+            else int(width.max())
+        raise ValueError(f"trace field 'width': adder width {bad} "
+                         f"outside [1, 64]")
     n_preds = trace_n_predictions(trace)
     pred_valid = (np.arange(MAX_PREDICTIONS)[None, :]
                   < n_preds[:, None])
@@ -197,17 +199,20 @@ def previous_same_key_batch(keys: np.ndarray, groups: np.ndarray,
                             valid_cols: np.ndarray) -> np.ndarray:
     """Per-boundary history predecessors from one stable argsort.
 
-    Equivalent to calling
-    :func:`~repro.core.predictors.previous_same_key` once per column of
-    ``valid_cols`` (shape ``(N, k)``), but the ``keys`` array is sorted
-    only once: each column's valid subset is a subsequence of the rows
-    in time order, and the stable sort of a subsequence equals the
-    subsequence of the stable sort of the whole array.
+    For each column ``j`` of ``valid_cols`` (shape ``(N, k)``), the
+    index of the previous valid row with the same key, or -1.  Rows
+    are in logical-time order; this is the core of every history-table
+    mechanism.  The ``keys`` array is sorted only once: each column's
+    valid subset is a subsequence of the rows in time order, and the
+    stable sort of a subsequence equals the subsequence of the stable
+    sort of the whole array.
 
-    ``groups`` must mark simultaneity groups for every row (pass
-    ``np.arange(N)`` for the no-groups semantics, where every row is
-    its own group).  Returns ``(N, k)`` predecessor indices, -1 where
-    none exists.
+    ``groups`` marks rows that execute *simultaneously* (the lanes of
+    one warp instruction): a row never takes its prediction from
+    another row of its group, because in hardware every lane reads the
+    history entry in the register-read stage, before any lane of that
+    instruction has written back.  Pass ``np.arange(N)`` for the
+    no-groups semantics, where every row is its own group.
     """
     n, k = valid_cols.shape
     prev = np.full((n, k), -1, dtype=np.int64)
@@ -235,13 +240,38 @@ def previous_same_key_batch(keys: np.ndarray, groups: np.ndarray,
     return prev
 
 
+def _valhalla_predictions(trace, carries: np.ndarray,
+                          n_preds: np.ndarray) -> np.ndarray:
+    """Single history bit per adder, broadcast to every slice.
+
+    Our VaLHALLA reconstruction: each (hardware) adder — identified by
+    the thread it serves — remembers whether the previous operation's
+    carry chain was carry-heavy (majority of slice boundaries saw a
+    carry) and broadcasts that single bit as the prediction for *all*
+    slices of the next operation.
+    """
+    n = len(trace)
+    keys = trace.gtid.astype(np.int64)
+    prev = previous_same_key_batch(keys, np.arange(n),
+                                   np.ones((n, 1), dtype=bool))[:, 0]
+    carry_sum = np.zeros(n, dtype=np.int64)
+    for j in range(MAX_PREDICTIONS):
+        carry_sum += carries[:, j + 1] * (n_preds > j)
+    broadcast = np.zeros(n, dtype=np.uint8)
+    has = prev >= 0
+    prev_sum = carry_sum[prev[has]]
+    prev_n = np.maximum(n_preds[prev[has]], 1)
+    broadcast[has] = (2 * prev_sum > prev_n).astype(np.uint8)
+    return np.repeat(broadcast[:, None], MAX_PREDICTIONS, axis=1)
+
+
 def predict_trace_batch(trace, config: SpeculationConfig,
                         pack: TracePack) -> Prediction:
-    """Whole-trace prediction from a pack — the batched
-    :func:`~repro.core.predictors.predict_trace`.
+    """Every carry prediction ``config`` makes over a whole trace.
 
-    Identical bits/has_prev/peek_known for every mechanism; the
-    ``prev`` history path replaces seven stable argsorts with one.
+    ``bits`` are the predicted carries, ``has_prev`` marks history
+    hits (``prev`` mechanism) and ``peek_known`` the boundaries the
+    runtime Peek rule resolved.
     """
     n = pack.n_rows
     has_prev = np.zeros((n, MAX_PREDICTIONS), dtype=bool)
@@ -250,7 +280,7 @@ def predict_trace_batch(trace, config: SpeculationConfig,
     elif config.mechanism == "static1":
         bits = np.ones((n, MAX_PREDICTIONS), dtype=np.uint8)
     elif config.mechanism == "operand":
-        bits = _operand_predictions(trace)
+        bits = pack.peek_value.copy()
     elif config.mechanism == "valhalla":
         bits = _valhalla_predictions(trace, pack.carries, pack.n_preds)
     else:  # prev
@@ -273,12 +303,10 @@ def predict_trace_batch(trace, config: SpeculationConfig,
 def evaluate_trace_batch(pack: TracePack, bits: np.ndarray) -> tuple:
     """ST2-adder outcome of a whole trace against prediction ``bits``.
 
-    Returns ``(mispredicted, recomputed, wrong_bits)`` — exactly the
-    arrays :func:`~repro.core.predictors.evaluate_trace` produces, from
-    the padded generate/propagate tables instead of a per-width adder
-    loop.  Boundary ``j`` of a row only participates while
-    ``j < n_preds`` (rows with a single slice never mispredict, as in
-    the reference, whose per-width loop skips them).
+    Returns ``(mispredicted, recomputed, wrong_bits)`` per row, from
+    the padded generate/propagate tables.  Boundary ``j`` of a row only
+    participates while ``j < n_preds`` (rows with a single slice never
+    mispredict).
     """
     n = pack.n_rows
     assumed = np.empty((n, N_SLICES_MAX), dtype=np.uint8)
@@ -296,3 +324,16 @@ def evaluate_trace_batch(pack: TracePack, bits: np.ndarray) -> tuple:
     wrong_bits = ((bits != pack.carries[:, 1:]) & pack.pred_valid) \
         .sum(axis=1).astype(np.int64)
     return mispredicted, recomputed, wrong_bits
+
+
+def carry_match_rate_batch(trace, config: SpeculationConfig,
+                           pack: TracePack) -> float:
+    """Figure 3 metric over a pack: the fraction of slice carry-ins
+    equal to the history predecessor's under ``config``'s index, over
+    the (row, slice) pairs that have a predecessor (NaN if none)."""
+    pred = predict_trace_batch(
+        trace, replace(config, mechanism="prev", peek=False), pack)
+    if not pred.has_prev.any():
+        return float("nan")
+    return float((pred.bits == pack.carries[:, 1:])[pred.has_prev]
+                 .mean())

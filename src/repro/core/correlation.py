@@ -81,9 +81,17 @@ class CorrelationSummary:
 
 
 def slice_carry_correlation(trace, kernel: str = "",
-                            configs=FIG3_CONFIGS) -> CorrelationSummary:
-    """Carry-in match rates under the three Figure 3 history keys."""
-    rates = {cfg.name: carry_match_rate(trace, cfg) for cfg in configs}
+                            configs=FIG3_CONFIGS,
+                            pack=None) -> CorrelationSummary:
+    """Carry-in match rates under the three Figure 3 history keys.
+
+    ``pack`` is the trace's :class:`~repro.core.batch.TracePack` when
+    the caller already holds one (built once here otherwise)."""
+    if pack is None:
+        from repro.core.batch import build_pack
+        pack = build_pack(trace)
+    rates = {cfg.name: carry_match_rate(trace, cfg, pack)
+             for cfg in configs}
     return CorrelationSummary(kernel=kernel, match_rates=rates)
 
 

@@ -20,28 +20,24 @@ A :class:`SpeculationConfig` names one point in the design space:
 * ``sm_scoped`` — scope tables per SM (the physical CRF is per-SM).
 
 Predictions are computed over an entire :class:`~repro.sim.trace.AddTrace`
-at once.  The history-table semantics ("the prediction for an operation
-is the carry vector stored by the most recent earlier operation with the
-same index") vectorises into a grouped shift along the trace's logical
-time order; a dict-based sequential reference implementation lives in
-:mod:`repro.core.history` and the two are cross-checked in the tests.
+at once by the batched kernels of :mod:`repro.core.batch`; the
+per-trace functions here are thin wrappers over them.  The history-table
+semantics ("the prediction for an operation is the carry vector stored
+by the most recent earlier operation with the same index") vectorises
+into a grouped shift along the trace's logical time order; a dict-based
+sequential reference implementation lives in :mod:`repro.core.history`
+and the two are cross-checked in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
-from repro.core import bitops
-from repro.core.adder import ST2Adder
-from repro.core.slices import geometry_for
 
 MAX_PREDICTIONS = 7  # the widest adder (64-bit) has 8 slices
-
-_U64 = np.uint64
 
 
 @dataclass(frozen=True)
@@ -87,14 +83,8 @@ def trace_n_predictions(trace) -> np.ndarray:
 
 def trace_slice_carries(trace) -> np.ndarray:
     """True carry-in of every slice, padded to 8 columns."""
-    n = len(trace)
-    out = np.zeros((n, MAX_PREDICTIONS + 1), dtype=np.uint8)
-    for w in np.unique(trace.width):
-        rows = np.nonzero(trace.width == w)[0]
-        carries = bitops.slice_carry_ins(
-            trace.op_a[rows], trace.op_b[rows], int(w), 8, trace.cin[rows])
-        out[rows[:, None], np.arange(carries.shape[1])[None, :]] = carries
-    return out
+    from repro.core.batch import build_pack
+    return build_pack(trace).carries
 
 
 def trace_peek(trace) -> tuple:
@@ -105,64 +95,9 @@ def trace_peek(trace) -> tuple:
     the MSbs of slice ``j`` of both operands (both zero → 0, both one →
     1), and ``value`` holds that static carry.
     """
-    n = len(trace)
-    known = np.zeros((n, MAX_PREDICTIONS), dtype=bool)
-    value = np.zeros((n, MAX_PREDICTIONS), dtype=np.uint8)
-    for w in np.unique(trace.width):
-        rows = np.nonzero(trace.width == w)[0]
-        msb_a = bitops.slice_operand_bits(trace.op_a[rows], int(w), 8)
-        msb_b = bitops.slice_operand_bits(trace.op_b[rows], int(w), 8)
-        n_pred = msb_a.shape[1] - 1
-        if n_pred <= 0:
-            continue
-        both_one = (msb_a[:, :n_pred] & msb_b[:, :n_pred]) == 1
-        both_zero = (msb_a[:, :n_pred] | msb_b[:, :n_pred]) == 0
-        known[rows[:, None], np.arange(n_pred)[None, :]] = \
-            both_one | both_zero
-        value[rows[:, None], np.arange(n_pred)[None, :]] = \
-            both_one.astype(np.uint8)
-    return known, value
-
-
-def previous_same_key(keys: np.ndarray, valid: np.ndarray,
-                      groups: np.ndarray = None) -> np.ndarray:
-    """Index of the previous valid row with the same key (or -1).
-
-    ``keys`` must be one int64 per row; rows are in logical-time order.
-    This is the vectorised core of every history-table mechanism.
-
-    ``groups`` (optional) marks rows that execute *simultaneously* (the
-    lanes of one warp instruction): a row never takes its prediction
-    from another row of the same group, because in hardware every lane
-    reads the history entry in the register-read stage, before any lane
-    of that instruction has written back.  Rows of one group sharing a
-    key all see the last write from *before* the group.
-    """
-    n = len(keys)
-    prev = np.full(n, -1, dtype=np.int64)
-    idx = np.nonzero(np.asarray(valid, dtype=bool))[0]
-    if len(idx) < 2:
-        return prev
-    k = keys[idx]
-    order = np.argsort(k, kind="stable")
-    si = idx[order]
-    sk = k[order]
-    if groups is None:
-        same = sk[1:] == sk[:-1]
-        prev[si[1:][same]] = si[:-1][same]
-        return prev
-    sg = groups[idx][order]
-    m = len(si)
-    pos = np.arange(m)
-    # start of each (key, group) run; runs are contiguous because rows
-    # of one group are consecutive in time, hence in the stable sort
-    run_start = np.ones(m, dtype=bool)
-    run_start[1:] = (sk[1:] != sk[:-1]) | (sg[1:] != sg[:-1])
-    start_pos = np.maximum.accumulate(np.where(run_start, pos, 0))
-    source = start_pos - 1
-    ok = (source >= 0) & (sk[np.maximum(source, 0)] == sk)
-    prev[si[ok]] = si[source[ok]]
-    return prev
+    from repro.core.batch import build_pack
+    pack = build_pack(trace)
+    return pack.peek_known, pack.peek_value
 
 
 def trace_groups(trace) -> np.ndarray:
@@ -208,66 +143,6 @@ def history_keys(trace, config: SpeculationConfig) -> np.ndarray:
 # prediction
 # ----------------------------------------------------------------------
 
-def _operand_predictions(trace) -> np.ndarray:
-    """CASA-style stateless prediction: the *generate* bit of the MSB
-    of the previous slice (carry assumed to come only from local
-    generation, never long propagation)."""
-    n = len(trace)
-    preds = np.zeros((n, MAX_PREDICTIONS), dtype=np.uint8)
-    for w in np.unique(trace.width):
-        rows = np.nonzero(trace.width == w)[0]
-        msb_a = bitops.slice_operand_bits(trace.op_a[rows], int(w), 8)
-        msb_b = bitops.slice_operand_bits(trace.op_b[rows], int(w), 8)
-        n_pred = msb_a.shape[1] - 1
-        if n_pred <= 0:
-            continue
-        preds[rows[:, None], np.arange(n_pred)[None, :]] = \
-            msb_a[:, :n_pred] & msb_b[:, :n_pred]
-    return preds
-
-
-def _valhalla_predictions(trace, carries: np.ndarray,
-                          n_preds: np.ndarray) -> np.ndarray:
-    """Single history bit per adder, broadcast to every slice.
-
-    Our VaLHALLA reconstruction: each (hardware) adder — identified by
-    the thread it serves — remembers whether the previous operation's
-    carry chain was carry-heavy (majority of slice boundaries saw a
-    carry) and broadcasts that single bit as the prediction for *all*
-    slices of the next operation.
-    """
-    keys = trace.gtid.astype(np.int64)
-    prev = previous_same_key(keys, np.ones(len(trace), dtype=bool))
-    carry_sum = np.zeros(len(trace), dtype=np.int64)
-    for j in range(MAX_PREDICTIONS):
-        carry_sum += carries[:, j + 1] * (n_preds > j)
-    broadcast = np.zeros(len(trace), dtype=np.uint8)
-    has = prev >= 0
-    prev_sum = carry_sum[prev[has]]
-    prev_n = np.maximum(n_preds[prev[has]], 1)
-    broadcast[has] = (2 * prev_sum > prev_n).astype(np.uint8)
-    return np.repeat(broadcast[:, None], MAX_PREDICTIONS, axis=1)
-
-
-def _prev_predictions(trace, carries: np.ndarray, n_preds: np.ndarray,
-                      config: SpeculationConfig) -> tuple:
-    """History-table predictions and per-bit has-predecessor mask."""
-    keys = history_keys(trace, config)
-    groups = trace_groups(trace)
-    n = len(trace)
-    preds = np.zeros((n, MAX_PREDICTIONS), dtype=np.uint8)
-    has_prev = np.zeros((n, MAX_PREDICTIONS), dtype=bool)
-    for j in range(MAX_PREDICTIONS):
-        valid = n_preds > j
-        if not valid.any():
-            continue
-        prev = previous_same_key(keys, valid, groups)
-        rows = prev >= 0
-        preds[rows, j] = carries[prev[rows], j + 1]
-        has_prev[:, j] = rows
-    return preds, has_prev
-
-
 @dataclass
 class Prediction:
     """Predictions for a whole trace, padded to 7 columns."""
@@ -276,44 +151,25 @@ class Prediction:
     bits: np.ndarray            # (N, 7) uint8
     has_prev: np.ndarray        # (N, 7) bool — history hit (prev mechanisms)
     peek_known: np.ndarray      # (N, 7) bool — statically determined bits
-    # (N, 7) bool — compile-time facts; None for purely dynamic configs
-    static_known: Optional[np.ndarray] = None
 
 
 def predict_trace(trace, config: SpeculationConfig,
                   carries: np.ndarray = None) -> Prediction:
-    """Compute every carry prediction the mechanism would make."""
-    n = len(trace)
-    n_preds = trace_n_predictions(trace)
+    """Compute every carry prediction the mechanism would make.
+
+    ``carries`` optionally supplies the trace's precomputed true slice
+    carry-ins (:func:`trace_slice_carries`)."""
+    from repro.core.batch import build_pack, predict_trace_batch
     with obs.timer("core.predict"):
-        if carries is None:
-            carries = trace_slice_carries(trace)
-        has_prev = np.zeros((n, MAX_PREDICTIONS), dtype=bool)
-
-        if config.mechanism == "static0":
-            bits = np.zeros((n, MAX_PREDICTIONS), dtype=np.uint8)
-        elif config.mechanism == "static1":
-            bits = np.ones((n, MAX_PREDICTIONS), dtype=np.uint8)
-        elif config.mechanism == "operand":
-            bits = _operand_predictions(trace)
-        elif config.mechanism == "valhalla":
-            bits = _valhalla_predictions(trace, carries, n_preds)
-        else:  # prev
-            bits, has_prev = _prev_predictions(trace, carries, n_preds,
-                                               config)
-
-        peek_known = np.zeros((n, MAX_PREDICTIONS), dtype=bool)
-        if config.peek:
-            peek_known, peek_value = trace_peek(trace)
-            bits = np.where(peek_known, peek_value, bits)
-    obs.add("core.predict.ops", n)
-    obs.add("core.predict.history_lookups",
-            int((np.arange(MAX_PREDICTIONS)[None, :]
-                 < n_preds[:, None]).sum()))
-    obs.add("core.predict.history_hits", int(has_prev.sum()))
-    obs.add("core.predict.peek_static", int(peek_known.sum()))
-    return Prediction(config=config, bits=bits, has_prev=has_prev,
-                      peek_known=peek_known)
+        pack = build_pack(trace)
+        if carries is not None:
+            pack.carries = carries
+        pred = predict_trace_batch(trace, config, pack)
+    obs.add("core.predict.ops", pack.n_rows)
+    obs.add("core.predict.history_lookups", pack.history_lookups)
+    obs.add("core.predict.history_hits", int(pred.has_prev.sum()))
+    obs.add("core.predict.peek_static", int(pred.peek_known.sum()))
+    return pred
 
 
 # ----------------------------------------------------------------------
@@ -351,26 +207,11 @@ class SpeculationResult:
 
 def evaluate_trace(trace, prediction: Prediction) -> SpeculationResult:
     """Run the ST2 adder over the trace with the given predictions."""
+    from repro.core.batch import build_pack, evaluate_trace_batch
     n = len(trace)
-    mispredicted = np.zeros(n, dtype=bool)
-    recomputed = np.zeros(n, dtype=np.int64)
-    wrong_bits = np.zeros(n, dtype=np.int64)
     with obs.timer("core.evaluate"):
-        for w in np.unique(trace.width):
-            rows = np.nonzero(trace.width == w)[0]
-            geo = geometry_for(int(w))
-            if geo.n_predictions == 0:
-                continue
-            adder = ST2Adder(geo)
-            out = adder.add(trace.op_a[rows], trace.op_b[rows],
-                            prediction.bits[rows, :geo.n_predictions],
-                            cin=trace.cin[rows])
-            mispredicted[rows] = out.mispredicted
-            recomputed[rows] = out.recomputed_slices
-            truth = out.slice_carries[:, 1:]
-            wrong_bits[rows] = (
-                prediction.bits[rows, :geo.n_predictions]
-                != truth).sum(axis=1)
+        mispredicted, recomputed, wrong_bits = evaluate_trace_batch(
+            build_pack(trace), prediction.bits)
     obs.add("core.adder.ops", n)
     obs.add("core.adder.mispredicts", int(mispredicted.sum()))
     obs.add("core.adder.recomputed_slices", int(recomputed.sum()))
@@ -444,74 +285,13 @@ def trace_static_peek(trace, facts) -> tuple:
     return known, value
 
 
-def predict_trace_static(trace, config: SpeculationConfig, facts,
-                         carries: np.ndarray = None) -> Prediction:
-    """Dynamic prediction with the static fact table overlaid.
-
-    Statically proven carries replace the dynamic prediction bits
-    (they equal the true carries, so replacing can only turn wrong
-    predictions right — functional results are bit-identical and the
-    misprediction rate never increases) and are marked in
-    ``static_known`` so those slices need no dynamic speculation.
-    """
-    pred = predict_trace(trace, config, carries)
-    static_known, static_value = trace_static_peek(trace, facts)
-    bits = np.where(static_known, static_value, pred.bits)
-    obs.add("predictor.static_peek_hits", int(static_known.sum()))
-    return Prediction(config=pred.config, bits=bits,
-                      has_prev=pred.has_prev,
-                      peek_known=pred.peek_known,
-                      static_known=static_known)
-
-
-class StaticPeekPredictor:
-    """Predictor that consults a static carry-fact table first.
-
-    Wraps a :class:`SpeculationConfig`: slice carries pinned by the
-    fact table (per-PC proofs from ``st2-lint facts``) are used
-    directly; every other slice falls back to the dynamic mechanism
-    (Peek overlay and/or Prev history) of the wrapped config.
-    """
-
-    def __init__(self, config: SpeculationConfig, facts):
-        self.config = config
-        self.facts = dict(facts) if facts else {}
-
-    def predict(self, trace, carries: np.ndarray = None) -> Prediction:
-        return predict_trace_static(trace, self.config, self.facts,
-                                    carries)
-
-    def run(self, trace) -> SpeculationResult:
-        """Predict + evaluate in one call (static-fact analogue of
-        :func:`run_speculation`)."""
-        return evaluate_trace(trace, self.predict(trace))
-
-
-def speculation_events(prediction: Prediction, trace) -> int:
-    """Slice boundaries that need a *dynamic* speculation event.
-
-    A (row, slice) pair consumes a dynamic prediction unless its carry
-    was resolved statically — by runtime Peek or by a compile-time
-    fact.  This is the quantity the static-peek ablation drives down.
-    """
-    n_preds = trace_n_predictions(trace)
-    valid = (np.arange(MAX_PREDICTIONS)[None, :] < n_preds[:, None])
-    resolved = prediction.peek_known.copy()
-    if prediction.static_known is not None:
-        resolved |= prediction.static_known
-    return int((valid & ~resolved).sum())
-
-
-def carry_match_rate(trace, config: SpeculationConfig) -> float:
+def carry_match_rate(trace, config: SpeculationConfig,
+                     pack=None) -> float:
     """Figure 3 metric: fraction of slice carry-ins matching the
-    predecessor's, over (row, slice) pairs that have a predecessor."""
-    carries = trace_slice_carries(trace)
-    n_preds = trace_n_predictions(trace)
-    bits, has_prev = _prev_predictions(trace, carries, n_preds,
-                                       replace(config, mechanism="prev"))
-    valid = has_prev & (np.arange(MAX_PREDICTIONS)[None, :]
-                        < n_preds[:, None])
-    if not valid.any():
-        return float("nan")   # no (op, slice) pair has a predecessor
-    truth = carries[:, 1:]
-    return float((bits == truth)[valid].mean())
+    predecessor's, over (row, slice) pairs that have a predecessor.
+
+    ``pack`` is the trace's :class:`~repro.core.batch.TracePack` when
+    the caller already holds one (built here otherwise)."""
+    from repro.core.batch import build_pack, carry_match_rate_batch
+    return carry_match_rate_batch(
+        trace, config, pack if pack is not None else build_pack(trace))

@@ -1,9 +1,9 @@
 """Differential fuzzing of the ST2 reproduction (``st2-fuzz``).
 
 Seeded property-based kernel generation (:mod:`repro.fuzz.gen` over
-the :mod:`repro.fuzz.kast` mini-AST), a three-way oracle
-(:mod:`repro.fuzz.oracles`) cross-validating the interpreter and the
-vectorized engine, the static carry facts / flow analysis, and the
+the :mod:`repro.fuzz.kast` mini-AST), a four-way oracle
+(:mod:`repro.fuzz.oracles`) cross-validating the static carry facts /
+flow analysis, the sanitizer contract, the static bounds, and the
 speculative adder against an independent big-int reference, plus
 delta-debugging (:mod:`repro.fuzz.shrink`) and the committed
 counterexample corpus (:mod:`repro.fuzz.corpus`).

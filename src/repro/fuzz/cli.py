@@ -75,7 +75,7 @@ def _make_predicate(kernel: GeneratedKernel, failed_keys: set,
     # run only the oracle passes that can produce the observed failure
     # kinds ("static" failures come from the fact check AND from the
     # sanitizer-contract pass, which cross-checks flow-proven claims)
-    producers = {"engine": ("engine",), "adder": ("adder",),
+    producers = {"adder": ("adder",),
                  "static": ("static", "sanitizer"),
                  "sanitizer": ("sanitizer",),
                  "bounds": ("bounds",)}
@@ -279,7 +279,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     parser = build_parser(
         PROG, "Differential fuzzing of the ST2 reproduction: "
-              "generated DSL kernels cross-checked by the engine, "
+              "generated DSL kernels cross-checked by the "
               "static-facts, adder, sanitizer-contract and "
               "static-bounds oracles.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -291,8 +291,8 @@ def parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     p_run.add_argument("--budget", type=int, default=50,
                        help="number of kernels to generate and check")
     p_run.add_argument("--configs", default=DEFAULT_CONFIGS,
-                       help="speculation configs for the engine and "
-                            "adder oracles (aliases or exact names)")
+                       help="speculation configs for the adder and "
+                            "bounds oracles (aliases or exact names)")
     p_run.add_argument("--oracles", default=",".join(ORACLES),
                        help="comma-separated subset of: "
                             + ", ".join(ORACLES))

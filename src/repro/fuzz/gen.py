@@ -25,8 +25,8 @@ program is *valid by construction*:
   analysis bails with no claims.
 
 Every kernel ends by storing to both output buffers and is guaranteed
-at least one 32-bit integer adder op, so the vectorized engine's
-``supported()`` screen always passes.
+at least one 32-bit integer adder op, so the adder oracle always has
+rows to check.
 """
 
 from __future__ import annotations

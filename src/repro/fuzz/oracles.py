@@ -1,12 +1,7 @@
-"""The five-way differential oracle over one generated kernel.
+"""The four-way differential oracle over one generated kernel.
 
 Every kernel is executed once (unsanitized) to capture its trace, then
 cross-examined by independent implementations of the same claims:
-
-* **engine oracle** — :func:`repro.runner.units.evaluation_payload`
-  under ``interp`` and ``vec`` must be numerically identical
-  (``results_equal``: exact floats, NaN == NaN) for every speculation
-  config.  Runs the production payload path, not a simplification.
 
 * **static-facts oracle** — every ``CarryFact`` the abstract
   interpreter proves is checked against the observed dynamic carries
@@ -50,7 +45,7 @@ from repro.fuzz.harness import KernelBundle, execute
 from repro.sim.sanitizer import BarrierDivergenceError, SanitizerError
 
 #: oracle names, in report order
-ORACLES = ("engine", "static", "adder", "sanitizer", "bounds")
+ORACLES = ("static", "adder", "sanitizer", "bounds")
 
 #: configs the oracles default to — the design point, the plain shared
 #: history, an operand predictor and VaLHALLA cover every prediction
@@ -91,62 +86,6 @@ class KernelVerdict:
         return {"name": self.name, "ok": self.ok,
                 "checks": dict(self.checks), "skips": dict(self.skips),
                 "failures": [f.to_dict() for f in self.failures]}
-
-
-# ----------------------------------------------------------------------
-# engine oracle
-# ----------------------------------------------------------------------
-
-def payload_diff(a: Any, b: Any, prefix: str = "",
-                 out: Optional[List[str]] = None) -> List[str]:
-    """Dotted paths at which two payload trees differ (NaN == NaN)."""
-    if out is None:
-        out = []
-    if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b)):
-            path = f"{prefix}.{key}" if prefix else str(key)
-            if key not in a or key not in b:
-                out.append(path)
-            else:
-                payload_diff(a[key], b[key], path, out)
-        return out
-    if isinstance(a, float) and isinstance(b, float):
-        if a == b or (np.isnan(a) and np.isnan(b)):
-            return out
-        out.append(prefix)
-        return out
-    if a != b:
-        out.append(prefix)
-    return out
-
-
-def check_engines(run: Any, configs: Sequence[Any], models: Any,
-                  facts: Dict[str, Dict[str, Any]],
-                  verdict: KernelVerdict) -> None:
-    """interp and vec payloads must be numerically identical."""
-    from repro.runner.units import evaluation_payload
-    from repro.sim import vec
-
-    reason = vec.supported(run)
-    if reason is not None:
-        verdict.skips["engine"] = f"vec unsupported: {reason}"
-        return
-    for config in configs:
-        interp = evaluation_payload(run, config, models=models,
-                                    engine="interp", facts=facts)
-        vec_p = evaluation_payload(run, config, models=models,
-                                   engine="vec", facts=facts)
-        diff = payload_diff(interp["metrics"], vec_p["metrics"])
-        diff += payload_diff(interp["energy_stacks"],
-                             vec_p["energy_stacks"],
-                             prefix="energy_stacks")
-        verdict.checks["engine"] = verdict.checks.get("engine", 0) + 1
-        if diff:
-            verdict.failures.append(OracleFailure(
-                "engine",
-                f"interp and vec payloads differ under "
-                f"{config.name}: {', '.join(diff[:6])}",
-                {"config": config.name, "paths": diff[:20]}))
 
 
 # ----------------------------------------------------------------------
@@ -446,7 +385,7 @@ def check_bounds(bundle: KernelBundle, run: Any,
     The soundness contract of :mod:`repro.lint.bounds`: for any launch
     geometry and any input data, the aggregate adder-row count lies in
     the per-thread count box scaled by the thread count, and the
-    headline ``interp`` metrics of every config lie inside that
+    headline payload metrics of every config lie inside that
     config's class bounds.  Trivial (bailed) reports must claim
     nothing beyond the trivial template.
     """
@@ -502,8 +441,7 @@ def check_bounds(bundle: KernelBundle, run: Any,
              "lo": total.lo, "hi": total.hi}))
     for config in configs:
         cls = report.bounds_for_config(config)
-        payload = evaluation_payload(run, config, models=models,
-                                     engine="interp", facts=None)
+        payload = evaluation_payload(run, config, models=models)
         metrics = payload["metrics"]
         mis = float(metrics["misprediction_rate"])
         mrec = mis * float(metrics["recomputed_per_misprediction"])
@@ -548,8 +486,6 @@ def check_kernel(bundle: KernelBundle, configs: Sequence[Any],
     facts = module_facts_from_source(bundle.source, bundle.path)
     facts_json = facts_as_json(facts)
     summaries = analyze_source(bundle.source, bundle.path)
-    if "engine" in oracles:
-        check_engines(run, configs, models, facts_json, verdict)
     if "static" in oracles:
         check_static_facts(run, facts, facts_json, summaries, verdict)
     if "sanitizer" in oracles:
@@ -579,8 +515,7 @@ def verdict_for_kernel(kernel: Any, directory: str,
 __all__ = [
     "ADDER_SAMPLE_ROWS", "DEFAULT_CONFIGS", "KernelVerdict",
     "ORACLES", "OracleFailure", "check_adder", "check_bounds",
-    "check_engines",
     "check_kernel", "check_sanitizer_contract", "check_static_facts",
-    "facts_as_json", "lint_is_clean", "payload_diff",
+    "facts_as_json", "lint_is_clean",
     "reference_outcome", "sample_rows", "verdict_for_kernel",
 ]

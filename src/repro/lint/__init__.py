@@ -25,7 +25,7 @@ L5      nondeterminism (unseeded RNG, wall-clock reads) in modules the
         runner's content-addressed cache hashes — poisons cache keys
 L6      provably-constant slice carry at an adder site (informational;
         the proofs ``st2-lint facts`` exports for the simulator's
-        StaticPeekPredictor)
+        static-peek overlay)
 L7      flow-sensitive barrier divergence: L4, but only where the
         abstract interpreter proves a divergent mask actually reaches
         the barrier — and retracting L4 where it proves it cannot

@@ -7,8 +7,8 @@ the findings as one machine-readable document.
 
 ``st2-lint facts [paths...] [--json]`` runs only the abstract
 interpreter and exports the statically proven per-PC slice-carry
-facts — the table :class:`repro.core.predictors.StaticPeekPredictor`
-consumes.
+facts — the table the evaluation engine's static-peek overlay
+(:mod:`repro.sim.vec.engine`) consumes.
 
 ``st2-lint bounds [paths...] [--json]`` runs the bounds tier
 (:mod:`repro.lint.bounds`) and exports sound per-kernel,
@@ -80,7 +80,7 @@ def build_facts_parser() -> argparse.ArgumentParser:
     parser = cli_common.build_parser(
         "st2-lint facts",
         "Export statically proven per-PC slice-carry facts "
-        "(the StaticPeekPredictor fact table).")
+        "(the static-peek fact table).")
     parser.add_argument("paths", nargs="*",
                         default=["src/repro/kernels"],
                         help="files or directories to analyze "

@@ -23,8 +23,9 @@ every site pins it to the same value.  Sites under a dynamic
 ``k.inline`` tag, or whose operands cannot be proven inside
 ``[0, 2**32)``, export nothing — missing facts are always sound.
 
-Consumed by :class:`repro.core.predictors.StaticPeekPredictor` (via
-``apply_static_facts``) and exported by ``st2-lint facts --json``.
+Consumed by the evaluation engine's static-peek overlay
+(:func:`repro.core.predictors.trace_static_peek`, per unit in
+:mod:`repro.sim.vec.engine`) and exported by ``st2-lint facts --json``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ feasibility instead of syntax:
 * **L6** (informational) — an integer adder site whose operand ranges
   statically pin one or more slice-boundary carries; the message lists
   the proven carries.  These are exactly the sites ``st2-lint facts``
-  exports for :class:`~repro.core.predictors.StaticPeekPredictor`.
+  exports for the evaluation engine's static-peek overlay.
 * **L7** — a ``k.syncthreads`` under a ``k.where`` mask where a
   divergent mask is *actually reachable* under the abstract state.
   The flow-sensitive upgrade of the syntactic L4: where the engine

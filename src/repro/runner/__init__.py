@@ -14,13 +14,13 @@ from repro.runner.cache import (ResultCache, code_version,
 from repro.runner.manifest import read_manifest, write_manifest
 from repro.runner.options import RunOptions
 from repro.runner.pool import default_workers, run_suite_units, run_units
-from repro.runner.units import (ENGINES, UnitSpec, build_units,
+from repro.runner.units import (UnitSpec, build_units,
                                 derive_unit_seed, execute_unit,
                                 resolve_configs, results_equal,
                                 unit_trace_key)
 
 __all__ = [
-    "ENGINES", "ResultCache", "RunOptions", "UnitSpec", "build_units",
+    "ResultCache", "RunOptions", "UnitSpec", "build_units",
     "code_version", "default_cache_dir", "default_workers",
     "derive_unit_seed", "execute_unit", "read_manifest",
     "resolve_configs", "results_equal", "run_suite_units", "run_units",

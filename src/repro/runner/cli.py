@@ -29,7 +29,7 @@ from repro.runner.cache import code_version
 from repro.runner.manifest import write_manifest
 from repro.runner.options import RunOptions
 from repro.runner.pool import RunTimer, run_units
-from repro.runner.units import ENGINES, build_units, resolve_configs
+from repro.runner.units import build_units, resolve_configs
 
 
 def build_parser():
@@ -59,16 +59,6 @@ def build_parser():
     parser.add_argument("--no-aux", action="store_true",
                         help="skip the VaLHALLA + correlation "
                              "auxiliary measurements")
-    parser.add_argument("--engine", choices=list(ENGINES),
-                        default="auto",
-                        help="evaluation engine: 'interp' is the "
-                             "reference per-width interpreter; 'vec' "
-                             "is the batched trace-replay engine "
-                             "(bit-identical results and obs "
-                             "counters, errors if a trace is "
-                             "unsupported); 'auto' (default) uses "
-                             "vec where supported and falls back to "
-                             "interp per unit otherwise")
     parser.add_argument("--cache-dir", default=None,
                         help="cache root (default: $REPRO_CACHE_DIR "
                              "or ~/.cache/repro)")
@@ -160,7 +150,6 @@ def main(argv=None) -> int:
         "scale": args.scale,
         "seed": args.seed,
         "workers": options.workers,
-        "engine": options.engine,
         "use_cache": options.use_cache,
         "cache_dir": str(options.resolved_cache().root),
         "code_version": code_version(),

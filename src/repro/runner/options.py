@@ -46,13 +46,6 @@ class RunOptions:
     trace_store: object = None      # TraceStore or None (single-stage)
     stats: dict = field(default_factory=dict)
     obs: object = None              # repro.obs.Obs or None (fresh)
-    engine: str = "auto"            # interp | vec | auto (see ENGINES)
-
-    def __post_init__(self) -> None:
-        from repro.runner.units import ENGINES
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; "
-                             f"choose one of {ENGINES}")
 
     def resolved_cache(self) -> ResultCache:
         return self.cache if self.cache is not None else ResultCache()
@@ -68,8 +61,8 @@ class RunOptions:
     def from_args(cls, args, progress=None, timer=None) -> "RunOptions":
         """Build options from ``st2-run`` parsed arguments.
 
-        Understands ``--workers``, ``--cache-dir``, ``--no-cache``,
-        ``--engine`` and ``--trace-store [DIR]`` (absent →
+        Understands ``--workers``, ``--cache-dir``, ``--no-cache`` and
+        ``--trace-store [DIR]`` (absent →
         single-stage; bare flag → default store dir; with a path →
         that directory).
         """
@@ -85,5 +78,4 @@ class RunOptions:
             store = TraceStore(spec or None)
         return cls(workers=workers, cache=cache,
                    use_cache=not getattr(args, "no_cache", False),
-                   progress=progress, timer=timer, trace_store=store,
-                   engine=getattr(args, "engine", None) or "auto")
+                   progress=progress, timer=timer, trace_store=store)

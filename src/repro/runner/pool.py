@@ -36,14 +36,12 @@ from repro.runner.units import (ModelBundle, UnitSpec, execute_unit,
 _WORKER_MODELS = ModelBundle()
 _WORKER_STORE = None
 
-#: Evaluation fan-outs at or below this many units run inline when the
-#: requested engine is ``vec``: a batched unit costs milliseconds, so
-#: the pool's fork + IPC overhead dominates small grids.  Inline and
-#: pooled execution produce identical results and metrics (the
-#: parallel-equals-serial guarantee), so the cutoff is purely a
-#: latency choice.  ``auto`` and ``interp`` grids always honour
-#: ``options.workers`` — their units may be interpreter-priced.
-VEC_INLINE_MAX_UNITS = 16
+#: Evaluation fan-outs at or below this many units run inline: a unit
+#: costs milliseconds, so the pool's fork + IPC overhead dominates
+#: small grids.  Inline and pooled execution produce identical results
+#: and metrics (the parallel-equals-serial guarantee), so the cutoff is
+#: purely a latency choice.
+INLINE_MAX_UNITS = 16
 
 
 def default_workers() -> int:
@@ -78,12 +76,12 @@ def _run_one(item) -> tuple:
     """Stage-2 / single-stage work item: one unit, end to end, under a
     fresh obs scope whose snapshot travels home with the result (as the
     transient ``"obs"`` key — popped and merged by the parent)."""
-    index, spec, store_key, engine = item
+    index, spec, store_key = item
     with obs.scoped() as reg:
         with reg.span("runner.unit"):
             result = execute_unit(spec, models=_WORKER_MODELS,
                                   store=_WORKER_STORE,
-                                  store_key=store_key, engine=engine)
+                                  store_key=store_key)
     result.data["obs"] = reg.snapshot()
     return index, result
 
@@ -222,12 +220,10 @@ def run_units(specs, options: RunOptions = None) -> list:
                 stats["stage_init_s"] = _prepare_eval(pending)
         t0 = time.perf_counter()
         if pending:
-            items = [(i, spec, trace_keys.get(i), options.engine)
-                     for i, spec in pending]
+            items = [(i, spec, trace_keys.get(i)) for i, spec in pending]
             store_root = str(store.root) if store is not None else None
             workers = options.workers
-            if options.engine == "vec" \
-                    and len(items) <= VEC_INLINE_MAX_UNITS:
+            if len(items) <= INLINE_MAX_UNITS:
                 workers = 1
             chunk = 2 if len(items) >= 4 * max(workers, 1) else 1
             with reg.span("runner.stage.eval"):

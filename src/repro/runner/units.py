@@ -34,23 +34,15 @@ from repro.st2.results import RunResult
 #: timings (``capture_time_s`` / ``eval_time_s``) joined the payload.
 #: v3: ``metrics.static_peek`` — the static carry-fact ablation row.
 #: v4: ``engine`` — which evaluation engine produced the numbers.
-RESULT_SCHEMA = 4
+#: v5: ``engine`` dropped again — there is one evaluation engine.
+RESULT_SCHEMA = 5
 
 #: Fields every valid result dict must carry (cache validation).
 RESULT_FIELDS = ("kernel", "scale", "seed", "config", "config_fields",
-                 "engine", "wall_time_s", "capture_time_s",
+                 "wall_time_s", "capture_time_s",
                  "eval_time_s", "trace_cache_hit", "trace_rows",
                  "trace_bytes", "n_static_pcs", "metrics",
                  "energy_stacks")
-
-#: Evaluation engines :func:`execute_unit` dispatches between.
-#: ``interp`` is the reference per-width interpreter
-#: (:func:`repro.st2.architecture.evaluate_run` + the static-peek
-#: ablation); ``vec`` is the batched replay engine
-#: (:mod:`repro.sim.vec`), bit-identical where supported; ``auto``
-#: picks ``vec`` when :func:`repro.sim.vec.supported` allows it and
-#: falls back to ``interp`` otherwise.
-ENGINES = ("interp", "vec", "auto")
 
 
 @dataclass(frozen=True)
@@ -163,88 +155,52 @@ class ModelBundle:
         return self
 
 
-def _aux_metrics(run) -> dict:
+def _aux_metrics(run, pack) -> dict:
     """The extra per-kernel measurements the headline scorecard needs:
-    the VaLHALLA comparison point and the Figure 3 correlation rates."""
+    the VaLHALLA comparison point and the Figure 3 correlation rates,
+    read off the unit's :class:`~repro.core.batch.TracePack`.  Emits no
+    ``core.*`` counters: those count the unit's own evaluation."""
+    from repro.core.batch import evaluate_trace_batch, predict_trace_batch
     from repro.core.correlation import slice_carry_correlation
-    from repro.core.predictors import run_speculation
     from repro.core.speculation import VALHALLA
 
-    valhalla = run_speculation(run.trace, VALHALLA)
-    correlation = slice_carry_correlation(run.trace, run.name)
+    valhalla = predict_trace_batch(run.trace, VALHALLA, pack)
+    mispredicted = evaluate_trace_batch(pack, valhalla.bits)[0]
+    correlation = slice_carry_correlation(run.trace, run.name, pack=pack)
     return {
         "valhalla_misprediction_rate":
-            valhalla.thread_misprediction_rate,
+            float(mispredicted.mean()) if pack.n_rows else 0.0,
         "correlation": {k: float(v)
                         for k, v in correlation.match_rates.items()},
     }
 
 
-def _fact_bits(facts) -> int:
-    """Pinned carry-boundary count of a fact table (CarryFact objects
-    or their ``st2-lint facts --json`` dict form)."""
-    total = 0
-    for fact in (facts or {}).values():
-        total += len(fact["carries"] if isinstance(fact, dict)
-                     else fact.carries)
-    return total
-
-
 def evaluation_payload(run, config: SpeculationConfig,
-                       models: ModelBundle = None,
-                       engine: str = "interp", facts=None,
+                       models: ModelBundle = None, facts=None,
                        plan_key=None) -> dict:
     """The numeric core of one (run × config) evaluation.
 
-    Returns ``{"engine", "metrics", "energy_stacks"}`` — exactly the
-    payload slice of :func:`execute_unit`'s result dict, computed on
-    an **arbitrary** :class:`~repro.sim.functional.KernelRun` with an
+    Returns ``{"metrics", "energy_stacks"}`` — exactly the payload
+    slice of :func:`execute_unit`'s result dict, computed on an
+    **arbitrary** :class:`~repro.sim.functional.KernelRun` with an
     explicit static-fact table.  This is the entry point the
-    differential fuzzer's engine oracle drives: the same code path
-    that produces production numbers, minus the suite registry (fuzz
-    kernels are not registered) and the trace-store bookkeeping.
+    differential fuzzer drives: the same code path that produces
+    production numbers, minus the suite registry (fuzz kernels are not
+    registered) and the trace-store bookkeeping.
 
-    ``engine`` must be ``"interp"`` or ``"vec"`` (already resolved —
-    see :func:`_resolve_engine` for the ``auto`` policy).  Both
-    engines add identical obs counter totals, including the per-unit
-    ``absint.facts`` count, which keeps grid snapshots independent of
-    how units are distributed over workers.
+    Every unit adds its ``absint.facts`` count, which keeps grid
+    snapshots independent of how units are distributed over workers.
     """
-    from repro.st2.architecture import evaluate_run
+    from repro.sim.vec.engine import evaluate_unit, fact_bits
 
     models = (models or ModelBundle()).ensure()
     facts = facts or {}
-    obs.add("absint.facts", _fact_bits(facts))
-    if engine == "vec":
-        from repro.sim import vec
-
-        ev, static_peek = vec.evaluate_unit(
-            run, config, facts, models.power_model, models.adder_model,
-            plan_key=plan_key)
-    elif engine == "interp":
-        from repro.st2.ablations import static_peek_ablation
-
-        ev = evaluate_run(run, config=config, model=models.power_model,
-                          adder_model=models.adder_model)
-        point = static_peek_ablation(run.trace, facts, config=config)
-        static_peek = {
-            "fact_labels": point.fact_labels,
-            "fact_bits": point.fact_bits,
-            "static_bits": point.static_bits,
-            "new_static_bits": point.new_static_bits,
-            "dynamic_events_base": point.dynamic_events_base,
-            "dynamic_events_static": point.dynamic_events_static,
-            "events_reduced": point.events_reduced,
-            "misprediction_rate_base": point.misprediction_rate_base,
-            "misprediction_rate_static": point.misprediction_rate_static,
-        }
-    else:
-        raise ValueError(
-            f"evaluation_payload needs a resolved engine "
-            f"('interp' or 'vec'), got {engine!r}")
+    obs.add("absint.facts", fact_bits(facts))
+    ev, static_peek = evaluate_unit(
+        run, config, facts, models.power_model, models.adder_model,
+        plan_key=plan_key)
     base_stack, st2_stack = ev.energy.normalized_stacks()
     return {
-        "engine": engine,
         "metrics": {
             "misprediction_rate": float(ev.misprediction_rate),
             "recomputed_per_misprediction":
@@ -296,36 +252,9 @@ def _obtain_run(spec: UnitSpec, store, store_key, use_mem_cache):
     return run, hit, 0.0 if hit else time.perf_counter() - t0
 
 
-def _resolve_engine(engine: str, run, plan_key=None) -> str:
-    """Pick the engine that will evaluate ``run``.
-
-    ``interp`` and ``vec`` are honoured as requested (``vec`` raises
-    :class:`~repro.sim.vec.VecUnsupportedError` when the run cannot
-    take the vectorized path); ``auto`` prefers ``vec`` and falls back
-    to the interpreter, counting the fallback so grid-level metrics
-    surface it.  ``plan_key`` memoises the support verdict per trace.
-    """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose one of {ENGINES}")
-    if engine == "interp":
-        return "interp"
-    from repro.sim import vec
-
-    reason = vec.supported(run, key=plan_key)
-    if reason is None:
-        return "vec"
-    if engine == "vec":
-        raise vec.VecUnsupportedError(
-            f"{run.name}: engine 'vec' requested but {reason} "
-            f"(use --engine auto to fall back to the interpreter)")
-    obs.add("runner.engine.fallback")
-    return "interp"
-
-
 def execute_unit(spec: UnitSpec, models: ModelBundle = None,
                  use_mem_cache: bool = True, store=None,
-                 store_key: str = None, engine: str = "auto") -> RunResult:
+                 store_key: str = None) -> RunResult:
     """Run one unit end to end; returns its typed
     :class:`~repro.st2.results.RunResult`.
 
@@ -339,12 +268,13 @@ def execute_unit(spec: UnitSpec, models: ModelBundle = None,
     from the store (memory-mapped, shared across processes) and only
     captured — once, for every config that shares it — on a cold miss.
 
-    ``engine`` selects the evaluation engine (see :data:`ENGINES`);
-    the result's ``engine`` field records which one actually ran.
-    Both engines produce bit-identical payloads and obs counters, so
-    the choice never changes the numbers — only the wall time.
+    Raises :class:`ValueError` naming the offending field when the
+    trace cannot be evaluated: an adder width outside [1, 64], an
+    unresolvable opcode id, or a block/seq/warp id outside the packed
+    warp-instruction key range.
     """
     from repro.lint.facts import facts_for_kernel
+    from repro.sim.vec.plan import plan_for
 
     models = (models or ModelBundle()).ensure()
     t0 = time.perf_counter()
@@ -352,9 +282,7 @@ def execute_unit(spec: UnitSpec, models: ModelBundle = None,
                                             use_mem_cache)
     t_eval = time.perf_counter()
     plan_key = (spec.kernel, spec.scale, spec.seed)
-    engine_used = _resolve_engine(engine, run, plan_key=plan_key)
     payload = evaluation_payload(run, spec.config, models=models,
-                                 engine=engine_used,
                                  facts=facts_for_kernel(spec.kernel),
                                  plan_key=plan_key)
     result = {
@@ -363,7 +291,6 @@ def execute_unit(spec: UnitSpec, models: ModelBundle = None,
         "seed": spec.seed,
         "config": spec.config.name,
         "config_fields": dataclasses.asdict(spec.config),
-        "engine": engine_used,
         "wall_time_s": 0.0,     # patched below, after measuring
         "capture_time_s": capture_s,
         "eval_time_s": 0.0,     # patched below, after measuring
@@ -375,7 +302,7 @@ def execute_unit(spec: UnitSpec, models: ModelBundle = None,
         "energy_stacks": payload["energy_stacks"],
     }
     if spec.aux:
-        result["aux"] = _aux_metrics(run)
+        result["aux"] = _aux_metrics(run, plan_for(run, plan_key).pack)
     result["eval_time_s"] = time.perf_counter() - t_eval
     result["wall_time_s"] = time.perf_counter() - t0
     obs.record_timer("runner.unit.capture", result["capture_time_s"])
@@ -386,11 +313,8 @@ def execute_unit(spec: UnitSpec, models: ModelBundle = None,
 
 #: Result keys that describe *this invocation's* execution, not the
 #: experiment's numbers — excluded from numerical-identity comparison.
-#: ``engine`` belongs here because both engines are bit-identical: a
-#: result computed by ``vec`` must compare equal to one computed by
-#: ``interp`` (the vec-equivalence CI job rests on exactly this).
 RUNTIME_FIELDS = ("wall_time_s", "capture_time_s", "eval_time_s",
-                  "trace_cache_hit", "cached", "key", "engine")
+                  "trace_cache_hit", "cached", "key")
 
 
 def comparable(result) -> dict:

@@ -180,9 +180,7 @@ class ServeApp:
             entry.trace_key = trace_key
             store_key = trace_key if self.trace_store is not None \
                 else None
-            self.pool.submit(key, spec, trace_key,
-                             store_key=store_key,
-                             engine=job.spec.engine)
+            self.pool.submit(key, spec, trace_key, store_key=store_key)
             self._budget -= 1
 
     def _next_dispatchable(self):
@@ -431,7 +429,6 @@ class ServeApp:
             "configs": sorted({u.config.name for u in job.units}),
             "scale": job.spec.scale,
             "seed": job.spec.seed,
-            "engine": job.spec.engine,
             "client": job.spec.client,
             "code_version": self.code_version,
             "units_cached": job.units_cached,

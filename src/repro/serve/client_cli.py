@@ -66,9 +66,6 @@ def _add_grid_args(parser) -> None:
     parser.add_argument("--no-aux", action="store_true",
                         help="skip the VaLHALLA + correlation "
                              "auxiliary measurements")
-    parser.add_argument("--engine", default="auto",
-                        choices=["interp", "vec", "auto"],
-                        help="evaluation engine (default auto)")
     parser.add_argument("--priority", type=int, default=0,
                         help="queue priority, lower runs sooner "
                              "(default 0)")
@@ -160,7 +157,7 @@ def _spec_from_args(args) -> JobSpec:
         kernels=tuple(kernels),
         configs=tuple(cfg.name for cfg in configs),
         scale=args.scale, seed=args.seed, aux=not args.no_aux,
-        per_kernel_seeds=args.per_kernel_seeds, engine=args.engine,
+        per_kernel_seeds=args.per_kernel_seeds,
         priority=args.priority, client=args.client)
 
 

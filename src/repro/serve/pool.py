@@ -54,9 +54,9 @@ def _worker_main(shard: int, task_q, result_q, store_root,
         item = task_q.get()
         if item is None:
             break
-        task_id, spec, store_key, engine = item
+        task_id, spec, store_key = item
         try:
-            _, result = _run_one((0, spec, store_key, engine))
+            _, result = _run_one((0, spec, store_key))
             result_q.put((task_id, "ok", result.to_dict()))
         except Exception:
             result_q.put((task_id, "error", traceback.format_exc()))
@@ -145,14 +145,14 @@ class ShardedPool:
     # -- work ----------------------------------------------------------
 
     def submit(self, task_id, spec, trace_key: str,
-               store_key=None, engine: str = "auto") -> int:
+               store_key=None) -> int:
         """Queue one evaluation unit on its trace's shard; returns the
         shard index chosen."""
         if self._closed:
             raise RuntimeError("pool is closed")
         shard = shard_of(trace_key, self.shards)
         obs.add(f"serve.pool.shard.{shard}.tasks")
-        self._task_qs[shard].put((task_id, spec, store_key, engine))
+        self._task_qs[shard].put((task_id, spec, store_key))
         return shard
 
     def _drain(self, pending, expect_ready: bool) -> None:

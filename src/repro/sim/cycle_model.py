@@ -26,8 +26,8 @@ A caveat the paper's own methodology shares: in a cycle-driven model,
 tiny latency perturbations (the ST2 stalls) also perturb *scheduling
 decisions*, so a single paired run measures "within X % of baseline"
 rather than a strictly-positive slowdown — use
-:func:`repro.sim.pipeline.simulate_sm_pair` (shared-schedule paired
-simulation) when the isolated stall cost is the quantity of interest.
+:func:`repro.sim.pipeline.compare_baseline_st2` (shared-schedule
+paired simulation) when the isolated stall cost is the quantity of interest.
 """
 
 from __future__ import annotations

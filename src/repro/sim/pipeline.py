@@ -24,13 +24,14 @@ Model per SM:
 
 The simulation consumes the warp-level :class:`InstStream` of one SM's
 resident blocks; the whole-kernel duration is the SM makespan times the
-number of block waves over the chip.
+number of block waves over the chip.  The event loop itself runs over a
+pre-resolved schedule in :mod:`repro.sim.vec.timing`;
+:func:`simulate_sm` and :func:`compare_baseline_st2` are the public
+entry points.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,6 @@ import numpy as np
 from repro import obs
 from repro.isa.opcodes import FunctionalUnit
 from repro.sim.config import GPUConfig, TITAN_V
-from repro.sim.trace import opcode_from_id
 
 #: instruction-level-parallelism lookahead: instruction i waits on i-2
 ILP_DEPTH = 2
@@ -85,236 +85,25 @@ def _resident_blocks(insts, gpu: GPUConfig, block_threads: int) -> list:
     return list(blocks[:per_sm])
 
 
-def simulate_sm(insts, launch, gpu: GPUConfig = TITAN_V,
-                warp_mispredicts: dict = None) -> TimingResult:
-    """Simulate one fully-loaded SM executing its resident blocks.
+def simulate_sm(insts, launch, gpu: GPUConfig = TITAN_V) -> TimingResult:
+    """Simulate one fully-loaded SM executing its resident blocks
+    (baseline GPU: no carry mispredictions)."""
+    from repro.sim.vec.timing import baseline_timing
 
-    ``warp_mispredicts`` maps ``(block, seq, warp) -> True`` for warp
-    instructions that suffered at least one lane misprediction (ST2
-    mode); pass ``None`` for the baseline.
-    """
-    resident = _resident_blocks(insts, gpu, launch.block_threads)
-    sel = np.isin(insts.block, resident)
-    blocks = insts.block[sel]
-    seqs = insts.seq[sel]
-    warps = insts.warp[sel]
-    opcodes = insts.opcode[sel]
-
-    # per-warp instruction lists, already seq-ordered within a block
-    order = np.lexsort((seqs, warps))
-    blocks, seqs, warps, opcodes = (a[order] for a in
-                                    (blocks, seqs, warps, opcodes))
-
-    warp_ids = np.unique(warps)
-    warp_ptr = {int(w): 0 for w in warp_ids}
-    warp_rows: dict = {int(w): np.nonzero(warps == w)[0]
-                       for w in warp_ids}
-    completions: dict = {int(w): [] for w in warp_ids}
-
-    fu_free = {unit: 0 for unit in FunctionalUnit}
-    stall_fu = 0
-    extra = 0
-    cycle = 0
-    n_total = len(blocks)
-    n_done = 0
-    mispred = warp_mispredicts or {}
-
-    # event-driven over warp readiness: process warps in ready order
-    heap = [(0, int(w)) for w in warp_ids]
-    heapq.heapify(heap)
-    while heap:
-        ready, w = heapq.heappop(heap)
-        ptr = warp_ptr[w]
-        rows = warp_rows[w]
-        if ptr >= len(rows):
-            continue
-        row = rows[ptr]
-        op = opcode_from_id(int(opcodes[row]))
-        unit = op.unit
-        width = _pool_width(TITAN_V if gpu is None else gpu, unit)
-        dispatch = math.ceil(gpu.warp_size / max(width // 4, 1)) \
-            if unit != FunctionalUnit.CONTROL else 1
-
-        # dependency: wait for instruction ILP_DEPTH back to complete
-        dep_ready = ready
-        comp = completions[w]
-        if len(comp) >= ILP_DEPTH:
-            dep_ready = max(dep_ready, comp[-ILP_DEPTH])
-
-        start = max(dep_ready, fu_free[unit])
-        if start > dep_ready:
-            stall_fu += start - dep_ready
-
-        # miss_frac: fraction of the warp's lanes that mispredicted.
-        # Only the adders serving those lanes stay occupied the extra
-        # cycle (per-FU stall granularity), so the pool loses
-        # `miss_frac` cycles of throughput; the warp itself must wait
-        # the full extra cycle for its slowest lane.
-        miss_frac = mispred.get(
-            (int(blocks[row]), int(seqs[row]), w), 0.0)
-        occupy = dispatch + miss_frac
-        latency = op.latency + (1 if miss_frac > 0 else 0)
-        if miss_frac > 0:
-            extra += 1
-
-        fu_free[unit] = start + occupy
-        done = start + dispatch + latency
-        comp.append(done)
-        if len(comp) > 4:
-            del comp[0:len(comp) - 4]
-        warp_ptr[w] = ptr + 1
-        n_done += 1
-        cycle = max(cycle, done)
-        if ptr + 1 < len(rows):
-            heapq.heappush(heap, (start + dispatch, w))
-
-    launch_blocks = launch.grid_blocks
-    waves = max(1, math.ceil(launch_blocks
-                             / (len(resident) * gpu.n_sms)))
-    obs.add("sim.timing.warp_insts", n_total)
-    obs.add("sim.timing.stall_cycles_fu", stall_fu)
-    obs.add("sim.timing.recompute_insts", extra)
-    return TimingResult(cycles=cycle, waves=waves,
-                        instructions=n_total,
-                        stall_cycles_fu=stall_fu,
-                        extra_recompute_insts=extra)
-
-
-def warp_misprediction_map(trace, mispredicted: np.ndarray) -> dict:
-    """Aggregate lane-level mispredictions to warp instructions.
-
-    Returns ``{(block, seq, warp): mispredicted-lane fraction}`` for
-    every dynamic warp instruction in which any lane mispredicted — one
-    lane's recompute stalls the whole warp (Section VI), but only that
-    lane's adder stays occupied.
-    """
-    key = ((trace.block.astype(np.int64) << 44)
-           + (trace.seq.astype(np.int64) << 20)
-           + trace.warp.astype(np.int64))
-    uniq, inverse, counts = np.unique(key, return_inverse=True,
-                                      return_counts=True)
-    miss_counts = np.bincount(inverse, weights=mispredicted.astype(float),
-                              minlength=len(uniq))
-    out: dict = {}
-    hit = miss_counts > 0
-    for k, frac in zip(uniq[hit], (miss_counts[hit] / counts[hit])):
-        b = int(k >> 44)
-        s = int((k >> 20) & ((1 << 24) - 1))
-        w = int(k & ((1 << 20) - 1))
-        out[(b, s, w)] = float(frac)
-    return out
-
-
-def simulate_sm_pair(insts, launch, warp_mispredicts: dict,
-                     gpu: GPUConfig = TITAN_V) -> tuple:
-    """Baseline and ST2 timelines under one shared schedule.
-
-    Scheduling decisions (warp issue order, FU assignment) follow the
-    baseline; the ST2 timeline replays the identical instruction order
-    with the recompute penalties added.  This isolates the *stall* cost
-    of mispredictions from scheduling noise — with the two simulated
-    independently, heap tie-breaking flips could swamp sub-percent
-    effects.
-    """
-    with obs.timer("sim.timing.pair"):
-        base, st2 = _simulate_sm_pair(insts, launch, warp_mispredicts,
-                                      gpu)
-    obs.add("sim.timing.warp_insts", base.instructions)
-    obs.add("sim.timing.stall_cycles_fu", base.stall_cycles_fu)
-    obs.add("sim.timing.recompute_insts", st2.extra_recompute_insts)
-    return base, st2
-
-
-def _simulate_sm_pair(insts, launch, warp_mispredicts: dict,
-                      gpu: GPUConfig = TITAN_V) -> tuple:
-    resident = _resident_blocks(insts, gpu, launch.block_threads)
-    sel = np.isin(insts.block, resident)
-    blocks = insts.block[sel]
-    seqs = insts.seq[sel]
-    warps = insts.warp[sel]
-    opcodes = insts.opcode[sel]
-    order = np.lexsort((seqs, warps))
-    blocks, seqs, warps, opcodes = (a[order] for a in
-                                    (blocks, seqs, warps, opcodes))
-
-    warp_ids = np.unique(warps)
-    warp_ptr = {int(w): 0 for w in warp_ids}
-    warp_rows = {int(w): np.nonzero(warps == w)[0] for w in warp_ids}
-    comp_b: dict = {int(w): [] for w in warp_ids}
-    comp_s: dict = {int(w): [] for w in warp_ids}
-
-    fu_free_b = {unit: 0.0 for unit in FunctionalUnit}
-    fu_free_s = {unit: 0.0 for unit in FunctionalUnit}
-    stall_b = 0.0
-    extra = 0
-    makespan_b = 0.0
-    makespan_s = 0.0
-    mispred = warp_mispredicts or {}
-
-    heap = [(0.0, 0.0, int(w)) for w in warp_ids]
-    heapq.heapify(heap)
-    while heap:
-        ready_b, ready_s, w = heapq.heappop(heap)
-        ptr = warp_ptr[w]
-        rows = warp_rows[w]
-        if ptr >= len(rows):
-            continue
-        row = rows[ptr]
-        op = opcode_from_id(int(opcodes[row]))
-        unit = op.unit
-        width = _pool_width(gpu, unit)
-        dispatch = math.ceil(gpu.warp_size / max(width // 4, 1)) \
-            if unit != FunctionalUnit.CONTROL else 1
-
-        dep_b, dep_s = ready_b, ready_s
-        if len(comp_b[w]) >= ILP_DEPTH:
-            dep_b = max(dep_b, comp_b[w][-ILP_DEPTH])
-            dep_s = max(dep_s, comp_s[w][-ILP_DEPTH])
-
-        start_b = max(dep_b, fu_free_b[unit])
-        start_s = max(dep_s, fu_free_s[unit])
-        stall_b += start_b - dep_b
-
-        miss_frac = mispred.get(
-            (int(blocks[row]), int(seqs[row]), w), 0.0)
-        if miss_frac > 0:
-            extra += 1
-        fu_free_b[unit] = start_b + dispatch
-        fu_free_s[unit] = start_s + dispatch + miss_frac
-        done_b = start_b + dispatch + op.latency
-        done_s = start_s + dispatch + op.latency \
-            + (1 if miss_frac > 0 else 0)
-        for comp, done in ((comp_b[w], done_b), (comp_s[w], done_s)):
-            comp.append(done)
-            if len(comp) > 4:
-                del comp[0:len(comp) - 4]
-        makespan_b = max(makespan_b, done_b)
-        makespan_s = max(makespan_s, done_s)
-        warp_ptr[w] = ptr + 1
-        if ptr + 1 < len(rows):
-            heapq.heappush(heap,
-                           (start_b + dispatch, start_s + dispatch, w))
-
-    waves = max(1, math.ceil(launch.grid_blocks
-                             / (len(resident) * gpu.n_sms)))
-    n_total = len(blocks)
-    base = TimingResult(cycles=int(math.ceil(makespan_b)), waves=waves,
-                        instructions=n_total,
-                        stall_cycles_fu=int(stall_b),
-                        extra_recompute_insts=0)
-    st2 = TimingResult(cycles=int(math.ceil(makespan_s)), waves=waves,
-                       instructions=n_total,
-                       stall_cycles_fu=int(stall_b),
-                       extra_recompute_insts=extra)
-    return base, st2
+    result = baseline_timing(insts, launch, gpu)
+    obs.add("sim.timing.warp_insts", result.instructions)
+    obs.add("sim.timing.stall_cycles_fu", result.stall_cycles_fu)
+    obs.add("sim.timing.recompute_insts", 0)
+    return result
 
 
 def compare_baseline_st2(run, mispredicted: np.ndarray,
                          gpu: GPUConfig = TITAN_V) -> tuple:
-    """Timing of the baseline and the ST2 GPU for one kernel run.
+    """Timing of the baseline and the ST2 GPU for one kernel run under
+    lane-level ``mispredicted`` flags, on one shared schedule.
 
     Returns ``(baseline: TimingResult, st2: TimingResult)``.
     """
-    return simulate_sm_pair(
-        run.insts, run.launch,
-        warp_misprediction_map(run.trace, mispredicted), gpu)
+    from repro.sim.vec.timing import build_timing_plan, replay_pair
+
+    return replay_pair(build_timing_plan(run, gpu), mispredicted)

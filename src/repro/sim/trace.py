@@ -37,6 +37,8 @@ def opcode_id(op: Opcode) -> int:
 
 
 def opcode_from_id(oid: int) -> Opcode:
+    if not 0 <= oid < len(_OPCODES):
+        raise ValueError(f"field 'opcode': unresolvable opcode id {oid}")
     return _OPCODES[oid]
 
 

@@ -1,19 +1,15 @@
-"""Vectorized trace-replay evaluation engine (``--engine vec``).
+"""Trace-replay evaluation engine: the one evaluation path.
 
 Replays a (trace × config) evaluation unit as batched numpy operations
 over the trace store's read-only memmap columns — speculative-adder
-slice evaluation, predictor updates (including the
-``StaticPeekPredictor`` facts overlay) and misprediction/recompute
-accounting — instead of the interpreter's per-width, per-pass Python.
-Bit-identical results and identical obs counter totals are the
-contract; the dispatch in :mod:`repro.runner.units` falls back to the
-interpreter (engine ``auto``) whenever :func:`supported` names a
-reason a run cannot take this path.
+slice evaluation, predictor updates (including the static carry-fact
+overlay) and misprediction/recompute accounting — plus the timing pair
+over a pre-resolved schedule.  Slow, independent references check it in
+the tests: :class:`~repro.core.history.ReferencePredictor`, the
+fuzzer's big-int adder oracle and a sequential timing loop.
 """
 
-from repro.sim.vec.engine import (VecUnsupportedError, evaluate_unit,
-                                  supported)
+from repro.sim.vec.engine import evaluate_unit
 from repro.sim.vec.plan import clear_plans, plan_for
 
-__all__ = ["VecUnsupportedError", "evaluate_unit", "supported",
-           "plan_for", "clear_plans"]
+__all__ = ["evaluate_unit", "plan_for", "clear_plans"]

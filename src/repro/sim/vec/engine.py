@@ -1,29 +1,21 @@
-"""The vectorized (trace × config) evaluation engine.
+"""The (trace × config) evaluation engine — the only evaluation path.
 
-:func:`evaluate_unit` produces the same
-:class:`~repro.st2.architecture.KernelEvaluation` and the same
-static-peek ablation row as the interpreter path
-(``evaluate_run`` + ``static_peek_ablation``), from one batched pass:
+:func:`evaluate_unit` produces a unit's
+:class:`~repro.st2.architecture.KernelEvaluation` and its static-peek
+ablation row from one batched pass:
 
-* the prediction is computed **once** per (trace, config) — the
-  interpreter computes it three times (main run, ablation base,
-  ablation static) — and the static-fact overlay is a masked copy;
+* the prediction is computed **once** per (trace, config), and the
+  static carry-fact overlay is a masked copy re-evaluated only on the
+  rows it changes;
 * the ST2-adder outcome comes from the padded generate/propagate
-  tables of the trace plan instead of a per-width adder loop;
+  tables of the trace plan;
 * the timing pair replays a pre-resolved schedule
   (:mod:`repro.sim.vec.timing`).
 
-**Counter parity.**  The engine emits exactly the ``repro.obs``
-counter totals the interpreter would: prediction and adder counters
-are scaled by the number of times the interpreter repeats the
-identical computation (3× — and the adder misprediction counters add
-two dynamic evaluations plus one static one), so a grid run under
-either engine produces an identical ``counters`` snapshot.  That
-equality is asserted by the ``vec-equivalence`` CI job.
-
-:func:`supported` is the dispatch guard: it names the reason a run
-cannot take the vectorized path (the ``auto`` engine then falls back
-to the interpreter), or returns ``None`` when it can.
+**Counters.**  Each unit adds one prediction and one evaluation to the
+``core.predict.*`` / ``core.adder.*`` counters; the adder misprediction
+counters describe the dynamic evaluation (the static overlay's outcome
+is reported in the ablation row, not counted).
 """
 
 from __future__ import annotations
@@ -35,86 +27,19 @@ import numpy as np
 from repro import obs
 from repro.core.batch import (evaluate_trace_batch, predict_trace_batch)
 from repro.core.predictors import (SpeculationConfig, SpeculationResult)
-from repro.sim.vec.plan import (PLAN_CACHE_SIZE, PlanKey, TracePlan,
-                                _SUPPORTED, plan_for)
-from repro.sim.vec.timing import plan_miss_frac, run_pair
-
-#: interpreter repetitions of the identical prediction/evaluation per
-#: unit: the main run plus the static-peek ablation's base and static
-#: passes (the static pass re-runs prediction before overlaying facts)
-_INTERP_REPEATS = 3
-
-#: field limits of the warp-instruction key packing
-#: ``(block << 44) + (seq << 20) + warp`` used by the timing model
-_MAX_WARP = 1 << 20
-_MAX_SEQ = 1 << 24
-_MAX_BLOCK = 1 << 19
-
-
-class VecUnsupportedError(ValueError):
-    """A run cannot take the vectorized path but ``--engine vec``
-    demanded it."""
-
-
-def supported(run: Any,
-              key: Optional[PlanKey] = None) -> Optional[str]:
-    """Why ``run`` cannot take the vectorized path (None when it can).
-
-    The guards mirror the packed-integer assumptions of the batched
-    kernels: adder widths within the canonical 1–64-bit geometry
-    range, opcode ids that resolve, and block/seq/warp ids that fit
-    the warp-instruction key fields.
-
-    ``key`` is the unit's ``(kernel, scale, seed)`` plan key; with one,
-    the verdict is memoised so a grid scans each trace once instead of
-    once per config.
-    """
-    if key is not None and key in _SUPPORTED:
-        return _SUPPORTED[key]
-    reason = _scan(run)
-    if key is not None:
-        _SUPPORTED[key] = reason
-        while len(_SUPPORTED) > PLAN_CACHE_SIZE:
-            _SUPPORTED.pop(next(iter(_SUPPORTED)))
-    return reason
-
-
-def _scan(run: Any) -> Optional[str]:
-    """The column scans behind :func:`supported`."""
-    from repro.sim.trace import _OPCODES
-
-    trace = run.trace
-    if len(trace) == 0:
-        return "empty adder trace"
-    width = np.asarray(trace.width)
-    lo, hi = int(width.min()), int(width.max())
-    if lo < 1 or hi > 64:
-        return f"adder width {lo if lo < 1 else hi} outside [1, 64]"
-    opc = np.asarray(run.insts.opcode)
-    if len(opc) and (int(opc.min()) < 0
-                     or int(opc.max()) >= len(_OPCODES)):
-        return "unresolvable opcode id in instruction stream"
-    for name, arrs, limit in (
-            ("warp", (trace.warp, run.insts.warp), _MAX_WARP),
-            ("seq", (trace.seq, run.insts.seq), _MAX_SEQ),
-            ("block", (trace.block, run.insts.block), _MAX_BLOCK)):
-        for arr in arrs:
-            a = np.asarray(arr)
-            if len(a) and (int(a.min()) < 0 or int(a.max()) >= limit):
-                return (f"{name} id outside the packed key range "
-                        f"[0, {limit})")
-    return None
+from repro.sim.vec.plan import PlanKey, TracePlan, plan_for
+from repro.sim.vec.timing import replay_pair
 
 
 def evaluate_unit(run: Any, config: SpeculationConfig, facts: Any,
                   model: Any, adder_model: Any,
                   plan_key: Optional[PlanKey] = None
                   ) -> Tuple[Any, Dict[str, Any]]:
-    """One (trace × config) unit, vectorized end to end.
+    """One (trace × config) unit, end to end.
 
-    Returns ``(KernelEvaluation, static_peek_metrics)`` — numerically
-    identical to ``evaluate_run(...)`` plus the
-    ``static_peek_ablation`` row, with matching obs counter totals.
+    Returns ``(KernelEvaluation, static_peek_metrics)``: the dynamic
+    evaluation, and what the static carry-fact table ``facts`` buys on
+    top of it (see :func:`_static_peek_row`).
     """
     from repro.power.activity import activity_from_run
     from repro.st2.architecture import KernelEvaluation
@@ -141,47 +66,29 @@ def evaluate_unit(run: Any, config: SpeculationConfig, facts: Any,
         changed = (static_known & (static_value != pred.bits)
                    & pack.pred_valid).any(axis=1)
         rows = np.nonzero(changed)[0]
-        mis_s, rec_s, wrong_s = mis, rec, wrong
+        mis_s = mis
         if rows.size:
             static_bits = np.where(static_known[rows],
                                    static_value[rows], pred.bits[rows])
-            sub_m, sub_r, sub_w = evaluate_trace_batch(pack.rows(rows),
-                                                       static_bits)
-            mis_s, rec_s, wrong_s = (mis.copy(), rec.copy(),
-                                     wrong.copy())
-            mis_s[rows] = sub_m
-            rec_s[rows] = sub_r
-            wrong_s[rows] = sub_w
+            mis_s = mis.copy()
+            mis_s[rows] = evaluate_trace_batch(pack.rows(rows),
+                                               static_bits)[0]
 
-    # counter parity with the interpreter (see module docstring): the
-    # dynamic prediction/evaluation happens 3× there, the static
-    # evaluation once
-    lookups = pack.history_lookups
-    obs.add("core.predict.ops", _INTERP_REPEATS * n)
-    obs.add("core.predict.history_lookups", _INTERP_REPEATS * lookups)
-    obs.add("core.predict.history_hits",
-            _INTERP_REPEATS * int(pred.has_prev.sum()))
-    obs.add("core.predict.peek_static",
-            _INTERP_REPEATS * int(pred.peek_known.sum()))
+    obs.add("core.predict.ops", n)
+    obs.add("core.predict.history_lookups", pack.history_lookups)
+    obs.add("core.predict.history_hits", int(pred.has_prev.sum()))
+    obs.add("core.predict.peek_static", int(pred.peek_known.sum()))
     obs.add("predictor.static_peek_hits", int(static_known.sum()))
-    m, r, wb = int(mis.sum()), int(rec.sum()), int(wrong.sum())
-    m_s, r_s, wb_s = (int(mis_s.sum()), int(rec_s.sum()),
-                      int(wrong_s.sum()))
-    obs.add("core.adder.ops", _INTERP_REPEATS * n)
-    obs.add("core.adder.mispredicts", 2 * m + m_s)
-    obs.add("core.adder.recomputed_slices", 2 * r + r_s)
-    obs.add("core.adder.wrong_bits", 2 * wb + wb_s)
+    obs.add("core.adder.ops", n)
+    obs.add("core.adder.mispredicts", int(mis.sum()))
+    obs.add("core.adder.recomputed_slices", int(rec.sum()))
+    obs.add("core.adder.wrong_bits", int(wrong.sum()))
 
     speculation = SpeculationResult(config=config, n_ops=n,
                                     mispredicted=mis, recomputed=rec,
                                     wrong_bits=wrong)
 
-    with obs.timer("sim.timing.pair"):
-        base_t, st2_t = run_pair(plan.timing,
-                                 plan_miss_frac(plan.timing, mis))
-    obs.add("sim.timing.warp_insts", base_t.instructions)
-    obs.add("sim.timing.stall_cycles_fu", base_t.stall_cycles_fu)
-    obs.add("sim.timing.recompute_insts", st2_t.extra_recompute_insts)
+    base_t, st2_t = replay_pair(plan.timing, mis)
 
     activity = activity_from_run(run, base_t, name=run.name)
     baseline = baseline_breakdown(model, activity)
@@ -202,19 +109,21 @@ def _static_peek_row(pack: Any, dyn_resolved: np.ndarray,
                      static_known: np.ndarray, facts: Any,
                      mis: np.ndarray, mis_s: np.ndarray,
                      n: int) -> Dict[str, Any]:
-    """The ``metrics.static_peek`` dict — field for field what
-    ``_static_peek_metrics`` derives from ``static_peek_ablation``."""
-    fact_bits = 0
-    for fact in (facts or {}).values():
-        carries = (fact["carries"] if isinstance(fact, dict)
-                   else fact.carries)
-        fact_bits += len(carries)
+    """The ``metrics.static_peek`` dict: the value of *compile-time*
+    carry facts (``st2-lint facts``) on this unit.
+
+    ``dynamic_events_*`` count the valid (row, slice) boundaries that
+    still need a dynamic speculation once runtime Peek (and, for
+    ``_static``, the facts) resolved the rest.  Proven carries equal the
+    true carries, so functional results are unchanged and the
+    misprediction rate can only go down.
+    """
     valid = pack.pred_valid
     events_base = int((valid & ~dyn_resolved).sum())
     events_static = int((valid & ~(dyn_resolved | static_known)).sum())
     return {
         "fact_labels": len(facts or {}),
-        "fact_bits": fact_bits,
+        "fact_bits": fact_bits(facts),
         "static_bits": int(static_known.sum()),
         "new_static_bits": int((static_known & ~pack.peek_known).sum()),
         "dynamic_events_base": events_base,
@@ -225,3 +134,13 @@ def _static_peek_row(pack: Any, dyn_resolved: np.ndarray,
         "misprediction_rate_static":
             float(mis_s.mean()) if n else 0.0,
     }
+
+
+def fact_bits(facts: Any) -> int:
+    """Pinned carry-boundary count of a fact table (CarryFact objects
+    or their ``st2-lint facts --json`` dict form)."""
+    total = 0
+    for fact in (facts or {}).values():
+        total += len(fact["carries"] if isinstance(fact, dict)
+                     else fact.carries)
+    return total

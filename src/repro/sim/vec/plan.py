@@ -1,4 +1,4 @@
-"""Per-trace plans for the vectorized engine, with a small cache.
+"""Per-trace plans for the evaluation engine, with a small cache.
 
 A *plan* bundles everything about one captured run that does not depend
 on the :class:`~repro.core.predictors.SpeculationConfig` being
@@ -7,7 +7,8 @@ arrays and the :class:`~repro.sim.vec.timing.TimingPlan` of resolved
 scheduling decisions, plus a memo of the static carry-fact overlay.
 
 The stage-2 runner evaluates each trace under several configs (and the
-static-peek ablation re-reads the same arrays), so plans are cached —
+static-peek overlay and the auxiliary measurements re-read the same
+arrays), so plans are cached —
 keyed by the unit's ``(kernel, scale, seed)`` identity, the same
 triple that keys the trace store — with a small bounded LRU: grids
 iterate configs per trace, so only a handful of traces are ever hot at
@@ -58,13 +59,6 @@ class TracePlan:
 
 _PLANS: Dict[PlanKey, TracePlan] = {}
 
-#: memoised :func:`repro.sim.vec.engine.supported` verdicts.  The
-#: verdict depends only on the captured trace the key identifies, so
-#: the dispatch guard scans each trace's columns once per process, not
-#: once per (trace x config) unit.  Lives here (not in ``engine``) so
-#: :func:`clear_plans` resets every vec-side cache in one place.
-_SUPPORTED: Dict[PlanKey, Optional[str]] = {}
-
 
 def plan_for(run: Any, key: Optional[PlanKey] = None) -> TracePlan:
     """The (possibly cached) plan of ``run``.
@@ -92,6 +86,5 @@ def plan_for(run: Any, key: Optional[PlanKey] = None) -> TracePlan:
 
 
 def clear_plans() -> None:
-    """Drop every cached plan and supported-verdict memo (tests)."""
+    """Drop every cached plan (tests)."""
     _PLANS.clear()
-    _SUPPORTED.clear()

@@ -1,10 +1,8 @@
-"""Pre-planned replica of the shared-schedule timing pair.
+"""The shared-schedule timing pair over a pre-resolved plan.
 
-:func:`repro.sim.pipeline._simulate_sm_pair` re-derives the resident
-blocks, the per-warp instruction order and every opcode's dispatch /
-latency / functional unit on **every** call, and looks each warp
-instruction's misprediction fraction up in a Python dict.  All of that
-is config-independent, so the vec engine splits it:
+Baseline and ST2 timelines are replayed under one schedule (see
+:mod:`repro.sim.pipeline` for the SM model).  Everything about that
+schedule is config-independent, so it is split from the replay:
 
 * :func:`build_timing_plan` — once per trace: resident-block
   selection, the lexsorted per-warp instruction lists with their
@@ -13,15 +11,12 @@ is config-independent, so the vec engine splits it:
   ids, and the wave count.
 * :func:`plan_miss_frac` — per config: the mispredicted-lane fraction
   of every planned instruction, as one vectorised ``bincount`` +
-  gather instead of a dict of decoded tuples.
-* :func:`run_pair` — the event loop itself, arithmetic-for-arithmetic
-  identical to the reference (same heap tuples in the same initial
-  order, same float64 accumulation order, same completion-window
-  truncation), just without the per-iteration re-derivation.
+  gather.
+* :func:`run_pair` — the event loop itself.
 
-The replica must stay *exactly* equivalent — ``TimingResult`` feeds the
-energy model's duration scaling, and the equivalence suite asserts
-equality against the reference on real kernel runs.
+``TimingResult`` feeds the energy model's duration scaling; the tests
+replay this loop against a slow, sequential reference timing model on
+every suite kernel with random miss masks.
 """
 
 from __future__ import annotations
@@ -33,6 +28,7 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.isa.opcodes import FunctionalUnit
 from repro.sim.config import GPUConfig, TITAN_V
 from repro.sim.pipeline import (ILP_DEPTH, TimingResult, _pool_width,
@@ -41,6 +37,10 @@ from repro.sim.trace import opcode_from_id
 
 _UNITS = list(FunctionalUnit)
 _UNIT_INDEX = {unit: i for i, unit in enumerate(_UNITS)}
+
+#: field limits of the warp-instruction key packing
+#: ``(block << 44) + (seq << 20) + warp``
+_KEY_FIELDS = (("block", 1 << 19), ("seq", 1 << 24), ("warp", 1 << 20))
 
 
 @dataclass
@@ -66,16 +66,24 @@ class TimingPlan:
 
 def _warp_inst_keys(block: np.ndarray, seq: np.ndarray,
                     warp: np.ndarray) -> np.ndarray:
-    """The ``(block, seq, warp)`` packing of ``warp_misprediction_map``."""
+    """One int64 key per ``(block, seq, warp)`` warp instruction.
+
+    Raises :class:`ValueError` naming the field when an id falls
+    outside its packed range (it would alias another instruction).
+    """
+    for (name, limit), ids in zip(_KEY_FIELDS, (block, seq, warp)):
+        if len(ids) and (int(ids.min()) < 0 or int(ids.max()) >= limit):
+            bad = int(ids.min()) if int(ids.min()) < 0 else int(ids.max())
+            raise ValueError(f"field {name!r}: id {bad} outside the "
+                             f"packed key range [0, {limit})")
     return ((block.astype(np.int64) << 44)
             + (seq.astype(np.int64) << 20)
             + warp.astype(np.int64))
 
 
-def build_timing_plan(run: Any, gpu: GPUConfig = TITAN_V) -> TimingPlan:
-    """Resolve every config-independent decision of the pair sim."""
-    insts = run.insts
-    launch = run.launch
+def _schedule(insts: Any, launch: Any, gpu: GPUConfig) -> tuple:
+    """The trace-independent half of a plan: ``(warp plans, warp ids,
+    waves, resident (blocks, seqs, warps) in plan order)``."""
     resident = _resident_blocks(insts, gpu, launch.block_threads)
     sel = np.isin(insts.block, resident)
     blocks = insts.block[sel]
@@ -120,6 +128,15 @@ def build_timing_plan(run: Any, gpu: GPUConfig = TITAN_V) -> TimingPlan:
                          ul_all[s:e].tolist(),
                          list(range(int(s), int(e))))
 
+    waves = max(1, math.ceil(launch.grid_blocks
+                             / (len(resident) * gpu.n_sms)))
+    return warp_plans, warp_ids, waves, (blocks, seqs, warps)
+
+
+def build_timing_plan(run: Any, gpu: GPUConfig = TITAN_V) -> TimingPlan:
+    """Resolve every config-independent decision of the pair sim."""
+    warp_plans, warp_ids, waves, (blocks, seqs, warps) = _schedule(
+        run.insts, run.launch, gpu)
     # pre-match the planned rows against the trace's warp-instruction
     # ids so per-config miss fractions become a pure gather
     tkey = _warp_inst_keys(run.trace.block, run.trace.seq,
@@ -134,9 +151,6 @@ def build_timing_plan(run: Any, gpu: GPUConfig = TITAN_V) -> TimingPlan:
     else:
         pos = np.zeros(len(ikey), dtype=np.int64)
         match = np.zeros(len(ikey), dtype=bool)
-
-    waves = max(1, math.ceil(launch.grid_blocks
-                             / (len(resident) * gpu.n_sms)))
     return TimingPlan(warps=warp_plans, warp_ids=warp_ids,
                       n_insts=len(blocks), waves=waves,
                       inst_pos=pos, inst_match=match,
@@ -147,12 +161,10 @@ def build_timing_plan(run: Any, gpu: GPUConfig = TITAN_V) -> TimingPlan:
 
 def plan_miss_frac(plan: TimingPlan,
                    mispredicted: np.ndarray) -> np.ndarray:
-    """Mispredicted-lane fraction of every planned instruction.
-
-    Bit-identical values to looking the instruction up in
-    :func:`~repro.sim.pipeline.warp_misprediction_map`'s dict (same
-    ``bincount(weights=...) / counts`` float64 division; absent keys
-    and all-correct warps are 0.0 there and 0.0 here).
+    """Mispredicted-lane fraction of every planned instruction: one
+    lane's recompute stalls the whole warp (Section VI), but only that
+    lane's adder stays occupied.  Instructions without adder lanes are
+    0.0.
     """
     miss_counts = np.bincount(plan.lane_inverse,
                               weights=mispredicted.astype(float),
@@ -168,13 +180,13 @@ def plan_miss_frac(plan: TimingPlan,
 def run_pair(plan: TimingPlan, miss_frac: np.ndarray) -> tuple:
     """Replay the baseline/ST2 shared-schedule pair over a plan.
 
-    The loop body mirrors ``_simulate_sm_pair`` operation for
-    operation: identical heap contents, identical float64 expression
-    order, identical completion-window truncation — so every
-    ``TimingResult`` field (makespans included) matches exactly.  (The
-    ``a if a > b else b`` forms below ARE ``max(b, a)``: floats that
-    compare equal are the same value, so branch choice cannot change
-    the result — only the per-iteration builtin-call cost.)
+    Scheduling decisions (warp issue order, FU assignment) follow the
+    baseline; the ST2 timeline replays the identical instruction order
+    with the recompute penalties added.  This isolates the *stall* cost
+    of mispredictions from scheduling noise.  (The ``a if a > b else
+    b`` forms below ARE ``max(b, a)``: floats that compare equal are
+    the same value, so branch choice cannot change the result — only
+    the per-iteration builtin-call cost.)
     """
     frac_list: List[float] = miss_frac.tolist()
     n_units = len(_UNITS)
@@ -253,3 +265,29 @@ def run_pair(plan: TimingPlan, miss_frac: np.ndarray) -> tuple:
                        stall_cycles_fu=int(stall_b),
                        extra_recompute_insts=extra)
     return base, st2
+
+
+def replay_pair(plan: TimingPlan, mispredicted: np.ndarray) -> tuple:
+    """:func:`run_pair` for lane-level ``mispredicted`` flags, timed
+    and counted in ``repro.obs``."""
+    with obs.timer("sim.timing.pair"):
+        base, st2 = run_pair(plan, plan_miss_frac(plan, mispredicted))
+    obs.add("sim.timing.warp_insts", base.instructions)
+    obs.add("sim.timing.stall_cycles_fu", base.stall_cycles_fu)
+    obs.add("sim.timing.recompute_insts", st2.extra_recompute_insts)
+    return base, st2
+
+
+def baseline_timing(insts: Any, launch: Any,
+                    gpu: GPUConfig = TITAN_V) -> TimingResult:
+    """The baseline timeline alone: the planned schedule replayed with
+    no mispredictions (no trace needed)."""
+    warp_plans, warp_ids, waves, (blocks, _, _) = _schedule(insts,
+                                                            launch, gpu)
+    n = len(blocks)
+    plan = TimingPlan(warps=warp_plans, warp_ids=warp_ids, n_insts=n,
+                      waves=waves, inst_pos=np.zeros(n, dtype=np.int64),
+                      inst_match=np.zeros(n, dtype=bool),
+                      lane_inverse=np.zeros(0, dtype=np.int64),
+                      lane_counts=np.zeros(0, dtype=np.int64), n_uniq=0)
+    return run_pair(plan, np.zeros(n))[0]

@@ -13,12 +13,10 @@ the circuit study). This module quantifies each on the actual traces:
   versus the idealised table;
 * :func:`slice_width_speculation_sweep` — the *misprediction* cost of
   narrower/wider slices on real value streams (complementing the
-  circuit-level energy sweep of Section V-B);
-* :func:`static_peek_ablation` — the value of *compile-time* carry
-  facts (``st2-lint facts``, consumed through
-  :class:`~repro.core.predictors.StaticPeekPredictor`): how many
-  dynamic speculation events statically proven carries replace, at
-  unchanged functional results.
+  circuit-level energy sweep of Section V-B).
+
+The value of *compile-time* carry facts is measured per unit by the
+evaluation engine (the ``metrics.static_peek`` row of every result).
 """
 
 from __future__ import annotations
@@ -28,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import bitops
+from repro.core.batch import previous_same_key_batch
 from repro.core.predictors import (SpeculationConfig, history_keys,
-                                   previous_same_key, run_speculation,
-                                   trace_groups, trace_peek)
+                                   run_speculation, trace_groups,
+                                   trace_peek)
 from repro.core.speculation import ST2_DESIGN
 
 # ----------------------------------------------------------------------
@@ -56,12 +55,14 @@ def _depth_predictions(trace, config: SpeculationConfig,
     groups = trace_groups(trace)
     n = len(trace)
     bits = np.zeros((n, MAX_PREDICTIONS), dtype=np.uint8)
+    prevs = previous_same_key_batch(
+        keys, groups, np.arange(MAX_PREDICTIONS)[None, :]
+        < n_preds[:, None])
     for j in range(MAX_PREDICTIONS):
-        valid = n_preds > j
-        if not valid.any():
+        if not (n_preds > j).any():
             continue
         # chain of predecessors: prev, prev-of-prev, ...
-        prev = previous_same_key(keys, valid, groups)
+        prev = prevs[:, j]
         ancestors = [prev]
         for _ in range(depth - 1):
             last = ancestors[-1]
@@ -267,11 +268,10 @@ def slice_width_speculation_sweep(trace, widths=(4, 8, 16),
                 one.astype(np.uint8)
         # prev prediction per boundary
         bits = np.zeros((n, max_nb), dtype=np.uint8)
+        prevs = previous_same_key_batch(
+            keys, groups, np.arange(max_nb)[None, :] < n_bound[:, None])
         for j in range(max_nb):
-            valid = n_bound > j
-            if not valid.any():
-                continue
-            prev = previous_same_key(keys, valid, groups)
+            prev = prevs[:, j]
             has = prev >= 0
             bits[has, j] = carr[prev[has], j + 1]
         bits = np.where(peek_known, peek_val, bits)
@@ -283,64 +283,3 @@ def slice_width_speculation_sweep(trace, widths=(4, 8, 16),
             misprediction_rate=float(miss.mean()),
             boundaries_per_64bit_op=max_nb))
     return points
-
-
-# ----------------------------------------------------------------------
-# static carry facts (compile-time Peek)
-# ----------------------------------------------------------------------
-
-@dataclass
-class StaticPeekPoint:
-    """Effect of a static carry-fact table on one trace + config."""
-
-    fact_labels: int            # PC labels with proven carries
-    fact_bits: int              # pinned boundaries in the fact table
-    static_bits: int            # (row, slice) bits resolved statically
-    new_static_bits: int        # ... of which dynamic Peek would miss
-    dynamic_events_base: int    # speculation events without facts
-    dynamic_events_static: int  # speculation events with facts
-    misprediction_rate_base: float
-    misprediction_rate_static: float
-
-    @property
-    def events_reduced(self) -> int:
-        """Dynamic speculation events replaced by static facts
-        (never negative: facts only remove the need to speculate)."""
-        return self.dynamic_events_base - self.dynamic_events_static
-
-
-def static_peek_ablation(trace, facts,
-                         config: SpeculationConfig = ST2_DESIGN
-                         ) -> StaticPeekPoint:
-    """Measure what the exported static carry facts buy on a trace.
-
-    Runs the wrapped config twice — purely dynamic vs through
-    :class:`~repro.core.predictors.StaticPeekPredictor` — and counts
-    the dynamic speculation events each needs.  Statically proven
-    carries equal the true carries, so the functional results are
-    bit-identical and the misprediction rate can only go down.
-    """
-    from repro.core.predictors import (StaticPeekPredictor,
-                                       evaluate_trace, predict_trace,
-                                       speculation_events, trace_peek)
-    base_pred = predict_trace(trace, config)
-    base = evaluate_trace(trace, base_pred)
-    predictor = StaticPeekPredictor(config, facts)
-    static_pred = predictor.predict(trace)
-    static = evaluate_trace(trace, static_pred)
-    known = static_pred.static_known
-    peek_known, _ = trace_peek(trace)
-    fact_bits = 0
-    for fact in (facts or {}).values():
-        carries = (fact["carries"] if isinstance(fact, dict)
-                   else fact.carries)
-        fact_bits += len(carries)
-    return StaticPeekPoint(
-        fact_labels=len(facts or {}),
-        fact_bits=fact_bits,
-        static_bits=int(known.sum()),
-        new_static_bits=int((known & ~peek_known).sum()),
-        dynamic_events_base=speculation_events(base_pred, trace),
-        dynamic_events_static=speculation_events(static_pred, trace),
-        misprediction_rate_base=base.thread_misprediction_rate,
-        misprediction_rate_static=static.thread_misprediction_rate)

@@ -17,16 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.circuits.characterize import AdderEnergyModel, characterize_adders
-from repro.core.predictors import (SpeculationConfig, SpeculationResult,
-                                   run_speculation)
+from repro.core.predictors import SpeculationConfig, SpeculationResult
 from repro.core.speculation import ST2_DESIGN
 from repro.kernels import suite as kernel_suite
-from repro.power.activity import activity_from_run
 from repro.power.calibration import calibrated_model
 from repro.power.model import GPUPowerModel
-from repro.sim.pipeline import (TimingResult, compare_baseline_st2)
-from repro.st2.energy import (EnergyComparison, baseline_breakdown,
-                              st2_breakdown)
+from repro.sim.pipeline import TimingResult
+from repro.st2.energy import EnergyComparison
 
 _adder_model_cache: dict = {}
 
@@ -80,22 +77,12 @@ def evaluate_run(run, config: SpeculationConfig = ST2_DESIGN,
                  model: GPUPowerModel = None,
                  adder_model: AdderEnergyModel = None) -> KernelEvaluation:
     """Evaluate one already-executed kernel run end to end."""
-    model = model or calibrated_model()
-    adder_model = adder_model or default_adder_model()
+    from repro.sim.vec.engine import evaluate_unit
 
-    speculation = run_speculation(run.trace, config)
-    base_t, st2_t = compare_baseline_st2(run, speculation.mispredicted)
-    activity = activity_from_run(run, base_t, name=run.name)
-
-    baseline = baseline_breakdown(model, activity)
-    duration_scale = st2_t.total_cycles / max(base_t.total_cycles, 1)
-    st2 = st2_breakdown(model, activity, speculation, adder_model,
-                        duration_scale=duration_scale)
-    return KernelEvaluation(
-        name=run.name, speculation=speculation,
-        timing_baseline=base_t, timing_st2=st2_t,
-        energy=EnergyComparison(name=run.name, baseline=baseline,
-                                st2=st2))
+    evaluation, _ = evaluate_unit(run, config, {},
+                                  model or calibrated_model(),
+                                  adder_model or default_adder_model())
+    return evaluation
 
 
 def evaluate_kernel(name: str, scale: float = 1.0, seed: int = 0,

@@ -344,8 +344,7 @@ class LocalBackend:
             cache=ResultCache(options.cache_dir),
             use_cache=options.use_cache,
             trace_store=store,
-            obs=options.registry,
-            engine=spec.engine)
+            obs=options.registry)
 
     def run(self, units: List[Any]) -> List[Dict[str, Any]]:
         from repro.runner.pool import run_units

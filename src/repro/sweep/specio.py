@@ -249,7 +249,6 @@ EXAMPLE_WIRE: Dict[str, Any] = {
     },
     "scale": 1.0,
     "seed": 0,
-    "engine": "auto",
     "aux": False,
 }
 
@@ -277,7 +276,7 @@ def example_text(fmt: str = "yaml") -> str:
             "true" if v is True else "false" if v is False else str(v)
             for v in values)
         lines.append(f"  {axis}: [{rendered}]")
-    lines += ["scale: 1.0", "seed: 0", "engine: auto", "aux: false"]
+    lines += ["scale: 1.0", "seed: 0", "aux: false"]
     return "\n".join(lines) + "\n"
 
 

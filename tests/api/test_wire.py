@@ -11,7 +11,7 @@ from repro.api import (ERROR_CODES, SCHEMA_VERSION, ErrorEnvelope,
 
 SPEC = JobSpec(kernels=("qrng_K2", "sortNets_K2"), configs=("st2",),
                scale=0.25, seed=3, aux=False, per_kernel_seeds=True,
-               engine="vec", priority=-5, client="ci")
+               priority=-5, client="ci")
 
 
 class TestJobSpec:
@@ -42,8 +42,17 @@ class TestJobSpec:
         spec = JobSpec.from_wire({"kernels": ["qrng_K2"]})
         assert spec.configs == ("st2",)
         assert spec.scale == 1.0
-        assert spec.engine == "auto"
         assert spec.client == "anon"
+
+    @pytest.mark.parametrize("engine", ["vec", "interp", "quantum", 7,
+                                        None])
+    def test_legacy_engine_key_is_ignored(self, engine):
+        """Documents from before the single evaluation engine may
+        carry an ``engine`` key; any value reads as the same spec."""
+        doc = SPEC.to_wire()
+        doc["engine"] = engine
+        assert JobSpec.from_wire(doc) == SPEC
+        assert "engine" not in SPEC.to_wire()
 
     @pytest.mark.parametrize("doc", [
         "not an object",
@@ -54,7 +63,7 @@ class TestJobSpec:
         {"kernels": ["qrng_K2"], "scale": -1.0},
         {"kernels": ["qrng_K2"], "seed": 1.5},
         {"kernels": ["qrng_K2"], "seed": True},  # bool is not an int
-        {"kernels": ["qrng_K2"], "engine": "quantum"},
+        {"kernels": ["qrng_K2"], "priority": "high"},
         {"kernels": ["qrng_K2"], "client": 7},
         {"kernels": ["qrng_K2"], "schema_version": "one"},
     ])
@@ -66,7 +75,7 @@ class TestJobSpec:
         spec = JobSpec.from_run_args(
             kernels=("qrng_K2", "sortNets_K2"), configs=("st2",),
             scale=0.25, seed=3, aux=False, per_kernel_seeds=True,
-            engine="vec", priority=-5, client="ci")
+            priority=-5, client="ci")
         assert spec == SPEC
 
 
@@ -94,18 +103,11 @@ class TestTranslation:
             JobSpec(kernels=("qrng_K2",),
                     configs=("no_such_config",)).units()
 
-    def test_run_options_carry_engine_and_server_policy(self):
-        opts = SPEC.run_options(workers=3, use_cache=False)
-        assert opts.engine == "vec"
-        assert opts.workers == 3
-        assert opts.use_cache is False
-
     def test_scheduling_hints_never_reach_unit_identity(self):
         from repro.runner.cache import unit_key
         hinted = JobSpec(kernels=SPEC.kernels, configs=SPEC.configs,
                          scale=SPEC.scale, seed=SPEC.seed,
                          per_kernel_seeds=SPEC.per_kernel_seeds,
-                         engine=SPEC.engine,
                          priority=99, client="someone-else")
         assert [unit_key(u, "v0") for u in SPEC.units()] \
             == [unit_key(u, "v0") for u in hinted.units()]

@@ -1,0 +1,127 @@
+"""Slow, per-width / per-row references for the batched speculation
+kernels of :mod:`repro.core.batch`.
+
+These are the straightforward formulations: one
+:func:`~repro.core.bitops.slice_carry_ins` / ``slice_operand_bits``
+pass and one :class:`~repro.core.adder.ST2Adder` per distinct adder
+width, sequential dict walks for the history mechanisms.  The tests
+replay the production kernels against them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core import bitops
+from repro.core.adder import ST2Adder
+from repro.core.history import ReferencePredictor
+from repro.core.predictors import (MAX_PREDICTIONS, history_keys,
+                                   trace_groups, trace_n_predictions)
+from repro.core.slices import geometry_for
+
+
+def slice_carries(trace) -> np.ndarray:
+    """True carry-in of every slice, padded to 8 columns."""
+    out = np.zeros((len(trace), MAX_PREDICTIONS + 1), dtype=np.uint8)
+    for w in np.unique(trace.width):
+        rows = np.nonzero(trace.width == w)[0]
+        carries = bitops.slice_carry_ins(
+            trace.op_a[rows], trace.op_b[rows], int(w), 8, trace.cin[rows])
+        out[rows[:, None], np.arange(carries.shape[1])[None, :]] = carries
+    return out
+
+
+def _msb_pairs(trace):
+    """Per width: ``(rows, msb_a, msb_b, n_pred)`` of the slice MSbs."""
+    for w in np.unique(trace.width):
+        rows = np.nonzero(trace.width == w)[0]
+        msb_a = bitops.slice_operand_bits(trace.op_a[rows], int(w), 8)
+        msb_b = bitops.slice_operand_bits(trace.op_b[rows], int(w), 8)
+        n_pred = msb_a.shape[1] - 1
+        if n_pred > 0:
+            yield rows, msb_a[:, :n_pred], msb_b[:, :n_pred], n_pred
+
+
+def peek(trace) -> tuple:
+    """``(known, value)`` of the runtime Peek rule."""
+    n = len(trace)
+    known = np.zeros((n, MAX_PREDICTIONS), dtype=bool)
+    value = np.zeros((n, MAX_PREDICTIONS), dtype=np.uint8)
+    for rows, a, b, n_pred in _msb_pairs(trace):
+        cols = rows[:, None], np.arange(n_pred)[None, :]
+        known[cols] = ((a & b) == 1) | ((a | b) == 0)
+        value[cols] = ((a & b) == 1).astype(np.uint8)
+    return known, value
+
+
+def previous(keys: np.ndarray, groups: np.ndarray,
+             valid: np.ndarray) -> np.ndarray:
+    """Sequential history predecessor of every valid row: the last
+    valid row with the same key written *before* the row's group."""
+    prev = np.full(len(keys), -1, dtype=np.int64)
+    last: dict = {}
+    pending: list = []
+    for r in range(len(keys)):
+        if r and groups[r] != groups[r - 1]:
+            last.update(pending)
+            pending = []
+        if valid[r]:
+            prev[r] = last.get(int(keys[r]), -1)
+            pending.append((int(keys[r]), r))
+    return prev
+
+
+def predict(trace, config) -> tuple:
+    """``(bits, has_prev)`` of ``config`` over ``trace``."""
+    n = len(trace)
+    n_preds = trace_n_predictions(trace)
+    carries = slice_carries(trace)
+    bits = np.zeros((n, MAX_PREDICTIONS), dtype=np.uint8)
+    has_prev = np.zeros((n, MAX_PREDICTIONS), dtype=bool)
+    if config.mechanism == "static1":
+        bits[:] = 1
+    elif config.mechanism == "operand":
+        for rows, a, b, n_pred in _msb_pairs(trace):
+            bits[rows[:, None], np.arange(n_pred)[None, :]] = a & b
+    elif config.mechanism == "valhalla":
+        heavy: dict = {}
+        for r in range(n):
+            gtid = int(trace.gtid[r])
+            if gtid in heavy:
+                bits[r, :] = heavy[gtid]
+            k = int(n_preds[r])
+            heavy[gtid] = int(2 * int(carries[r, 1:k + 1].sum())
+                              > max(k, 1))
+    elif config.mechanism == "prev":
+        bits = ReferencePredictor(config).predict_trace(trace)
+        keys = history_keys(trace, config)
+        groups = trace_groups(trace)
+        for j in range(MAX_PREDICTIONS):
+            has_prev[:, j] = previous(keys, groups, n_preds > j) >= 0
+        return bits, has_prev
+    if config.peek:
+        known, value = peek(trace)
+        bits = np.where(known, value, bits)
+    return bits, has_prev
+
+
+def evaluate(trace, bits: np.ndarray) -> tuple:
+    """``(mispredicted, recomputed, wrong_bits)`` per row, from one
+    :class:`ST2Adder` per distinct width."""
+    n = len(trace)
+    mispredicted = np.zeros(n, dtype=bool)
+    recomputed = np.zeros(n, dtype=np.int64)
+    wrong_bits = np.zeros(n, dtype=np.int64)
+    for w in np.unique(trace.width):
+        rows = np.nonzero(trace.width == w)[0]
+        geo = geometry_for(int(w))
+        if geo.n_predictions == 0:
+            continue
+        out = ST2Adder(geo).add(trace.op_a[rows], trace.op_b[rows],
+                                bits[rows, :geo.n_predictions],
+                                cin=trace.cin[rows])
+        mispredicted[rows] = out.mispredicted
+        recomputed[rows] = out.recomputed_slices
+        wrong_bits[rows] = (bits[rows, :geo.n_predictions]
+                            != out.slice_carries[:, 1:]).sum(axis=1)
+    return mispredicted, recomputed, wrong_bits

@@ -1,11 +1,11 @@
-"""The batched carry-speculation kernels vs their sequential
-references.
+"""The batched carry-speculation kernels vs their slow references.
 
-Every function in :mod:`repro.core.batch` claims bit-identity with a
-reference implementation in :mod:`repro.core.predictors` /
-:mod:`repro.core.bitops`; these tests assert it on synthetic traces
-that sweep odd widths (1, 7, 9, 23, 33, 63 ...) alongside the
-canonical 23/32/52/64-bit geometries.
+Every function in :mod:`repro.core.batch` must be bit-identical to the
+per-width / per-row formulation in ``tests/core/reference_speculation.py``
+(built on :mod:`repro.core.bitops`, :class:`~repro.core.adder.ST2Adder`
+and :class:`~repro.core.history.ReferencePredictor`); these tests
+assert it on synthetic traces that sweep odd widths (1, 7, 9, 23, 33,
+63 ...) alongside the canonical 23/32/52/64-bit geometries.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ from repro.core.batch import (_gen_prop_all, _peek_all,
                               _slice_carries_all, build_pack,
                               evaluate_trace_batch, predict_trace_batch,
                               previous_same_key_batch)
-from repro.core.predictors import (MAX_PREDICTIONS, evaluate_trace,
-                                   predict_trace, previous_same_key,
-                                   trace_n_predictions, trace_peek,
-                                   trace_slice_carries)
+from repro.core.predictors import MAX_PREDICTIONS, trace_n_predictions
 from repro.core.speculation import CASA, PREV, ST2_DESIGN, VALHALLA
 from tests.conftest import make_trace
+from tests.core import reference_speculation as ref_spec
 
 #: deliberately awkward adder geometries: single-slice rows, widths
 #: one off a slice boundary, and the canonical suite widths
@@ -59,14 +57,14 @@ def trace(request):
 class TestPackBuilders:
     def test_slice_carries_match_reference(self, trace):
         np.testing.assert_array_equal(_slice_carries_all(trace),
-                                      trace_slice_carries(trace))
+                                      ref_spec.slice_carries(trace))
 
     def test_peek_matches_reference(self, trace):
         n_preds = trace_n_predictions(trace)
         pred_valid = (np.arange(MAX_PREDICTIONS)[None, :]
                       < n_preds[:, None])
         known, value = _peek_all(trace, pred_valid)
-        ref_known, ref_value = trace_peek(trace)
+        ref_known, ref_value = ref_spec.peek(trace)
         np.testing.assert_array_equal(known, ref_known)
         np.testing.assert_array_equal(value, ref_value)
 
@@ -118,22 +116,26 @@ class TestPredictEvaluateParity:
                              ids=[c.name for c in CONFIGS])
     def test_predict_matches_reference(self, trace, config):
         pack = build_pack(trace)
-        ref = predict_trace(trace, config)
+        bits, has_prev = ref_spec.predict(trace, config)
         vec = predict_trace_batch(trace, config, pack)
-        np.testing.assert_array_equal(vec.bits, ref.bits)
-        np.testing.assert_array_equal(vec.has_prev, ref.has_prev)
-        np.testing.assert_array_equal(vec.peek_known, ref.peek_known)
+        # a history table answers only for boundaries a row has
+        valid = pack.pred_valid
+        np.testing.assert_array_equal(vec.bits[valid], bits[valid])
+        np.testing.assert_array_equal(vec.has_prev, has_prev)
+        expect_known = ref_spec.peek(trace)[0] if config.peek \
+            else np.zeros_like(valid)
+        np.testing.assert_array_equal(vec.peek_known, expect_known)
 
     @pytest.mark.parametrize("config", CONFIGS,
                              ids=[c.name for c in CONFIGS])
     def test_evaluate_matches_reference(self, trace, config):
         pack = build_pack(trace)
-        pred = predict_trace(trace, config)
-        ref = evaluate_trace(trace, pred)
-        mis, rec, wrong = evaluate_trace_batch(pack, pred.bits)
-        np.testing.assert_array_equal(mis, ref.mispredicted)
-        np.testing.assert_array_equal(rec, ref.recomputed)
-        np.testing.assert_array_equal(wrong, ref.wrong_bits)
+        bits = predict_trace_batch(trace, config, pack).bits
+        mis, rec, wrong = evaluate_trace_batch(pack, bits)
+        ref_mis, ref_rec, ref_wrong = ref_spec.evaluate(trace, bits)
+        np.testing.assert_array_equal(mis, ref_mis)
+        np.testing.assert_array_equal(rec, ref_rec)
+        np.testing.assert_array_equal(wrong, ref_wrong)
 
     def test_evaluate_arbitrary_bits(self, trace):
         """Parity must hold for *any* prediction overlay, not just ones
@@ -143,15 +145,11 @@ class TestPredictEvaluateParity:
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, (len(trace), MAX_PREDICTIONS),
                             dtype=np.uint8)
-        pred = predict_trace(trace, ST2_DESIGN)
-        forged = type(pred)(config=pred.config, bits=bits,
-                            has_prev=pred.has_prev,
-                            peek_known=pred.peek_known)
-        ref = evaluate_trace(trace, forged)
         mis, rec, wrong = evaluate_trace_batch(pack, bits)
-        np.testing.assert_array_equal(mis, ref.mispredicted)
-        np.testing.assert_array_equal(rec, ref.recomputed)
-        np.testing.assert_array_equal(wrong, ref.wrong_bits)
+        ref_mis, ref_rec, ref_wrong = ref_spec.evaluate(trace, bits)
+        np.testing.assert_array_equal(mis, ref_mis)
+        np.testing.assert_array_equal(rec, ref_rec)
+        np.testing.assert_array_equal(wrong, ref_wrong)
 
 
 class TestPreviousSameKeyBatch:
@@ -164,7 +162,7 @@ class TestPreviousSameKeyBatch:
         valid = rng.random((n, k)) < 0.6
         batch = previous_same_key_batch(keys, groups, valid)
         for j in range(k):
-            ref = previous_same_key(keys, valid[:, j], groups)
+            ref = ref_spec.previous(keys, groups, valid[:, j])
             np.testing.assert_array_equal(batch[:, j], ref, err_msg=str(j))
 
     def test_short_input(self):

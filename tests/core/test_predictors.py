@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import bitops
+from repro.core.batch import previous_same_key_batch
 from repro.core.history import ReferencePredictor
 from repro.core.predictors import (MAX_PREDICTIONS, Prediction,
                                    SpeculationConfig, carry_match_rate,
                                    evaluate_trace, history_keys,
-                                   predict_trace, previous_same_key,
-                                   run_speculation, trace_n_predictions,
-                                   trace_peek, trace_slice_carries)
+                                   predict_trace, run_speculation,
+                                   trace_n_predictions, trace_peek,
+                                   trace_slice_carries)
 from tests.conftest import make_trace, random_trace
 
 
@@ -34,6 +35,12 @@ class TestConfigValidation:
         gtid = SpeculationConfig("x", "prev", pc_index="mod", pc_bits=4,
                                  thread_key="gtid")
         assert gtid.table_entries(2048) == 16 * 2048
+
+
+def previous_same_key(keys, valid):
+    """One history column, every row its own simultaneity group."""
+    return previous_same_key_batch(keys, np.arange(len(keys)),
+                                   np.asarray(valid)[:, None])[:, 0]
 
 
 class TestPreviousSameKey:

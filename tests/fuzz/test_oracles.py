@@ -6,9 +6,8 @@ import pytest
 
 from repro.fuzz.gen import generate_kernel
 from repro.fuzz.harness import bundle_for, execute
-from repro.fuzz.oracles import (check_engines, check_kernel,
-                                check_static_facts, facts_as_json,
-                                payload_diff, reference_outcome,
+from repro.fuzz.oracles import (check_kernel, check_static_facts,
+                                facts_as_json, reference_outcome,
                                 sample_rows, KernelVerdict)
 from repro.runner.units import ModelBundle, resolve_configs
 
@@ -27,24 +26,6 @@ def healthy(tmp_path_factory):
     kernel = generate_kernel(21, 0)
     bundle = bundle_for(kernel, str(d))
     return bundle, execute(bundle, sanitize=False)
-
-
-class TestPayloadDiff:
-    def test_equal_trees_diff_empty(self):
-        t = {"a": 1.5, "b": {"c": [1, 2]}}
-        assert payload_diff(t, t) == []
-
-    def test_nan_equals_nan(self):
-        assert payload_diff({"x": float("nan")},
-                            {"x": float("nan")}) == []
-
-    def test_reports_dotted_paths(self):
-        a = {"m": {"rate": 0.25, "cyc": 7}}
-        b = {"m": {"rate": 0.5, "cyc": 7}}
-        assert payload_diff(a, b) == ["m.rate"]
-
-    def test_missing_keys_are_differences(self):
-        assert payload_diff({"a": 1}, {}) == ["a"]
 
 
 class TestAdderReference:
@@ -107,7 +88,7 @@ class TestHealthyKernel:
         bundle, _ = healthy
         verdict = check_kernel(bundle, CONFIGS, models=models)
         assert verdict.ok, [f.message for f in verdict.failures]
-        assert verdict.checks.get("engine") == len(CONFIGS)
+        assert verdict.checks.get("bounds", 0) >= 1
         assert verdict.checks.get("adder_rows", 0) > 0
         assert verdict.checks.get("sanitizer") == 1
 
@@ -138,29 +119,6 @@ class TestInjectedBugs:
         check_static_facts(run, poisoned, poisoned, summaries, verdict)
         assert any(f.oracle == "static" for f in verdict.failures), \
             "poisoned fact table was not detected"
-
-    def test_engine_divergence_is_reported(self, healthy, models,
-                                           monkeypatch):
-        """A perturbed vec payload must trip the engine oracle."""
-        import repro.runner.units as units
-
-        bundle, run = healthy
-        real = units.evaluation_payload
-
-        def skewed(run_, config, models=None, engine="interp",
-                   facts=None, plan_key=None):
-            payload = real(run_, config, models=models, engine=engine,
-                           facts=facts, plan_key=plan_key)
-            if engine == "vec":
-                payload["metrics"]["misprediction_rate"] += 1e-9
-            return payload
-
-        monkeypatch.setattr(units, "evaluation_payload", skewed)
-        verdict = KernelVerdict(name="skewed")
-        check_engines(run, CONFIGS[:1], models, {}, verdict)
-        assert any(f.oracle == "engine" for f in verdict.failures)
-        assert "misprediction_rate" \
-            in verdict.failures[0].details["paths"][0]
 
     def test_bailed_function_claiming_facts_is_reported(self, healthy,
                                                         models):

@@ -1,15 +1,16 @@
 """Static carry facts (repro.lint.facts) and their consumption by the
-StaticPeekPredictor — including the end-to-end soundness check against
-ground-truth trace carries on a real suite kernel.
+evaluation engine's static-peek overlay — including the end-to-end
+soundness check against ground-truth trace carries on a real suite
+kernel.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.predictors import (predict_trace, speculation_events,
+from repro.core.predictors import (Prediction, evaluate_trace,
+                                   predict_trace, trace_n_predictions,
                                    trace_slice_carries,
-                                   trace_static_peek,
-                                   StaticPeekPredictor)
+                                   trace_static_peek)
 from repro.core.speculation import PREV, ST2_DESIGN
 from repro.kernels.suite import run_kernel
 from repro.lint.absint import AdderSite, FunctionSummary
@@ -151,19 +152,22 @@ class TestStaticPeekSoundness:
         facts = facts_for_kernel("qrng_K1")
         trace = qrng_run.trace
         base = predict_trace(trace, ST2_DESIGN)
-        static = StaticPeekPredictor(ST2_DESIGN, facts).predict(trace)
+        sk, sv = trace_static_peek(trace, facts)
+        static = np.where(sk, sv, base.bits)
         true = trace_slice_carries(trace)[:, 1:]
-        sk = static.static_known
-        assert np.array_equal(static.bits[~sk], base.bits[~sk])
-        assert np.array_equal(static.bits[sk], true[sk])
+        assert np.array_equal(static[~sk], base.bits[~sk])
+        assert np.array_equal(static[sk], true[sk])
 
     def test_misprediction_rate_never_increases(self, qrng_run):
         facts = facts_for_kernel("qrng_K1")
-        predictor = StaticPeekPredictor(ST2_DESIGN, facts)
-        base = predictor.run(qrng_run.trace)
-        from repro.core.predictors import run_speculation
-        dyn = run_speculation(qrng_run.trace, ST2_DESIGN)
-        assert base.thread_misprediction_rate <= \
+        trace = qrng_run.trace
+        dyn_pred = predict_trace(trace, ST2_DESIGN)
+        sk, sv = trace_static_peek(trace, facts)
+        static = evaluate_trace(trace, Prediction(
+            config=ST2_DESIGN, bits=np.where(sk, sv, dyn_pred.bits),
+            has_prev=dyn_pred.has_prev, peek_known=dyn_pred.peek_known))
+        dyn = evaluate_trace(trace, dyn_pred)
+        assert static.thread_misprediction_rate <= \
             dyn.thread_misprediction_rate
 
     def test_speculation_events_reduced_vs_prev(self, qrng_run):
@@ -171,18 +175,21 @@ class TestStaticPeekSoundness:
         # is a strict dynamic-event saving
         facts = facts_for_kernel("qrng_K1")
         trace = qrng_run.trace
+        valid = (np.arange(7)[None, :]
+                 < trace_n_predictions(trace)[:, None])
         base = predict_trace(trace, PREV)
-        static = StaticPeekPredictor(PREV, facts).predict(trace)
-        assert speculation_events(static, trace) < \
-            speculation_events(base, trace)
+        sk, _ = trace_static_peek(trace, facts)
+        events_base = (valid & ~base.peek_known).sum()
+        events_static = (valid & ~(base.peek_known | sk)).sum()
+        assert events_static < events_base
 
     def test_ablation_row_is_non_negative(self, qrng_run):
-        from repro.st2.ablations import static_peek_ablation
+        from repro.runner.units import evaluation_payload
         facts = facts_for_kernel("qrng_K1")
-        point = static_peek_ablation(qrng_run.trace, facts,
-                                     config=ST2_DESIGN)
-        assert point.fact_labels == len(facts)
-        assert point.static_bits > 0
-        assert point.events_reduced >= 0
-        assert point.misprediction_rate_static <= \
-            point.misprediction_rate_base
+        row = evaluation_payload(qrng_run, ST2_DESIGN,
+                                 facts=facts)["metrics"]["static_peek"]
+        assert row["fact_labels"] == len(facts)
+        assert row["static_bits"] > 0
+        assert row["events_reduced"] >= 0
+        assert row["misprediction_rate_static"] <= \
+            row["misprediction_rate_base"]

@@ -95,6 +95,24 @@ def test_truncated_result_payload_is_a_miss(cache):
     assert results_equal(cold, again)
 
 
+def test_two_stage_results_survive_the_cache(tmp_path):
+    """A two-stage (trace-store) grid served warm from the result cache
+    equals its cold run exactly."""
+    from repro.core.speculation import PREV
+    from repro.sim.trace_store import TraceStore
+
+    units = build_units([FAST, "sortNets_K2"], configs=(ST2_DESIGN, PREV),
+                        scale=0.1, aux=False)
+    cache = ResultCache(tmp_path / "cache")
+    store = TraceStore(tmp_path / "traces")
+    cold = run_units(units, RunOptions(cache=cache, trace_store=store))
+    warm = run_units(units, RunOptions(cache=cache, trace_store=store))
+    assert not any(r.cached for r in cold)
+    assert all(r.cached for r in warm)
+    for c, w in zip(cold, warm):
+        assert results_equal(c, w)
+
+
 def test_cache_dir_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
     cache = ResultCache()

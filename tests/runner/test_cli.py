@@ -9,7 +9,6 @@ import pytest
 from repro.kernels.suite import KERNEL_NAMES, resolve_kernels
 from repro.runner import read_manifest, resolve_configs, write_manifest
 from repro.runner.cli import main
-from repro.runner.units import ENGINES
 
 
 def test_resolve_kernels_groups_and_lists():
@@ -135,47 +134,6 @@ def test_manifest_rejects_bad_records(tmp_path):
     path.write_text(json.dumps({"type": "unit"}) + "\n")
     with pytest.raises(ValueError):
         read_manifest(path)
-
-
-class TestEngineCliContract:
-    """``--engine`` help and choices must stay in sync with
-    :data:`repro.runner.units.ENGINES` — the same tuple gates
-    ``RunOptions`` and ``execute_unit``."""
-
-    @pytest.fixture(scope="class")
-    def help_text(self):
-        from repro.runner.cli import build_parser
-        return build_parser().format_help()
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_choice_documented_in_help(self, help_text, engine):
-        assert f"'{engine}'" in help_text, engine
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_choice_parses(self, engine):
-        from repro.runner.cli import build_parser
-        args = build_parser().parse_args(["--engine", engine])
-        assert args.engine == engine
-
-    def test_default_is_auto(self):
-        from repro.runner.cli import build_parser
-        assert build_parser().parse_args([]).engine == "auto"
-
-    def test_unknown_choice_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            from repro.runner.cli import build_parser
-            build_parser().parse_args(["--engine", "turbo"])
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_engine_recorded_in_manifest_meta(self, tmp_path):
-        out = tmp_path / "m.jsonl"
-        rc = main(["--kernels", "qrng_K2", "--workers", "1",
-                   "--no-aux", "--no-cache", "--engine", "vec",
-                   "--quiet", "--out", str(out)])
-        assert rc == 0
-        header, units = read_manifest(out)
-        assert header["engine"] == "vec"
-        assert units[0]["engine"] == "vec"
 
 
 def test_module_entry_point():

@@ -42,11 +42,12 @@ class TestTwoStagePipeline:
         assert len(opts.trace_store) == len(KERNELS)
 
     def test_warm_store_zero_reexecution(self, tmp_path, units,
-                                         single_stage):
+                                         single_stage, pools):
         cold_opts = two_stage_options(tmp_path)
         cold = run_units(units, cold_opts)
         warm_opts = two_stage_options(tmp_path, workers=2)
         warm = run_units(units, warm_opts)
+        assert pools, "the warm evaluation never started a pool"
         assert warm_opts.stats["traces_captured"] == 0
         assert warm_opts.stats["trace_store_hits"] == len(KERNELS)
         assert all(r.trace_cache_hit for r in warm)
@@ -55,7 +56,7 @@ class TestTwoStagePipeline:
             assert results_equal(c, w)
 
     def test_bit_identical_to_single_stage(self, tmp_path, units,
-                                           single_stage):
+                                           single_stage, pools):
         """Stage-2 evaluation from the memmapped store must reproduce
         the single-stage runner exactly, serial and parallel."""
         for workers in (1, 2):
@@ -63,6 +64,7 @@ class TestTwoStagePipeline:
                 units, two_stage_options(tmp_path, workers=workers))
             for s, r in zip(single_stage, results):
                 assert results_equal(s, r), (workers, s.kernel)
+        assert pools, "the parallel pass never started a pool"
 
     def test_aux_metrics_from_store(self, tmp_path):
         """VaLHALLA + correlation aux measurements work off memmaps."""
@@ -105,18 +107,18 @@ class TestExecuteUnitWithStore:
         assert warm.capture_time_s == 0.0
         assert results_equal(cold, warm)
 
-    def test_schema_v4_fields_present(self, units):
+    def test_schema_v5_fields_present(self, units):
         result = execute_unit(units[0])
         for fieldname in ("trace_cache_hit", "capture_time_s",
-                          "eval_time_s", "engine"):
+                          "eval_time_s"):
             assert fieldname in result.data
+        assert "engine" not in result.data
         assert result.eval_time_s > 0
-        assert result.data["engine"] in ("interp", "vec")
         static = result.data["metrics"]["static_peek"]
         assert static["events_reduced"] >= 0
         assert static["dynamic_events_static"] \
             <= static["dynamic_events_base"]
-        assert RESULT_SCHEMA == 4
+        assert RESULT_SCHEMA == 5
 
     def test_pre_v2_cache_entries_invalidated(self, tmp_path, units):
         """A disk entry written by the old schema (no trace fields)

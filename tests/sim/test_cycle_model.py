@@ -7,6 +7,7 @@ from repro.sim.config import LaunchConfig
 from repro.sim.cycle_model import CycleModel, compare_policies
 from repro.sim.functional import GridLauncher
 from repro.sim.pipeline import simulate_sm
+from tests.sim.reference_timing import warp_misprediction_map
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,6 @@ class TestST2Mode:
     def test_mispredicts_counted(self, small_run):
         from repro.core.predictors import run_speculation
         from repro.core.speculation import ST2_DESIGN
-        from repro.sim.pipeline import warp_misprediction_map
         res = run_speculation(small_run.trace, ST2_DESIGN)
         mp = warp_misprediction_map(small_run.trace, res.mispredicted)
         stats = CycleModel().simulate(small_run.insts, small_run.launch,
@@ -113,7 +113,6 @@ class TestST2Mode:
         even though scheduling perturbations make its sign noisy."""
         from repro.core.predictors import run_speculation
         from repro.core.speculation import ST2_DESIGN
-        from repro.sim.pipeline import warp_misprediction_map
         res = run_speculation(small_run.trace, ST2_DESIGN)
         mp = warp_misprediction_map(small_run.trace, res.mispredicted)
         base = CycleModel().simulate(small_run.insts, small_run.launch)

@@ -1,9 +1,11 @@
-"""The pre-planned timing replica vs the reference pair simulator.
+"""The planned timing pair vs the sequential reference loop.
 
-:func:`repro.sim.vec.timing.run_pair` claims *exact* ``TimingResult``
-equality with :func:`repro.sim.pipeline.simulate_sm_pair` — makespans
-included, since they feed the energy model's duration scaling — so
-every assertion here is ``==`` on the whole dataclass, never approx.
+:func:`repro.sim.vec.timing.run_pair` must reproduce the slow,
+per-instruction reference (``tests/sim/reference_timing.py``) exactly —
+makespans included, since they feed the energy model's duration
+scaling — so every assertion here is ``==`` on the whole dataclass,
+never approx.  Every ``full``-suite kernel is replayed under fixed and
+random miss masks.
 """
 
 from __future__ import annotations
@@ -13,46 +15,49 @@ import pytest
 
 from repro.core.predictors import run_speculation
 from repro.core.speculation import PREV, ST2_DESIGN
-from repro.kernels.suite import run_kernel
-from repro.sim.pipeline import (compare_baseline_st2,
-                                warp_misprediction_map)
+from repro.kernels.suite import resolve_kernels, run_kernel
 from repro.sim.vec.timing import (build_timing_plan, plan_miss_frac,
                                   run_pair)
+from tests.sim.reference_timing import (reference_pair,
+                                        warp_misprediction_map)
 
-KERNELS = ["qrng_K2", "sortNets_K2", "pathfinder"]
+KERNELS = list(resolve_kernels("full"))
+SCALE = 0.1
 
 
 @pytest.fixture(scope="module", params=KERNELS)
 def run(request):
-    return run_kernel(request.param, scale=0.12, seed=0)
+    return run_kernel(request.param, scale=SCALE, seed=0)
 
 
-def miss_patterns(run):
+@pytest.fixture(scope="module")
+def patterns(run):
+    """Lane-level miss masks: none, all, two real configs, random."""
     n = len(run.trace)
-    real = run_speculation(run.trace, ST2_DESIGN).mispredicted
-    prev = run_speculation(run.trace, PREV).mispredicted
+    rng = np.random.default_rng(n)
     return {
         "none": np.zeros(n, dtype=bool),
         "all": np.ones(n, dtype=bool),
-        "st2": real,
-        "prev": prev,
+        "st2": run_speculation(run.trace, ST2_DESIGN).mispredicted,
+        "prev": run_speculation(run.trace, PREV).mispredicted,
+        "random": rng.random(n) < rng.uniform(0.01, 0.5),
     }
 
 
 class TestRunPairExactEquality:
-    @pytest.mark.parametrize("pattern", ["none", "all", "st2", "prev"])
-    def test_timing_results_identical(self, run, pattern):
-        mispredicted = miss_patterns(run)[pattern]
-        ref_base, ref_st2 = compare_baseline_st2(run, mispredicted)
+    @pytest.mark.parametrize("pattern",
+                             ["none", "all", "st2", "prev", "random"])
+    def test_timing_results_identical(self, run, patterns, pattern):
+        mispredicted = patterns[pattern]
+        ref_base, ref_st2 = reference_pair(run, mispredicted)
         plan = build_timing_plan(run)
         base, st2 = run_pair(plan, plan_miss_frac(plan, mispredicted))
         assert base == ref_base, pattern
         assert st2 == ref_st2, pattern
 
-    def test_plan_reusable_across_configs(self, run):
+    def test_plan_reusable_across_configs(self, run, patterns):
         """One plan must serve every config without mutation."""
         plan = build_timing_plan(run)
-        patterns = miss_patterns(run)
         first = {k: run_pair(plan, plan_miss_frac(plan, m))
                  for k, m in patterns.items()}
         again = {k: run_pair(plan, plan_miss_frac(plan, m))
@@ -61,14 +66,13 @@ class TestRunPairExactEquality:
 
 
 class TestPlanMissFrac:
-    def test_matches_dict_lookup(self, run):
+    def test_matches_dict_lookup(self, run, patterns):
         """The vectorised gather vs the reference dict of decoded
         ``(block, seq, warp)`` tuples, instruction for instruction."""
         from repro.sim.config import TITAN_V
         from repro.sim.pipeline import _resident_blocks
 
-        mispredicted = run_speculation(run.trace,
-                                       ST2_DESIGN).mispredicted
+        mispredicted = patterns["random"]
         ref_map = warp_misprediction_map(run.trace, mispredicted)
         plan = build_timing_plan(run)
         frac = plan_miss_frac(plan, mispredicted)

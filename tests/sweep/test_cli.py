@@ -25,7 +25,6 @@ def spec_path(tmp_path):
         "axes": {"mechanism": ["static1", "operand"]},
         "scale": 0.25,
         "seed": 0,
-        "engine": "auto",
         "aux": False,
     }))
     return path

@@ -22,7 +22,7 @@ def small_spec(name="engine-t", **overrides):
     base = dict(name=name, kernels=("qrng_K2",),
                 axes=(("mechanism", ("static1", "operand")),
                       ("peek", (False, True))),
-                scale=0.25, seed=0, engine="auto", aux=False)
+                scale=0.25, seed=0, aux=False)
     base.update(overrides)
     return SweepSpec(**base)
 

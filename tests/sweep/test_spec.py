@@ -22,7 +22,7 @@ def small_spec(**overrides):
 
 class TestSpecValidation:
     def test_wire_round_trip(self):
-        spec = small_spec(scale=0.5, seed=7, engine="vec", aux=True)
+        spec = small_spec(scale=0.5, seed=7, aux=True)
         clone = SweepSpec.from_wire(spec.to_wire())
         assert clone == spec
         assert clone.digest() == spec.digest()
@@ -37,6 +37,29 @@ class TestSpecValidation:
         doc = small_spec().to_wire()
         doc["totally_new_rider"] = {"x": 1}
         assert SweepSpec.from_wire(doc) == small_spec()
+
+    @pytest.mark.parametrize("engine", ["vec", "interp", "quantum", 7,
+                                        None])
+    def test_legacy_engine_key_is_ignored(self, engine):
+        """Specs written before the single evaluation engine may carry
+        an ``engine`` key; any value reads as the same spec (with the
+        same digest, so the key never splits resume identity)."""
+        doc = small_spec().to_wire()
+        doc["engine"] = engine
+        assert SweepSpec.from_wire(doc) == small_spec()
+        assert SweepSpec.from_wire(doc).digest() == small_spec().digest()
+
+    def test_benchmark_sweep_spec_loads(self):
+        """The committed benchmark sweep spec still says
+        ``"engine": "vec"`` and must keep loading."""
+        from pathlib import Path
+
+        from repro.sweep.specio import load_spec
+
+        path = Path(__file__).resolve().parents[2] / "benchmarks" \
+            / "perf" / "sweep.json"
+        spec = load_spec(path)
+        assert spec.kernels and spec.axes
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(WireError, match="unknown axis"):
@@ -74,12 +97,12 @@ class TestSpecValidation:
         assert [c.name for c in spec.configs()] == ["Prev+ModPC4"]
 
     def test_job_spec_carries_grid_settings(self):
-        spec = small_spec(scale=0.5, seed=9, engine="vec")
+        spec = small_spec(scale=0.5, seed=9)
         job = spec.job_spec(configs=("staticOne",))
         assert job.kernels == spec.kernels
         assert job.configs == ("staticOne",)
         assert job.scale == 0.5 and job.seed == 9
-        assert job.engine == "vec" and job.client == "sweep"
+        assert job.client == "sweep"
 
 
 # -- compositional naming ------------------------------------------------

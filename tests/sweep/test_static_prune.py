@@ -17,8 +17,7 @@ CI_AXES = (("mechanism", ("static0", "static1")),
 
 def ci_spec(name, **overrides):
     base = dict(name=name, kernels=("qrng_K1", "affineChain"),
-                axes=CI_AXES, scale=0.25, seed=0, engine="vec",
-                aux=False)
+                axes=CI_AXES, scale=0.25, seed=0, aux=False)
     base.update(overrides)
     return SweepSpec(**base)
 

@@ -65,6 +65,23 @@ def test_json_flag_emits_one_document(name, capsys):
     assert err == ""
 
 
+#: the retired evaluation-engine selector flag
+ENGINE_FLAG = "--" + "engine"
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("st2-run", [ENGINE_FLAG, "vec"]),
+    ("st2-client", ["spec", "--kernels", "qrng_K2", ENGINE_FLAG, "vec"]),
+])
+def test_removed_engine_flag_exits_usage(name, argv, capsys):
+    """There is one evaluation engine: the former engine selector is
+    an unknown flag like any other."""
+    with pytest.raises(SystemExit) as exc:
+        _main(name)(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert ENGINE_FLAG in capsys.readouterr().err
+
+
 def test_subcommand_tools_require_a_command():
     """st2-trace / st2-stats / st2-fuzz / st2-client demand a
     subcommand."""
