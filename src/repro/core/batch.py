@@ -205,7 +205,10 @@ def previous_same_key_batch(keys: np.ndarray, groups: np.ndarray,
     mechanism.  The ``keys`` array is sorted only once: each column's
     valid subset is a subsequence of the rows in time order, and the
     stable sort of a subsequence equals the subsequence of the stable
-    sort of the whole array.
+    sort of the whole array.  A column whose valid set equals the
+    previous column's copies its predecessors instead of recomputing
+    them: validity is a per-row prefix of ``n_preds`` boundaries, so a
+    trace with few distinct adder widths has few distinct columns.
 
     ``groups`` marks rows that execute *simultaneously* (the lanes of
     one warp instruction): a row never takes its prediction from
@@ -224,6 +227,10 @@ def previous_same_key_batch(keys: np.ndarray, groups: np.ndarray,
     sel_full = valid_cols[order]
     for j in range(k):
         sel = sel_full[:, j]
+        if j and np.array_equal(sel, sel_full[:, j - 1]):
+            # same valid set as the previous boundary: same predecessors
+            prev[:, j] = prev[:, j - 1]
+            continue
         si = order[sel]
         m = len(si)
         if m < 2:

@@ -87,6 +87,12 @@ def prepare(scale: float = 1.0, seed: int = 0,
     grid_blocks = scaled(10, scale, minimum=2)
     rows = iteration + 1
     cols = grid_blocks * (BLOCK_SIZE - 2 * HALO * iteration)
+    if cols <= 0:
+        # the halo shrinks each block tile by 2 columns per iteration
+        raise ValueError(
+            f"pathfinder: scale={scale} runs {iteration} iterations, "
+            f"which leave no columns in a {BLOCK_SIZE}-wide block tile; "
+            "the largest supported scale is 3.5")
 
     wall = rng.integers(0, 10, size=rows * cols).astype(np.int32)
     # src row carries costs already accumulated over earlier pyramid

@@ -11,9 +11,13 @@ split along the paper's own decoupling.  **Stage 1** fans out over the
 *distinct* (kernel, scale, seed) keys behind the pending units and
 populates the trace store, skipping entries that are already warm — so
 an 18-kernel × 6-config grid executes each kernel functionally once,
-not once per config per worker.  **Stage 2** fans out over the
-(trace × config) evaluation units; every worker opens the stored trace
+not once per config per worker.  **Stage 2** opens each stored trace
 read-only via ``mmap``, sharing the OS page cache.
+
+Either way the evaluation fan-out schedules **one task per trace**:
+every pending unit of one (kernel, scale, seed) runs in the same
+process, so the trace's evaluation plan, static-peek overlay and
+auxiliary measurements are built once per run, not once per config.
 
 Results always come back in work-list order; the parent alone writes
 result-cache entries.  Trace-store entries are published by workers
@@ -73,9 +77,9 @@ def _init_worker(store_root=None, need_models: bool = True) -> None:
 
 
 def _run_one(item) -> tuple:
-    """Stage-2 / single-stage work item: one unit, end to end, under a
-    fresh obs scope whose snapshot travels home with the result (as the
-    transient ``"obs"`` key — popped and merged by the parent)."""
+    """One unit, end to end, under a fresh obs scope whose snapshot
+    travels home with the result (as the transient ``"obs"`` key —
+    popped and merged by the parent)."""
     index, spec, store_key = item
     with obs.scoped() as reg:
         with reg.span("runner.unit"):
@@ -84,6 +88,23 @@ def _run_one(item) -> tuple:
                                   store_key=store_key)
     result.data["obs"] = reg.snapshot()
     return index, result
+
+
+def _run_trace(items) -> list:
+    """Stage-2 / single-stage work item: every pending unit of one
+    trace, in work-list order, so the units share the process's plan
+    of that trace.  Returns ``[(index, result), ...]``."""
+    return [_run_one(item) for item in items]
+
+
+def _trace_items(pending, trace_keys) -> list:
+    """The evaluation fan-out's items: the pending ``(index, spec)``
+    pairs grouped by (kernel, scale, seed), in work-list order."""
+    groups = {}
+    for i, spec in pending:
+        groups.setdefault((spec.kernel, spec.scale, spec.seed), []) \
+            .append((i, spec, trace_keys.get(i)))
+    return list(groups.values())
 
 
 def _capture_one(item) -> tuple:
@@ -116,18 +137,15 @@ def _pool_context():
 
 
 def _map_parallel(fn, items, workers, store_root=None,
-                  need_models: bool = True, chunksize: int = 1):
+                  need_models: bool = True):
     """Run ``fn`` over ``items`` inline or across a pool, yielding
     results unordered.  The inline path goes through the same worker
     entry points, which is what the parallel-equals-serial guarantee
     rests on.
 
-    ``chunksize`` trades scheduling granularity for locality: the
-    evaluation stage passes 2 on large work lists so that adjacent
-    units — the work list is kernel-major, so usually two configs of
-    the same trace — land on the same worker and share its warm
-    trace-store handle and evaluation plan.  Results and metrics are
-    scheduling-independent either way.
+    Each item is one task: the evaluation stage passes one item per
+    trace (see :func:`_run_trace`), so a trace's plan is built by one
+    worker.  Results and metrics are scheduling-independent either way.
     """
     if not items:
         return
@@ -136,7 +154,7 @@ def _map_parallel(fn, items, workers, store_root=None,
         with ctx.Pool(min(workers, len(items)),
                       initializer=_init_worker,
                       initargs=(store_root, need_models)) as pool:
-            yield from pool.imap_unordered(fn, items, chunksize)
+            yield from pool.imap_unordered(fn, items)
     else:
         _init_worker(store_root, need_models=need_models)
         for item in items:
@@ -220,17 +238,16 @@ def run_units(specs, options: RunOptions = None) -> list:
                 stats["stage_init_s"] = _prepare_eval(pending)
         t0 = time.perf_counter()
         if pending:
-            items = [(i, spec, trace_keys.get(i)) for i, spec in pending]
+            items = _trace_items(pending, trace_keys)
             store_root = str(store.root) if store is not None else None
             workers = options.workers
-            if len(items) <= INLINE_MAX_UNITS:
+            if len(pending) <= INLINE_MAX_UNITS:
                 workers = 1
-            chunk = 2 if len(items) >= 4 * max(workers, 1) else 1
             with reg.span("runner.stage.eval"):
-                for i, result in _map_parallel(_run_one, items,
-                                               workers, store_root,
-                                               chunksize=chunk):
-                    finish(i, result)
+                for done in _map_parallel(_run_trace, items, workers,
+                                          store_root):
+                    for i, result in done:
+                        finish(i, result)
         stats["stage_eval_s"] = time.perf_counter() - t0
         stats.pop("warm_keys", None)
     return results

@@ -302,7 +302,9 @@ def execute_unit(spec: UnitSpec, models: ModelBundle = None,
         "energy_stacks": payload["energy_stacks"],
     }
     if spec.aux:
-        result["aux"] = _aux_metrics(run, plan_for(run, plan_key).pack)
+        # config-independent: measured once per trace, copied per unit
+        plan = plan_for(run, plan_key)
+        result["aux"] = plan.aux(lambda: _aux_metrics(run, plan.pack))
     result["eval_time_s"] = time.perf_counter() - t_eval
     result["wall_time_s"] = time.perf_counter() - t0
     obs.record_timer("runner.unit.capture", result["capture_time_s"])

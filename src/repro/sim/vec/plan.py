@@ -4,11 +4,11 @@ A *plan* bundles everything about one captured run that does not depend
 on the :class:`~repro.core.predictors.SpeculationConfig` being
 evaluated: the :class:`~repro.core.batch.TracePack` of derived adder
 arrays and the :class:`~repro.sim.vec.timing.TimingPlan` of resolved
-scheduling decisions, plus a memo of the static carry-fact overlay.
+scheduling decisions, plus memos of the static carry-fact overlay and
+of the auxiliary (VaLHALLA + Figure 3) measurements.
 
-The stage-2 runner evaluates each trace under several configs (and the
-static-peek overlay and the auxiliary measurements re-read the same
-arrays), so plans are cached —
+The stage-2 runner evaluates all configs of one trace in one process,
+so plans are cached —
 keyed by the unit's ``(kernel, scale, seed)`` identity, the same
 triple that keys the trace store — with a small bounded LRU: grids
 iterate configs per trace, so only a handful of traces are ever hot at
@@ -18,8 +18,9 @@ should not accumulate for a whole suite.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +48,7 @@ class TracePlan:
     _static_facts: Any = field(default=None, repr=False)
     _static_overlay: Optional[Tuple[np.ndarray, np.ndarray]] = \
         field(default=None, repr=False)
+    _aux: Optional[Dict[str, Any]] = field(default=None, repr=False)
 
     def static_peek(self, trace: Any,
                     facts: Any) -> Tuple[np.ndarray, np.ndarray]:
@@ -55,6 +57,15 @@ class TracePlan:
             self._static_facts = facts
             self._static_overlay = trace_static_peek(trace, facts)
         return self._static_overlay
+
+    def aux(self, measure: Callable[[], Dict[str, Any]]) -> Dict[str, Any]:
+        """The trace's config-independent auxiliary measurements:
+        ``measure()`` on first use, memoised like the static overlay.
+        Every caller gets its own copy, so one unit's result dict never
+        aliases another's."""
+        if self._aux is None:
+            self._aux = measure()
+        return copy.deepcopy(self._aux)
 
 
 _PLANS: Dict[PlanKey, TracePlan] = {}

@@ -71,6 +71,33 @@ def previous(keys: np.ndarray, groups: np.ndarray,
     return prev
 
 
+def previous_columns(keys: np.ndarray, groups: np.ndarray,
+                     valid_cols: np.ndarray) -> np.ndarray:
+    """Sorted-run history predecessors, recomputed for every column of
+    ``valid_cols`` — the production kernel before it shared columns
+    with equal valid sets.  Exact for any ``groups``, contiguous or
+    not."""
+    n, k = valid_cols.shape
+    prev = np.full((n, k), -1, dtype=np.int64)
+    if n < 2:
+        return prev
+    order = np.argsort(keys, kind="stable")
+    for j in range(k):
+        si = order[valid_cols[order, j]]
+        m = len(si)
+        if m < 2:
+            continue
+        sk = keys[si]
+        sg = groups[si]
+        pos = np.arange(m)
+        run_start = np.ones(m, dtype=bool)
+        run_start[1:] = (sk[1:] != sk[:-1]) | (sg[1:] != sg[:-1])
+        source = np.maximum.accumulate(np.where(run_start, pos, 0)) - 1
+        ok = (source >= 0) & (sk[np.maximum(source, 0)] == sk)
+        prev[si[ok], j] = si[source[ok]]
+    return prev
+
+
 def predict(trace, config) -> tuple:
     """``(bits, has_prev)`` of ``config`` over ``trace``."""
     n = len(trace)

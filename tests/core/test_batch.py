@@ -165,6 +165,40 @@ class TestPreviousSameKeyBatch:
             ref = ref_spec.previous(keys, groups, valid[:, j])
             np.testing.assert_array_equal(batch[:, j], ref, err_msg=str(j))
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shared_columns_match_per_column_loop(self, seed):
+        """Copying a column whose valid set repeats the previous one is
+        exact for any mask shape: duplicate, shifted, empty, all-valid,
+        prefix-shaped and random columns, under random (non-contiguous)
+        groups."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 200))
+        k = int(rng.integers(1, 2 * MAX_PREDICTIONS))
+        keys = rng.integers(0, int(rng.integers(1, 10)), n)
+        groups = rng.integers(0, max(n // 3, 1), n)
+        n_preds = rng.integers(0, k + 1, n)
+        cols = []
+        for j in range(k):
+            kind = rng.integers(0, 6)
+            if kind == 0 and cols:
+                col = cols[-1].copy()
+            elif kind == 5 and cols:
+                # as many valid rows as the previous column, other rows
+                col = np.roll(cols[-1], 1)
+            elif kind == 1:
+                col = np.zeros(n, dtype=bool)
+            elif kind == 2:
+                col = np.ones(n, dtype=bool)
+            elif kind == 3:
+                col = n_preds > j
+            else:
+                col = rng.random(n) < rng.random()
+            cols.append(col)
+        valid = np.stack(cols, axis=1).reshape(n, k)
+        np.testing.assert_array_equal(
+            previous_same_key_batch(keys, groups, valid),
+            ref_spec.previous_columns(keys, groups, valid))
+
     def test_short_input(self):
         prev = previous_same_key_batch(
             np.array([3]), np.array([0]),

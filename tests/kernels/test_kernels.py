@@ -45,6 +45,13 @@ class TestPathfinder:
         interior &= (grid > iteration) & (grid < cols - iteration - 1)
         assert np.array_equal(dst[interior], ref[interior])
 
+    def test_scale_limit_is_a_named_error(self):
+        """Past scale 3.5 the halo leaves no block-tile columns; that is
+        refused by name, not by numpy's negative-dimension error."""
+        assert pathfinder.prepare(scale=3.5).params["cols"] > 0
+        with pytest.raises(ValueError, match=r"scale=3\.6\b.*3\.5"):
+            pathfinder.prepare(scale=3.6)
+
     def test_trace_has_loop_structure(self):
         run = pathfinder.prepare(scale=SCALE, seed=0).run()
         pcs, counts = np.unique(run.trace.pc, return_counts=True)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
+from repro.core.speculation import CASA, PREV, ST2_DESIGN, VALHALLA
 from repro.runner import ResultCache, RunOptions, build_units, run_units
 from repro.runner.pool import default_workers, run_suite_units
 from repro.runner.units import results_equal
@@ -72,6 +75,23 @@ def test_default_workers_bounded():
     assert 1 <= default_workers() <= 4
 
 
+def spy_eval_fan_outs(monkeypatch) -> list:
+    """Record ``(items, workers)`` of every evaluation fan-out."""
+    from repro.runner import pool
+
+    seen = []
+    real = pool._map_parallel
+
+    def spy(fn, items, workers, store_root=None, need_models=True):
+        if fn is pool._run_trace:
+            seen.append((items, workers))
+        return real(fn, items, workers, store_root,
+                    need_models=need_models)
+
+    monkeypatch.setattr(pool, "_map_parallel", spy)
+    return seen
+
+
 class TestInlineDispatch:
     """Evaluation fan-outs of at most ``INLINE_MAX_UNITS`` units skip
     the pool (its fork + IPC overhead dominates millisecond-priced
@@ -80,23 +100,13 @@ class TestInlineDispatch:
     def eval_workers(self, monkeypatch, cutoff=None):
         from repro.runner import pool
 
-        seen = []
-        real = pool._map_parallel
-
-        def spy(fn, items, workers, store_root=None,
-                need_models=True, chunksize=1):
-            if fn is pool._run_one:
-                seen.append(workers)
-            return real(fn, items, workers, store_root,
-                        need_models=need_models, chunksize=chunksize)
-
-        monkeypatch.setattr(pool, "_map_parallel", spy)
+        seen = spy_eval_fan_outs(monkeypatch)
         if cutoff is not None:
             monkeypatch.setattr(pool, "INLINE_MAX_UNITS", cutoff)
         units = build_units(KERNELS, scale=0.1, aux=False)
         run_units(units, RunOptions(workers=2, use_cache=False))
         assert len(seen) == 1
-        return seen[0]
+        return seen[0][1]
 
     def test_small_grid_runs_inline(self, monkeypatch):
         from repro.runner.pool import INLINE_MAX_UNITS
@@ -105,6 +115,72 @@ class TestInlineDispatch:
 
     def test_large_grid_honours_workers(self, monkeypatch):
         assert self.eval_workers(monkeypatch, cutoff=1) == 2
+
+
+class TestOncePerTrace:
+    """Config-independent work runs once per trace per run: the
+    evaluation fan-out has one item per trace, and the aux measurements
+    are memoised on the trace's plan."""
+
+    CONFIGS = (ST2_DESIGN, VALHALLA, PREV, CASA)
+
+    def test_aux_measured_once_per_trace(self, monkeypatch, pools):
+        from repro.core import correlation
+        from repro.sim.vec.plan import clear_plans
+
+        calls = []
+        real = correlation.slice_carry_correlation
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(correlation, "slice_carry_correlation",
+                            counting)
+        units = build_units(KERNELS, configs=self.CONFIGS, aux=True)
+        clear_plans()
+        serial = run_units(units, RunOptions(workers=1, use_cache=False))
+        assert len(calls) == len(KERNELS)
+
+        # every unit owns its aux dict: mutating one leaves its
+        # siblings and the plan's memo untouched
+        siblings = [copy.deepcopy(r.aux) for r in serial[1:]]
+        serial[0].aux["correlation"].clear()
+        serial[0].aux["valhalla_misprediction_rate"] = -1.0
+        assert [r.aux for r in serial[1:]] == siblings
+        again = run_units(units, RunOptions(workers=1, use_cache=False))
+        assert len(calls) == len(KERNELS)       # served from the memo
+
+        clear_plans()       # forked workers must not inherit the memo
+        pooled = run_units(units, RunOptions(workers=2, use_cache=False))
+        assert pools, "the evaluation fan-out never started a pool"
+        for a, p in zip(again, pooled):
+            assert a.aux and results_equal(a, p), a.label
+
+    def test_one_fan_out_item_per_trace(self, tmp_path, monkeypatch):
+        """Items hold exactly the pending units of one trace, in
+        work-list order, even when the work list interleaves traces and
+        some units are cache hits."""
+        # config-major, so each trace's units are not adjacent
+        units = [u for cfg in self.CONFIGS
+                 for u in build_units(KERNELS, configs=(cfg,),
+                                      scale=0.1, aux=False)]
+        cache = ResultCache(tmp_path)
+        run_units([units[2]], RunOptions(workers=1, cache=cache))
+        seen = spy_eval_fan_outs(monkeypatch)
+        results = run_units(units, RunOptions(workers=1, cache=cache))
+        assert [r.cached for r in results].count(True) == 1
+
+        ((items, _),) = seen
+        pending = [i for i in range(len(units)) if i != 2]
+        assert sorted(i for item in items for i, _, _ in item) == pending
+        for item in items:
+            indices = [i for i, _, _ in item]
+            assert indices == sorted(indices)
+            assert len({(s.kernel, s.scale, s.seed)
+                        for _, s, _ in item}) == 1
+            assert all(units[i] == s for i, s, _ in item)
+        assert len(items) == len(KERNELS)
 
 
 class TestRunOptionsOnly:
