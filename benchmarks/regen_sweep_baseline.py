@@ -2,13 +2,13 @@
 """Regenerate ``BENCH_sweep.json`` from a fresh pinned sweep.
 
 The baseline pins the deterministic sweep the ``sweep-smoke`` CI job
-replays (``benchmarks/sweep_ci.yaml`` under ``--no-cache``, so every
+replays (``benchmarks/sweep_ci.json`` under ``--no-cache``, so every
 functional counter — adder/predictor totals, expansion bookkeeping,
 equivalence/domination prune decisions, frontier admissions — is
 machine-independent).  This script:
 
-1. runs the pinned spec through the local sweep backend into a
-   temporary output/manifest pair,
+1. runs the pinned spec through ``st2-sweep run`` into a temporary
+   output/manifest pair,
 2. seeds a baseline from the measured metrics
    (:func:`repro.obs.metrics.baseline_from_metrics` — counters pinned
    at 5 % relative tolerance, runner timers bounded at 25× measured),
@@ -42,7 +42,7 @@ from repro.sweep import cli as sweep_cli
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_sweep.json"
-SPEC = REPO_ROOT / "benchmarks" / "sweep_ci.yaml"
+SPEC = REPO_ROOT / "benchmarks" / "sweep_ci.json"
 
 
 def run_pinned_sweep(workdir: Path) -> dict:
@@ -63,7 +63,7 @@ def run_pinned_sweep(workdir: Path) -> dict:
 def build_baseline(metrics: dict) -> dict:
     description = (
         "pinned design-space sweep baseline: st2-sweep run "
-        "benchmarks/sweep_ci.yaml --workers 2 --no-cache (8-combo "
+        "benchmarks/sweep_ci.json --workers 2 --no-cache (8-combo "
         "grid -> 4 equivalence classes over qrng_K1 x affineChain; "
         "the static1 classes are pruned pre-execution by "
         "the static bounds stage); counters pin the functional "

@@ -391,19 +391,6 @@ class SweepSpec:
             seed=_integer(doc.get("seed", 0), "sweep_spec", "seed"),
             aux=bool(doc.get("aux", False)))
 
-    def job_spec(self, configs: Tuple[str, ...],
-                 kernels: Optional[Tuple[str, ...]] = None,
-                 priority: int = 0, client: str = "sweep") -> JobSpec:
-        """One serve-backend submission covering ``configs`` (by
-        canonical name — any design point resolves server-side) over
-        ``kernels`` (default: the sweep's full kernel list)."""
-        return JobSpec(
-            kernels=tuple(kernels) if kernels is not None
-            else self.kernels,
-            configs=configs, scale=self.scale, seed=self.seed,
-            aux=self.aux, priority=priority,
-            client=client)
-
 
 @dataclass(frozen=True)
 class JobStatus:

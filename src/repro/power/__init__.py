@@ -11,9 +11,6 @@ _LAZY_EXPORTS = {
     "ActivityVector": ("repro.power.activity", "ActivityVector"),
     "Component": ("repro.power.components", "Component"),
     "GPUPowerModel": ("repro.power.model", "GPUPowerModel"),
-    "PowerExtensions": ("repro.power.extended", "PowerExtensions"),
-    "RegFileParams": ("repro.power.extended", "RegFileParams"),
-    "SchedulerParams": ("repro.power.extended", "SchedulerParams"),
     "SyntheticSilicon": ("repro.power.hardware", "SyntheticSilicon"),
     "activity_from_run": ("repro.power.activity", "activity_from_run"),
     "calibrate": ("repro.power.calibration", "calibrate"),

@@ -28,10 +28,6 @@ class GPUPowerModel:
     p_idle_sm_w: float = MODEL_P_IDLE_SM_W
     energies_pj: dict = field(
         default_factory=lambda: dict(MODEL_ENERGY_PJ))
-    #: Optional literature-inspired refinements (GREENER register
-    #: file, WaSP warp scheduler) — see :mod:`repro.power.extended`.
-    #: ``None`` (the default) leaves every number bit-identical.
-    extensions: object = None
 
     def raw_component_power_w(self, activity: ActivityVector,
                               component: Component) -> float:
@@ -57,13 +53,9 @@ class GPUPowerModel:
                 * self.scales[Component.ALU_FPU])
 
     def component_power_w(self, activity: ActivityVector) -> dict:
-        """Calibrated per-component dynamic power (``P_i * Scale_i``),
-        plus any enabled extension terms on their home components."""
-        powers = {c: self.raw_component_power_w(activity, c)
-                  * self.scales[c] for c in Component}
-        if self.extensions is not None:
-            powers = self.extensions.adjust_power_w(powers, activity)
-        return powers
+        """Calibrated per-component dynamic power (``P_i * Scale_i``)."""
+        return {c: self.raw_component_power_w(activity, c)
+                * self.scales[c] for c in Component}
 
     def total_power_w(self, activity: ActivityVector) -> float:
         """Eq. (1)."""

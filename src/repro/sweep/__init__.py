@@ -1,11 +1,11 @@
 """``repro.sweep`` — declarative design-space sweeps over the runner.
 
-A :class:`~repro.api.SweepSpec` (YAML/JSON file or wire document)
+A :class:`~repro.api.SweepSpec` (JSON or YAML file, or wire document)
 places axes over :class:`~repro.core.predictors.SpeculationConfig`
 fields and crosses them with a kernel list; this package expands the
 grid into provable equivalence classes (:mod:`~repro.sweep.grid`),
-executes it resumably over the local runner pool or an ``st2-serve``
-daemon (:mod:`~repro.sweep.engine`), tracks the Pareto frontier over
+executes it resumably over the runner pool
+(:mod:`~repro.sweep.engine`), tracks the Pareto frontier over
 (energy saved, misprediction rate, perf overhead) with sound early
 pruning (:mod:`~repro.sweep.pareto`), and renders ``sweep.json`` into
 markdown reports (:mod:`~repro.sweep.report`).  The ``st2-sweep`` CLI

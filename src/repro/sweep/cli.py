@@ -3,12 +3,14 @@ sweeps with Pareto tracking, pruning and resume.
 
 Examples::
 
-    st2-sweep example > sweep.yaml          # ready-to-edit spec
-    st2-sweep expand sweep.yaml             # what would run, no work
-    st2-sweep run sweep.yaml --out sweep.json
-    st2-sweep run sweep.yaml --no-prune     # exhaustive mode
-    st2-sweep run sweep.yaml --via-serve 127.0.0.1:8787
+    st2-sweep example > spec.json           # ready-to-edit spec
+    st2-sweep expand spec.json              # what would run, no work
+    st2-sweep run spec.json --out sweep.json
+    st2-sweep run spec.json --no-prune      # exhaustive mode
     st2-sweep report sweep.json             # markdown frontier report
+
+Spec files are JSON, or YAML (``.yaml``/``.yml``) when PyYAML is
+installed.
 
 ``run`` is resumable: every finished unit lands in the JSONL manifest
 (``--manifest``, default ``<out>.manifest.jsonl``) as it completes, so
@@ -19,8 +21,8 @@ workflow).  The observability snapshot rides next to the manifest as
 
 Exit codes follow the shared contract (:mod:`repro.cli_common`):
 0 success (including a budget-bounded partial sweep), 1 sweep
-execution failures, 2 usage/input errors (bad spec files and
-resume-digest mismatches included).
+execution failures, 2 usage/input errors (bad spec files, out-of-range
+``--workers``/``--max-units`` and resume-digest mismatches included).
 """
 
 from __future__ import annotations
@@ -64,13 +66,9 @@ def build_parser():
                      help="print one line per pruned config with the "
                           "bound and the frontier point that "
                           "dominated it")
-    run.add_argument("--via-serve", metavar="ADDR", default=None,
-                     help="execute through an st2-serve daemon at "
-                          "ADDR (batch submission + paginated "
-                          "results) instead of the in-process runner")
     run.add_argument("--workers", type=int, default=None,
-                     help="local-backend worker processes; also the "
-                          "per-wave unit count pruning checks at "
+                     help="worker processes; also the per-wave unit "
+                          "count pruning checks at "
                           "(default: min(4, cores))")
     run.add_argument("--max-units", type=int, default=None,
                      help="stop after executing this many units "
@@ -85,9 +83,6 @@ def build_parser():
                      help="two-stage pipeline through a memory-mapped "
                           "trace store (bare flag: the default store "
                           "dir)")
-    run.add_argument("--timeout", type=float, default=600.0,
-                     help="serve-backend per-wave deadline in seconds "
-                          "(default 600)")
     run.add_argument("--quiet", action="store_true",
                      help="suppress progress lines")
     cli_common.add_json_flag(run)
@@ -105,10 +100,7 @@ def build_parser():
     cli_common.add_json_flag(expand)
 
     example = sub.add_parser(
-        "example", help="print a ready-to-edit example spec")
-    example.add_argument("--format", choices=("yaml", "json"),
-                         default="yaml", help="spec syntax "
-                         "(default yaml)")
+        "example", help="print a ready-to-edit example JSON spec")
     cli_common.add_json_flag(example)
     return parser
 
@@ -127,6 +119,10 @@ def _cmd_run(args) -> int:
     from repro.sweep.engine import (ResumeMismatch, SweepError,
                                     SweepOptions, run_sweep)
 
+    if args.workers is not None and args.workers < 1:
+        return cli_common.fail(PROG, "--workers must be >= 1")
+    if args.max_units is not None and args.max_units < 0:
+        return cli_common.fail(PROG, "--max-units must be >= 0")
     spec, error = _load_spec(args.spec)
     if error:
         return cli_common.fail(PROG, error)
@@ -136,14 +132,11 @@ def _cmd_run(args) -> int:
     options = SweepOptions(
         prune=not args.no_prune,
         static_bounds=not args.no_static_bounds,
-        backend="serve" if args.via_serve else "local",
-        server=args.via_serve,
         workers=args.workers,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         trace_store=args.trace_store,
         max_units=args.max_units,
-        timeout=args.timeout,
         progress=None if quiet else
         lambda message: print(f"[{PROG}] {message}", flush=True))
     try:
@@ -165,7 +158,7 @@ def _cmd_run(args) -> int:
     metrics_path = obs.write_metrics(
         obs.metrics_path_for(manifest), registry.snapshot(),
         meta={"sweep": spec.name, "sweep_digest": spec.digest(),
-              "backend": result.backend, "prune": result.prune,
+              "prune": result.prune,
               "complete": result.complete})
 
     if args.json:
@@ -178,8 +171,7 @@ def _cmd_run(args) -> int:
     print(f"\nsweep {spec.name}: "
           f"{len(result.frontier)}-point frontier over "
           f"{len(result.points)} completed config classes "
-          f"({result.backend} backend, "
-          f"pruning {'on' if result.prune else 'off'})")
+          f"(pruning {'on' if result.prune else 'off'})")
     for point in result.frontier:
         objs = ", ".join(f"{k}={v:.4f}"
                          for k, v in sorted(point.objectives.items()))
@@ -300,7 +292,7 @@ def _cmd_example(args) -> int:
     if args.json:
         cli_common.emit_json(EXAMPLE_WIRE)
         return cli_common.EXIT_OK
-    print(example_text(args.format), end="")
+    print(example_text(), end="")
     return cli_common.EXIT_OK
 
 

@@ -3,13 +3,9 @@ incremental Pareto tracking and provably-sound early pruning.
 
 Execution is config-major over the plan's equivalence classes
 (:mod:`repro.sweep.grid`): each scheduled config evaluates its kernels
-in waves, updating the Pareto frontier as configs complete.  Two
-backends run the waves — ``local`` drives
-:func:`repro.runner.pool.run_units` in-process; ``serve`` submits jobs
-to an ``st2-serve`` daemon over the batch API and pages results back
-(:meth:`repro.serve.client.ServeClient.iter_results`).  Both produce
-``results_equal`` unit payloads with identical cache keys, so their
-frontiers match float-for-float.
+in waves, updating the Pareto frontier as configs complete.  Every
+wave runs through :func:`repro.runner.pool.run_units`, the same
+in-process pool path as ``st2-run``.
 
 **Pruning** (default on; ``--no-prune`` for exhaustive mode) has two
 tiers, both logged to obs counters and both frontier-preserving:
@@ -165,14 +161,13 @@ class StaticBoundsIndex:
 #: Version of the ``sweep.json`` result document.
 SWEEP_RESULT_VERSION = 1
 
-#: Upper cap on units per serve-backend wave (stays inside the default
-#: per-client quota so batches admit atomically).
-DEFAULT_WAVE_UNITS = 256
+#: Units per exhaustive-mode wave.
+WAVE_UNITS = 256
 
 
 class SweepError(Exception):
-    """A sweep-level failure: backend execution error, or a manifest
-    that belongs to a different spec."""
+    """A sweep-level failure: an empty grid, an unreadable result
+    document, or a manifest that belongs to a different spec."""
 
 
 class ResumeMismatch(SweepError):
@@ -192,8 +187,8 @@ def unit_objectives(unit: Mapping[str, Any]) -> Dict[str, float]:
 def aggregate_objectives(
         per_kernel: Mapping[str, Mapping[str, float]]
 ) -> Dict[str, float]:
-    """Mean over kernels, summed in sorted-kernel order so every
-    backend and prune mode produces bit-identical floats."""
+    """Mean over kernels, summed in sorted-kernel order so pruned,
+    exhaustive and resumed runs produce bit-identical floats."""
     kernels = sorted(per_kernel)
     n = len(kernels)
     return {name: sum(per_kernel[k][name] for k in kernels) / n
@@ -232,17 +227,12 @@ class SweepOptions:
 
     prune: bool = True
     static_bounds: bool = True      # static pruning stage (if prune)
-    backend: str = "local"          # local | serve
-    server: Optional[str] = None    # serve backend address
     workers: Optional[int] = None
     use_cache: bool = True
     cache_dir: Optional[str] = None
     trace_store: Optional[str] = None
     max_units: Optional[int] = None  # execution budget (resume later)
-    wave_units: int = DEFAULT_WAVE_UNITS
     prune_chunk: Optional[int] = None  # kernels per wave when pruning
-    client: str = "st2-sweep"
-    timeout: float = 600.0
     progress: Any = None            # callable(message: str) or None
     registry: Any = None            # repro.obs.Obs (fresh if None)
 
@@ -256,7 +246,6 @@ class SweepResult:
     frontier: Tuple[ParetoPoint, ...]
     points: Tuple[ParetoPoint, ...]
     pruned: Mapping[str, Mapping[str, Any]]
-    backend: str
     prune: bool
     complete: bool
     executed_units: int
@@ -276,7 +265,6 @@ class SweepResult:
             "frontier": [p.to_wire() for p in self.frontier],
             "points": [p.to_wire() for p in self.points],
             "pruned": {k: dict(v) for k, v in self.pruned.items()},
-            "backend": self.backend,
             "prune": self.prune,
             "complete": self.complete,
             "executed_units": self.executed_units,
@@ -306,7 +294,6 @@ class SweepResult:
                          for p in doc.get("points", [])),
             pruned={k: dict(v)
                     for k, v in doc.get("pruned", {}).items()},
-            backend=str(doc.get("backend", "local")),
             prune=bool(doc.get("prune", True)),
             complete=bool(doc.get("complete", True)),
             executed_units=int(doc.get("executed_units", 0)),
@@ -320,20 +307,25 @@ class SweepResult:
 
 
 # ----------------------------------------------------------------------
-# execution backends
+# the engine
 # ----------------------------------------------------------------------
 
-class LocalBackend:
-    """Waves run through the in-process runner pool — the same
-    :func:`~repro.runner.pool.run_units` path as ``st2-run``."""
+class _SweepRun:
+    """Mutable state of one sweep invocation."""
 
-    name = "local"
-
-    def __init__(self, spec: SweepSpec, options: SweepOptions):
+    def __init__(self, plan: SweepPlan, options: SweepOptions,
+                 manifest_path: str):
         from repro.runner.cache import ResultCache
         from repro.runner.options import RunOptions
         from repro.runner.pool import default_workers
 
+        self.plan = plan
+        self.spec = plan.spec
+        self.options = options
+        self.manifest_path = str(manifest_path)
+        self.registry = options.registry if options.registry \
+            is not None else obs.Obs()
+        options.registry = self.registry
         store = None
         if options.trace_store is not None:
             from repro.sim.trace_store import TraceStore
@@ -344,106 +336,7 @@ class LocalBackend:
             cache=ResultCache(options.cache_dir),
             use_cache=options.use_cache,
             trace_store=store,
-            obs=options.registry)
-
-    def run(self, units: List[Any]) -> List[Dict[str, Any]]:
-        from repro.runner.pool import run_units
-
-        return [r.to_dict() for r in run_units(units,
-                                               self.run_options)]
-
-    def close(self) -> None:
-        pass
-
-
-class ServeBackend:
-    """Waves become job submissions against an ``st2-serve`` daemon:
-    one :class:`~repro.api.JobSpec` per config (configs travel as
-    canonical names), multi-config waves via ``POST /v1/jobs:batch``,
-    results paged back with
-    :meth:`~repro.serve.client.ServeClient.iter_results`."""
-
-    name = "serve"
-
-    def __init__(self, spec: SweepSpec, options: SweepOptions):
-        from repro.serve.client import ServeClient
-
-        if not options.server:
-            raise SweepError("serve backend needs a server address")
-        self.spec = spec
-        self.timeout = options.timeout
-        self.client = ServeClient(options.server,
-                                  client=options.client,
-                                  timeout=options.timeout)
-
-    def run(self, units: List[Any]) -> List[Dict[str, Any]]:
-        from repro.serve.client import ServeError
-
-        grouped: Dict[str, List[str]] = {}
-        for unit in units:
-            grouped.setdefault(unit.config.name,
-                               []).append(unit.kernel)
-        specs = [self.spec.job_spec(configs=(config,),
-                                    kernels=tuple(kernels))
-                 for config, kernels in grouped.items()]
-        try:
-            if len(specs) == 1:
-                statuses = [self.client.submit_retry(
-                    specs[0], deadline_s=self.timeout)]
-            else:
-                statuses = self.client.submit_batch_retry(
-                    specs, deadline_s=self.timeout)
-            by_cell: Dict[Tuple[str, str], Dict[str, Any]] = {}
-            for status in statuses:
-                final = self.client.wait(status.job_id,
-                                         timeout=self.timeout)
-                if final.state != "done":
-                    raise SweepError(
-                        f"served job {status.job_id} failed: "
-                        f"{final.error}")
-                for unit in self.client.iter_results(status.job_id):
-                    by_cell[(unit["kernel"], unit["config"])] = unit
-        except ServeError as exc:
-            raise SweepError(f"serve backend: {exc}") from exc
-        out = []
-        for unit in units:
-            cell = by_cell.get((unit.kernel, unit.config.name))
-            if cell is None:
-                raise SweepError(
-                    f"serve backend returned no result for "
-                    f"{unit.label}")
-            out.append(cell)
-        return out
-
-    def close(self) -> None:
-        self.client.close()
-
-
-def _make_backend(spec: SweepSpec, options: SweepOptions):
-    if options.backend == "local":
-        return LocalBackend(spec, options)
-    if options.backend == "serve":
-        return ServeBackend(spec, options)
-    raise SweepError(f"unknown sweep backend {options.backend!r} "
-                     f"(local or serve)")
-
-
-# ----------------------------------------------------------------------
-# the engine
-# ----------------------------------------------------------------------
-
-class _SweepRun:
-    """Mutable state of one sweep invocation."""
-
-    def __init__(self, plan: SweepPlan, options: SweepOptions,
-                 manifest_path: str):
-        self.plan = plan
-        self.spec = plan.spec
-        self.options = options
-        self.manifest_path = str(manifest_path)
-        self.registry = options.registry if options.registry \
-            is not None else obs.Obs()
-        options.registry = self.registry
+            obs=self.registry)
         self.frontier = ParetoFrontier()
         self.canon_points: Dict[str, ParetoPoint] = {}
         self.pruned: Dict[str, Dict[str, Any]] = {}
@@ -536,7 +429,6 @@ class _SweepRun:
             "sweep": self.spec.name,
             "spec": self.spec.to_wire(),
             "prune": self.options.prune,
-            "backend": self.options.backend,
         }
         self.writer = ManifestWriter(self.manifest_path, meta=meta,
                                      n_units=planned)
@@ -545,10 +437,13 @@ class _SweepRun:
 
     # -- execution -----------------------------------------------------
 
-    def execute(self, backend: Any, units: List[Any]) -> None:
+    def execute(self, units: List[Any]) -> None:
         """Run one wave, manifest every result as it lands."""
+        from repro.runner.pool import run_units
+
         t0 = time.perf_counter()
-        results = backend.run(units)
+        results = [r.to_dict() for r in run_units(units,
+                                                  self.run_options)]
         self.registry.record_timer("sweep.wave.wall",
                                    time.perf_counter() - t0)
         for unit in results:
@@ -704,14 +599,12 @@ def run_sweep(spec: SweepSpec, manifest_path: str,
     run.count("sweep.expand.duplicates", plan.duplicate_configs)
     run.load_resume()
     run.open_manifest()
-    backend = _make_backend(spec, options)
     try:
         if options.prune:
-            _run_pruned(run, backend)
+            _run_pruned(run)
         else:
-            _run_exhaustive(run, backend)
+            _run_exhaustive(run)
     finally:
-        backend.close()
         assert run.writer is not None
         run.writer.close()
     wall = time.perf_counter() - t0
@@ -721,7 +614,7 @@ def run_sweep(spec: SweepSpec, manifest_path: str,
         frontier=run.frontier.points(),
         points=tuple(run.canon_points[k]
                      for k in sorted(run.canon_points)),
-        pruned=run.pruned, backend=options.backend,
+        pruned=run.pruned,
         prune=options.prune, complete=run.complete,
         executed_units=run.executed, reused_units=run.reused,
         skipped_units=run.skipped,
@@ -742,7 +635,7 @@ def _chunk_size(run: _SweepRun) -> int:
     return max(1, default_workers())
 
 
-def _run_pruned(run: _SweepRun, backend: Any) -> None:
+def _run_pruned(run: _SweepRun) -> None:
     """Config-major execution: one representative per equivalence
     class, domination-checked between waves."""
     chunk = _chunk_size(run)
@@ -764,15 +657,15 @@ def _run_pruned(run: _SweepRun, backend: Any) -> None:
                 else min(len(pending), budget)
             wave, pending = pending[:min(take, chunk)], \
                 pending[min(take, chunk):]
-            run.execute(backend, wave)
+            run.execute(wave)
         if config.name not in run.pruned \
                 and not run.pending_units(config):
             run.finish_config(group, config)
 
 
-def _run_exhaustive(run: _SweepRun, backend: Any) -> None:
-    """Every grid member executes; multi-config waves exercise the
-    serve batch path.  Equivalent members must agree bit-for-bit
+def _run_exhaustive(run: _SweepRun) -> None:
+    """Every grid member executes, in multi-config waves of up to
+    :data:`WAVE_UNITS` units.  Equivalent members must agree bit-for-bit
     before merging into their class point (the soundness check that
     backs the pruning rules)."""
     wave: List[Any] = []
@@ -787,13 +680,13 @@ def _run_exhaustive(run: _SweepRun, backend: Any) -> None:
                 run.complete = False
                 break
             wave.append(unit)
-            if len(wave) >= run.options.wave_units:
-                run.execute(backend, wave)
+            if len(wave) >= WAVE_UNITS:
+                run.execute(wave)
                 wave = []
         if not run.complete:
             break
     if wave:
-        run.execute(backend, wave)
+        run.execute(wave)
     if not run.complete:
         run.say("unit budget exhausted; stopping "
                 "(resume from the manifest)")
@@ -803,8 +696,8 @@ def _run_exhaustive(run: _SweepRun, backend: Any) -> None:
             run.finish_config(group, member)
 
 
-__all__ = ["BOUND_SLACK", "LocalBackend", "ResumeMismatch",
-           "SavedCeiling", "ServeBackend", "StaticBoundsIndex",
-           "SweepError", "SweepOptions", "SweepResult",
+__all__ = ["BOUND_SLACK", "ResumeMismatch", "SavedCeiling",
+           "StaticBoundsIndex", "SweepError", "SweepOptions",
+           "SweepResult",
            "aggregate_objectives", "optimistic_bound", "run_sweep",
            "unit_objectives"]

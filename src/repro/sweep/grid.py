@@ -21,9 +21,10 @@ Two reductions happen here, both *provable from the predictor code*
 
 Every config carries its canonical compositional name
 (:func:`repro.core.speculation.config_name`), which round-trips
-through :func:`~repro.core.speculation.parse_config_name` — that is
-what lets the serve backend ship sweep configs as plain name strings
-and still resolve identical unit cache keys server-side.
+through :func:`~repro.core.speculation.parse_config_name`, so a
+sweep config travels as a plain name string (manifests, reports,
+``st2-run --configs``, ``st2-serve`` jobs) and still resolves to
+identical unit cache keys.
 """
 
 from __future__ import annotations

@@ -159,7 +159,7 @@ def render_report(result: SweepResult) -> str:
         f"({result.invalid_combos} invalid, "
         f"{result.duplicate_configs} duplicate), "
         f"{len(result.points)} completed config classes",
-        f"- backend: {result.backend}, pruning "
+        f"- pruning "
         f"{'on' if result.prune else 'off (exhaustive)'}, "
         f"{'complete' if result.complete else 'INCOMPLETE (budget)'}",
         f"- units: {result.executed_units} executed, "

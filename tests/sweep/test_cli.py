@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.sweep.cli import main
-from repro.sweep.specio import EXAMPLE_WIRE, example_text
+from repro.sweep.specio import EXAMPLE_WIRE, example_spec, load_spec
 
 
 def run_cli(capsys, *argv):
@@ -31,15 +31,17 @@ def spec_path(tmp_path):
 
 
 class TestExample:
-    def test_yaml_output_is_loadable(self, capsys):
+    def test_prints_json_example(self, capsys):
         code, out, _ = run_cli(capsys, "example")
         assert code == 0
-        assert out == example_text("yaml")
-
-    def test_json_format(self, capsys):
-        code, out, _ = run_cli(capsys, "example", "--format", "json")
-        assert code == 0
         assert json.loads(out) == EXAMPLE_WIRE
+
+    def test_output_is_loadable(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "example")
+        assert code == 0
+        path = tmp_path / "example.json"
+        path.write_text(out)
+        assert load_spec(path) == example_spec()
 
     def test_json_flag(self, capsys):
         code, out, _ = run_cli(capsys, "example", "--json")
@@ -154,3 +156,17 @@ class TestUsage:
         code, _, err = run_cli(capsys)
         assert code == 2
         assert "command is required" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("--max-units", "-1"), "--max-units"),
+        (("--workers", "0"), "--workers"),
+        (("--workers", "-3"), "--workers"),
+    ])
+    def test_out_of_range_flags_rejected(self, capsys, spec_path,
+                                         tmp_path, argv, flag):
+        out_path = tmp_path / "o.json"
+        code, _, err = run_cli(capsys, "run", str(spec_path), "--out",
+                               str(out_path), "--quiet", *argv)
+        assert code == 2
+        assert flag in err
+        assert not out_path.exists()

@@ -1,6 +1,6 @@
-"""The sweep engine end-to-end on the local backend: completion,
-kill/resume with zero re-execution, the prune==exhaustive invariant
-and resume-compatibility checks.
+"""The sweep engine end-to-end: completion, kill/resume with zero
+re-execution, the prune==exhaustive invariant and resume-compatibility
+checks.
 
 Real kernel executions are kept cheap: one short kernel at quarter
 scale, with a module-shared result cache so repeated sweeps over the
@@ -45,7 +45,6 @@ class TestLocalSweep:
         result = run_sweep(small_spec(), manifest,
                            make_options(cache_dir))
         assert result.complete
-        assert result.backend == "local"
         # 4 combos, all valid, all distinct classes, 1 kernel each
         assert result.executed_units + result.reused_units \
             + result.skipped_units >= len(result.points)
@@ -199,16 +198,6 @@ class TestPruneInvariant:
 
 
 class TestOptions:
-    def test_unknown_backend(self, cache_dir, tmp_path):
-        with pytest.raises(SweepError, match="unknown sweep backend"):
-            run_sweep(small_spec(), tmp_path / "m.jsonl",
-                      make_options(cache_dir, backend="fleet"))
-
-    def test_serve_backend_needs_server(self, cache_dir, tmp_path):
-        with pytest.raises(SweepError, match="server address"):
-            run_sweep(small_spec(), tmp_path / "m.jsonl",
-                      make_options(cache_dir, backend="serve"))
-
     def test_unknown_kernel_propagates(self, cache_dir, tmp_path):
         with pytest.raises(KeyError):
             run_sweep(small_spec(kernels=("warp_drive",)),

@@ -51,7 +51,7 @@ def result():
         pruned={"staticOne": {"reason": "dominated",
                               "dominated_by": "CASA",
                               "units_skipped": 0}},
-        backend="local", prune=True, complete=True,
+        prune=True, complete=True,
         executed_units=3, reused_units=0, skipped_units=1,
         invalid_combos=0, duplicate_configs=0,
         manifest="sweep.manifest.jsonl", wall_time_s=1.5)
@@ -137,7 +137,7 @@ class TestCollapsedAxis:
                     "Ltid+CASA": {"reason": "dominated",
                                   "dominated_by": "CASA",
                                   "units_skipped": 1}},
-            backend="local", prune=True, complete=True,
+            prune=True, complete=True,
             executed_units=2, reused_units=0, skipped_units=2,
             invalid_combos=0, duplicate_configs=0,
             manifest="sweep.manifest.jsonl", wall_time_s=1.0)

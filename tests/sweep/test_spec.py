@@ -61,6 +61,20 @@ class TestSpecValidation:
         spec = load_spec(path)
         assert spec.kernels and spec.axes
 
+    def test_pinned_sweep_spec_matches_baseline(self):
+        """``BENCH_sweep.json`` pins the counters of the
+        ``benchmarks/sweep_ci.json`` sweep under its digest; editing
+        the spec without regenerating the baseline fails here."""
+        import json
+        from pathlib import Path
+
+        from repro.sweep.specio import load_spec
+
+        root = Path(__file__).resolve().parents[2]
+        baseline = json.loads((root / "BENCH_sweep.json").read_text())
+        spec = load_spec(root / "benchmarks" / "sweep_ci.json")
+        assert spec.digest() == baseline["grid"]["sweep_digest"]
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(WireError, match="unknown axis"):
             small_spec(axes=(("warp_size", (16, 32)),))
@@ -95,14 +109,6 @@ class TestSpecValidation:
                                 ("pc_bits", (0, 4))))
         assert spec.grid_size == 2
         assert [c.name for c in spec.configs()] == ["Prev+ModPC4"]
-
-    def test_job_spec_carries_grid_settings(self):
-        spec = small_spec(scale=0.5, seed=9)
-        job = spec.job_spec(configs=("staticOne",))
-        assert job.kernels == spec.kernels
-        assert job.configs == ("staticOne",)
-        assert job.scale == 0.5 and job.seed == 9
-        assert job.client == "sweep"
 
 
 # -- compositional naming ------------------------------------------------

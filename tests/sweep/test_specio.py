@@ -1,72 +1,58 @@
-"""Spec file loading: the mini-YAML subset, JSON, format detection
-and error surfaces.  The mini-YAML parser is exercised directly (it is
-the fallback when PyYAML is absent) — both parsers must agree on the
-example document."""
+"""Spec file loading: JSON, YAML through PyYAML, format detection and
+error surfaces."""
+
+import sys
 
 import pytest
 
+from repro.sweep.cli import main
 from repro.sweep.specio import (EXAMPLE_WIRE, SpecIOError,
                                 detect_format, example_spec,
-                                example_text, load_spec, mini_yaml,
-                                parse_text, spec_from_doc)
+                                example_text, load_spec, parse_text,
+                                spec_from_doc)
 
-
-class TestMiniYaml:
-    def test_example_round_trips(self):
-        doc = mini_yaml(example_text("yaml"))
-        assert doc == EXAMPLE_WIRE
-
-    def test_agrees_with_pyyaml_when_available(self):
-        try:
-            import yaml
-        except ImportError:
-            pytest.skip("PyYAML not installed")
-        text = example_text("yaml")
-        assert yaml.safe_load(text) == mini_yaml(text)
-
-    def test_block_lists_and_nesting(self):
-        doc = mini_yaml(
-            "name: deep\n"
-            "kernels:\n"
-            "  - qrng_K2\n"
-            "  - pathfinder\n"
-            "axes:\n"
-            "  peek: [false, true]\n"
-            "  pc_bits:\n"
-            "    - 0\n"
-            "    - 4\n")
-        assert doc["kernels"] == ["qrng_K2", "pathfinder"]
-        assert doc["axes"]["peek"] == [False, True]
-        assert doc["axes"]["pc_bits"] == [0, 4]
-
-    def test_scalar_coercion_and_quotes(self):
-        doc = mini_yaml(
-            "a: 1.5\nb: -3\nc: true\nd: null\n"
-            "e: 'quoted: text'\nf: \"false\"\ng: plain\n")
-        assert doc == {"a": 1.5, "b": -3, "c": True, "d": None,
-                       "e": "quoted: text", "f": "false",
-                       "g": "plain"}
-
-    def test_comments_stripped_outside_quotes(self):
-        doc = mini_yaml("a: 5   # trailing\n# full line\nb: '#keep'\n")
-        assert doc == {"a": 5, "b": "#keep"}
-
-    def test_tabs_rejected(self):
-        with pytest.raises(SpecIOError, match="tab"):
-            mini_yaml("a:\n\tb: 1\n")
-
-    def test_inconsistent_indent_rejected(self):
-        with pytest.raises(SpecIOError):
-            mini_yaml("a:\n    b: 1\n  c: 2\n")
-
-    def test_empty_document(self):
-        assert mini_yaml("") == {}
-        assert mini_yaml("# only comments\n") == {}
+YAML_SPEC = """\
+# the example spec, written as YAML
+schema_version: 1
+name: ladder-mini
+kernels: [qrng_K2, pathfinder]
+axes:
+  mechanism: [static1, operand, valhalla, prev]
+  peek: [false, true]
+  pc_index: [none, mod]
+  pc_bits:
+    - 0
+    - 4
+scale: 1.0
+seed: 0
+aux: false
+"""
 
 
 class TestLoading:
+    def test_yaml_without_pyyaml_names_it(self, monkeypatch, tmp_path,
+                                          capsys):
+        monkeypatch.setitem(sys.modules, "yaml", None)
+        path = tmp_path / "x.yaml"
+        path.write_text(YAML_SPEC)
+        with pytest.raises(SpecIOError, match="PyYAML") as info:
+            load_spec(path)
+        assert ".json" in str(info.value)
+        assert main(["expand", str(path)]) == 2
+        assert str(info.value) in capsys.readouterr().err
+
+    def test_load_spec_yaml_and_json_agree(self, tmp_path):
+        pytest.importorskip("yaml")
+        ypath = tmp_path / "s.yaml"
+        jpath = tmp_path / "s.json"
+        ypath.write_text(YAML_SPEC)
+        jpath.write_text(example_text())
+        yspec, jspec = load_spec(ypath), load_spec(jpath)
+        assert yspec == jspec == example_spec()
+        assert yspec.digest() == jspec.digest()
+
     def test_json_example_loads(self):
-        assert parse_text(example_text("json"), "json") == EXAMPLE_WIRE
+        assert parse_text(example_text(), "json") == EXAMPLE_WIRE
 
     def test_bad_json_raises(self):
         with pytest.raises(SpecIOError, match="JSON"):
@@ -82,15 +68,6 @@ class TestLoading:
         assert detect_format("sweep.YML") == "yaml"
         with pytest.raises(SpecIOError):
             detect_format("sweep.txt")
-
-    def test_load_spec_yaml_and_json_agree(self, tmp_path):
-        ypath = tmp_path / "s.yaml"
-        jpath = tmp_path / "s.json"
-        ypath.write_text(example_text("yaml"))
-        jpath.write_text(example_text("json"))
-        yspec, jspec = load_spec(ypath), load_spec(jpath)
-        assert yspec == jspec == example_spec()
-        assert yspec.digest() == jspec.digest()
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(SpecIOError, match="cannot read"):
