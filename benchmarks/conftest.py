@@ -69,8 +69,8 @@ def runner_results() -> dict:
     ``REPRO_BENCH_WORKERS`` overrides the pool size (0 = auto);
     ``REPRO_BENCH_NO_CACHE=1`` bypasses the disk cache, forcing a
     fresh in-process computation of every unit;
-    ``REPRO_BENCH_TRACE_STORE=DIR`` routes the functional executions
-    through the shared memory-mapped trace store (two-stage pipeline).
+    ``REPRO_BENCH_TRACE_STORE=DIR`` keeps the captured traces in that
+    memory-mapped trace store instead of a temporary one.
     """
     from repro.runner import (RunOptions, build_units, default_workers,
                               run_suite_units)

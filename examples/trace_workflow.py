@@ -2,17 +2,17 @@
 """Trace-driven workflow: capture once, explore many times.
 
 Design-space sweeps re-analyse the same execution over and over; this
-example captures a kernel's trace once, reloads it, and shows that
-every study reproduces bit-for-bit from the file — the same decoupling
-GPGPU-Sim users get from PTX trace files.  Two persistence layers are
-shown:
+example captures a kernel's trace once into a trace store, reopens it,
+and shows that every study reproduces bit-for-bit from the store — the
+same decoupling GPGPU-Sim users get from PTX trace files.
 
-* ``repro.sim.trace_io`` — a single compressed ``.npz`` archive, good
-  for shipping one trace around;
-* ``repro.sim.trace_store`` — the content-addressed store behind
-  ``st2-run --trace-store``: raw per-column ``.npy`` files opened as
-  read-only memory maps, so any number of processes share one copy via
-  the OS page cache.
+The store (``repro.sim.trace_store``) is the one behind ``st2-run``,
+``st2-sweep`` and ``st2-serve``: raw per-column ``.npy`` files opened as
+read-only memory maps, so any number of processes share one copy via
+the OS page cache.  From the shell, the same capture is::
+
+    st2-trace --store DIR capture --kernels msort_K2
+    st2-run --kernels msort_K2 --configs ladder --trace-store DIR
 
 Run:  python examples/trace_workflow.py
 """
@@ -24,7 +24,8 @@ from pathlib import Path
 from repro.core.predictors import run_speculation
 from repro.core.speculation import DESIGN_LADDER, ST2_DESIGN
 from repro.kernels.suite import spec_by_name
-from repro.sim.trace_io import load_trace, save_kernel_run
+from repro.runner.cache import code_version
+from repro.runner.units import capture_trace
 from repro.sim.trace_store import TraceStore, trace_key
 
 
@@ -32,49 +33,44 @@ def main() -> None:
     # -- capture -----------------------------------------------------------
     t0 = time.time()
     run = spec_by_name("msort_K2").run(scale=1.0, seed=0)
-    capture_s = time.time() - t0
     print(f"captured msort_K2: {len(run.trace):,} adder ops in "
-          f"{capture_s:.2f}s")
+          f"{time.time() - t0:.2f}s")
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "msort_K2.npz"
-        save_kernel_run(path, run, {"scale": 1.0, "seed": 0})
-        print(f"persisted to {path.name}: "
-              f"{path.stat().st_size / 1024:.0f} kB compressed")
+        store = TraceStore(Path(tmp) / "traces")
+        version = code_version()
+        key = trace_key("msort_K2", 1.0, 0, version)
+        store.put(key, run, code_version=version, scale=1.0, seed=0)
+        print(f"published entry {key[:12]}: "
+              f"{store.nbytes(key) / 1024:.0f} kB on disk")
+        # what `st2-trace capture` and every runner do per trace: a
+        # warm entry is never executed again
+        assert not capture_trace(store, key, "msort_K2", 1.0, 0, version)
 
-        # -- reload and re-analyse ----------------------------------------
-        bundle = load_trace(path)
-        print(f"reloaded: kernel={bundle.metadata['kernel']} "
-              f"({bundle.metadata['n_static_pcs']} static PCs)")
+        # -- reopen and re-analyse -----------------------------------------
+        stored = store.get(key)       # read-only memmaps, zero-copy
+        print(f"reopened: kernel={stored.name} "
+              f"({stored.n_static_pcs} static PCs)")
 
         t0 = time.time()
         fresh = run_speculation(run.trace, ST2_DESIGN)
-        loaded = run_speculation(bundle.trace, ST2_DESIGN)
+        mapped = run_speculation(stored.trace, ST2_DESIGN)
         assert fresh.thread_misprediction_rate \
-            == loaded.thread_misprediction_rate
-        print(f"ST2 misprediction from file: "
-              f"{loaded.thread_misprediction_rate:.2%} "
+            == mapped.thread_misprediction_rate
+        print(f"ST2 misprediction from the store: "
+              f"{mapped.thread_misprediction_rate:.2%} "
               "(bit-identical to the live trace)")
 
         # a full ladder sweep costs only analysis time now
         for config in DESIGN_LADDER[:4]:
             rate = run_speculation(
-                bundle.trace, config).thread_misprediction_rate
+                stored.trace, config).thread_misprediction_rate
             print(f"  {config.name:18s} {rate:6.1%}")
-        print(f"ladder exploration from file: {time.time() - t0:.2f}s "
-              "(no re-execution)")
+        print(f"ladder exploration from the store: "
+              f"{time.time() - t0:.2f}s (no re-execution)")
 
-        # -- the shared, memory-mapped store ------------------------------
-        store = TraceStore(Path(tmp) / "traces")
-        key = trace_key("msort_K2", 1.0, 0, "example")
-        store.put(key, run, code_version="example", scale=1.0, seed=0)
-        stored = store.get(key)       # read-only memmaps, zero-copy
-        mapped = run_speculation(stored.trace, ST2_DESIGN)
-        assert mapped.thread_misprediction_rate \
-            == fresh.thread_misprediction_rate
-        print(f"store entry {key[:12]}: {store.nbytes(key) / 1024:.0f} kB "
-              f"on disk, memmap analysis bit-identical "
-              f"({mapped.thread_misprediction_rate:.2%})")
+        problems = store.verify(key)
+        print(f"sha256 verify: {'ok' if not problems else problems}")
 
 
 if __name__ == "__main__":

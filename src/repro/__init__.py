@@ -57,7 +57,6 @@ _LAZY_EXPORTS = {
     "RunMetrics": ("repro.st2.results", "RunMetrics"),
     "RunOptions": ("repro.runner", "RunOptions"),
     "RunResult": ("repro.st2.results", "RunResult"),
-    "TraceBundle": ("repro.sim.trace_io", "TraceBundle"),
     "TraceStore": ("repro.sim.trace_store", "TraceStore"),
     "UnitSpec": ("repro.runner", "UnitSpec"),
     "build_units": ("repro.runner", "build_units"),
@@ -96,7 +95,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "TITAN_V",
-    "TraceBundle",
     "TraceStore",
     "UnitSpec",
     "build_units",

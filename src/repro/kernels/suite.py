@@ -134,6 +134,10 @@ def resolve_kernels(spec) -> tuple:
                  if not (n in seen or seen.add(n)))
 
 
+#: In-process memo of :func:`run_kernel` for library callers
+#: (``run_suite``, ``evaluate_kernel``, ``st2-report``).  The runner,
+#: sweeps and ``st2-serve`` never use it: they read traces from a
+#: trace store.
 _run_cache: dict = {}
 
 

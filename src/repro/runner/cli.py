@@ -64,12 +64,14 @@ def build_parser():
                              "or ~/.cache/repro)")
     parser.add_argument("--trace-store", nargs="?", const="",
                         default=None, metavar="DIR",
-                        help="two-stage pipeline: capture each distinct "
-                             "(kernel, scale, seed) trace once into a "
-                             "memory-mapped store, then evaluate all "
-                             "configs against it read-only (bare flag: "
-                             "$REPRO_TRACE_DIR or "
-                             "~/.cache/repro/traces)")
+                        help="keep traces in this memory-mapped store "
+                             "(bare flag: $REPRO_TRACE_DIR or "
+                             "~/.cache/repro/traces); each distinct "
+                             "(kernel, scale, seed) trace is captured "
+                             "once and every config is evaluated "
+                             "against it read-only.  Without the flag, "
+                             "traces go to a temporary store that is "
+                             "removed at exit")
     parser.add_argument("--out", default="st2_manifest.jsonl",
                         help="JSONL manifest path "
                              "(default st2_manifest.jsonl); the obs "
@@ -118,6 +120,10 @@ def main(argv=None) -> int:
         configs = resolve_configs(args.configs)
     except KeyError as exc:
         return cli_common.fail("st2-run", exc.args[0])
+    if args.workers is not None and args.workers < 1:
+        return cli_common.fail("st2-run", "--workers must be >= 1")
+    if not args.scale > 0:
+        return cli_common.fail("st2-run", "--scale must be > 0")
 
     units = build_units(kernels, configs=configs, scale=args.scale,
                         seed=args.seed, aux=not args.no_aux,
@@ -176,8 +182,7 @@ def main(argv=None) -> int:
     print(f"\n{len(results)} units in {timer.elapsed_s:.2f}s "
           f"({timer.hits} cache hits, {timer.misses} computed, "
           f"workers={options.workers})")
-    if options.trace_store is not None and \
-            "traces_total" in options.stats:
+    if "traces_total" in options.stats:
         s = options.stats
         print(f"trace store: {s['traces_total']} traces "
               f"({s['traces_captured']} captured in "

@@ -1,13 +1,13 @@
 """Execution options for one runner invocation.
 
 :func:`~repro.runner.pool.run_units` grew a keyword surface (workers,
-cache handles, progress hooks, and now the trace-store knobs) that the
-Python API and the ``st2-run`` CLI both had to mirror.
-:class:`RunOptions` is the single shared carrier — and since the serve
-migration, the *only* way to configure an invocation: construct it
-directly from Python, or from parsed CLI arguments via
-:meth:`from_args`.  The deprecated ``run_units(..., workers=, cache=,
-use_cache=, progress=)`` keywords have been removed.
+cache handles, progress hooks, the trace store) that the Python API
+and the ``st2-run`` CLI both had to mirror.  :class:`RunOptions` is
+the single shared carrier and the *only* way to configure an
+invocation: construct it directly from Python, or from parsed CLI
+arguments via :meth:`from_args`.  A run always reads its traces from a
+trace store; leaving ``trace_store`` unset selects the process-wide
+scratch store, which is removed at exit.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ class RunOptions:
     """Everything that controls *how* a work list is executed (never
     *what* it computes — that lives in the UnitSpecs).
 
-    ``trace_store`` switches the runner to the two-stage pipeline:
-    stage 1 captures each distinct (kernel, scale, seed) trace into the
-    store once, stage 2 fans evaluation units out over read-only
-    memmapped traces.  ``None`` keeps the single-stage behaviour.
+    ``trace_store`` is the store the two-stage pipeline runs through:
+    stage 1 captures each distinct (kernel, scale, seed) trace into it
+    once, stage 2 fans evaluation units out over read-only memmapped
+    traces.  ``None`` means the process-wide
+    :func:`~repro.sim.trace_store.scratch_store`.
 
     ``stats`` is populated by ``run_units`` with invocation-level
     accounting (stage wall-times, traces captured vs served warm) so
@@ -43,7 +44,7 @@ class RunOptions:
     use_cache: bool = True
     progress: object = None         # callable(spec, result) or None
     timer: object = None            # RunTimer-like .observe(spec, result)
-    trace_store: object = None      # TraceStore or None (single-stage)
+    trace_store: object = None      # TraceStore or None (scratch)
     stats: dict = field(default_factory=dict)
     obs: object = None              # repro.obs.Obs or None (fresh)
 
@@ -62,9 +63,8 @@ class RunOptions:
         """Build options from ``st2-run`` parsed arguments.
 
         Understands ``--workers``, ``--cache-dir``, ``--no-cache`` and
-        ``--trace-store [DIR]`` (absent →
-        single-stage; bare flag → default store dir; with a path →
-        that directory).
+        ``--trace-store [DIR]`` (absent → the scratch store; bare flag
+        → default store dir; with a path → that directory).
         """
         from repro.runner.pool import default_workers
 

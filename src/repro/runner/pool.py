@@ -1,23 +1,23 @@
 """Parallel, cache-aware execution of runner work units.
 
-Single-stage mode (no trace store): resolve every unit's cache key up
-front, serve hits from disk in the parent, then fan the misses out over
-a ``multiprocessing`` pool (``workers > 1``) or run them inline
-(``workers <= 1`` — same code path as a pool worker, which is what the
-parallel-equals-serial guarantee rests on).
+Every unit's cache key is resolved up front and hits are served from
+disk in the parent.  The misses run in two stages, along the paper's
+own decoupling, through a trace store (``options.trace_store``, or the
+process-wide :func:`~repro.sim.trace_store.scratch_store` when none is
+named).  **Stage 1** fans out over the *distinct* (kernel, scale, seed)
+keys behind the pending units and captures them into the store,
+skipping entries that are already warm — so an 18-kernel × 6-config
+grid executes each kernel functionally once, not once per config per
+worker.  **Stage 2** opens each stored trace read-only via ``mmap``,
+sharing the OS page cache.
 
-Two-stage mode (``options.trace_store`` set): the pending work is
-split along the paper's own decoupling.  **Stage 1** fans out over the
-*distinct* (kernel, scale, seed) keys behind the pending units and
-populates the trace store, skipping entries that are already warm — so
-an 18-kernel × 6-config grid executes each kernel functionally once,
-not once per config per worker.  **Stage 2** opens each stored trace
-read-only via ``mmap``, sharing the OS page cache.
-
-Either way the evaluation fan-out schedules **one task per trace**:
-every pending unit of one (kernel, scale, seed) runs in the same
-process, so the trace's evaluation plan, static-peek overlay and
-auxiliary measurements are built once per run, not once per config.
+The evaluation fan-out schedules **one task per trace**: every pending
+unit of one (kernel, scale, seed) runs in the same process, so the
+trace's evaluation plan, static-peek overlay and auxiliary
+measurements are built once per run, not once per config.  Both
+stages run inline for ``workers <= 1`` (or a small grid) through the
+same worker entry points as the pool, which is what the
+parallel-equals-serial guarantee rests on.
 
 Results always come back in work-list order; the parent alone writes
 result-cache entries.  Trace-store entries are published by workers
@@ -34,8 +34,8 @@ import time
 from repro import obs
 from repro.runner.cache import code_version, unit_key
 from repro.runner.options import RunOptions
-from repro.runner.units import (ModelBundle, UnitSpec, execute_unit,
-                                unit_trace_key)
+from repro.runner.units import (ModelBundle, UnitSpec, capture_trace,
+                                execute_unit, unit_trace_key)
 
 _WORKER_MODELS = ModelBundle()
 _WORKER_STORE = None
@@ -54,11 +54,10 @@ def default_workers() -> int:
     return max(1, min(4, os.cpu_count() or 1))
 
 
-def _init_worker(store_root=None, need_models: bool = True) -> None:
+def _init_worker(store_root, need_models: bool = True) -> None:
     """Pool initializer: build the calibrated power model and the
     circuit-characterised adder model once per worker process (stage-1
-    capture workers skip them), and open the shared trace store (when
-    the run uses one).
+    capture workers skip them), and open the run's trace store.
 
     Model calibration runs inside a **discarded** obs scope: it
     functionally executes microbenchmarks whose instrumentation must
@@ -66,67 +65,66 @@ def _init_worker(store_root=None, need_models: bool = True) -> None:
     between the inline path (once, in the parent) and the pooled path
     (once per worker)."""
     global _WORKER_STORE
+    from repro.sim.trace_store import TraceStore
+
     if need_models:
         with obs.scoped():
             _WORKER_MODELS.ensure()
-    if store_root is not None:
-        from repro.sim.trace_store import TraceStore
-        _WORKER_STORE = TraceStore(store_root)
-    else:
-        _WORKER_STORE = None
+    _WORKER_STORE = TraceStore(store_root)
 
 
 def _run_one(item) -> tuple:
     """One unit, end to end, under a fresh obs scope whose snapshot
     travels home with the result (as the transient ``"obs"`` key —
     popped and merged by the parent)."""
-    index, spec, store_key = item
+    index, spec = item
     with obs.scoped() as reg:
         with reg.span("runner.unit"):
             result = execute_unit(spec, models=_WORKER_MODELS,
-                                  store=_WORKER_STORE,
-                                  store_key=store_key)
+                                  store=_WORKER_STORE)
     result.data["obs"] = reg.snapshot()
     return index, result
 
 
 def _run_trace(items) -> list:
-    """Stage-2 / single-stage work item: every pending unit of one
-    trace, in work-list order, so the units share the process's plan
-    of that trace.  Returns ``[(index, result), ...]``."""
+    """Stage-2 work item: every pending unit of one trace, in
+    work-list order, so the units share the process's plan of that
+    trace.  Returns ``[(index, result), ...]``."""
     return [_run_one(item) for item in items]
 
 
-def _trace_items(pending, trace_keys) -> list:
+def _trace_items(pending) -> list:
     """The evaluation fan-out's items: the pending ``(index, spec)``
     pairs grouped by (kernel, scale, seed), in work-list order."""
     groups = {}
     for i, spec in pending:
         groups.setdefault((spec.kernel, spec.scale, spec.seed), []) \
-            .append((i, spec, trace_keys.get(i)))
+            .append((i, spec))
     return list(groups.values())
 
 
-def _capture_one(item) -> tuple:
-    """Stage-1 work item: functionally execute one distinct
-    (kernel, scale, seed) and publish its trace.  Returns
-    ``(key, captured, wall_s, obs_snapshot)``."""
-    from repro.kernels import suite as kernel_suite
+def capture_items(specs, version: str) -> dict:
+    """Stage-1 items of the distinct traces behind ``specs``:
+    ``{trace key: (key, kernel, scale, seed, version)}`` in first-seen
+    order."""
+    items = {}
+    for spec in specs:
+        key = unit_trace_key(spec, version)
+        items.setdefault(
+            key, (key, spec.kernel, spec.scale, spec.seed, version))
+    return items
 
-    key, kernel, scale, seed, version = item
+
+def _capture_one(item) -> tuple:
+    """Stage-1 work item: :func:`~repro.runner.units.capture_trace`
+    one distinct (kernel, scale, seed).  Returns
+    ``(key, captured, wall_s, obs_snapshot)``."""
     with obs.scoped() as reg:
         with reg.span("runner.trace.capture"):
-            if _WORKER_STORE.has(key):
-                created, wall_s = False, 0.0
-            else:
-                t0 = time.perf_counter()
-                run = kernel_suite.run_kernel(kernel, scale=scale,
-                                              seed=seed, use_cache=False)
-                created = _WORKER_STORE.put(key, run,
-                                            code_version=version,
-                                            scale=scale, seed=seed)
-                wall_s = time.perf_counter() - t0
-    return key, created, wall_s, reg.snapshot()
+            t0 = time.perf_counter()
+            created = capture_trace(_WORKER_STORE, *item)
+            wall_s = time.perf_counter() - t0 if created else 0.0
+    return item[0], created, wall_s, reg.snapshot()
 
 
 def _pool_context():
@@ -136,7 +134,7 @@ def _pool_context():
         "fork" if "fork" in methods else "spawn")
 
 
-def _map_parallel(fn, items, workers, store_root=None,
+def _map_parallel(fn, items, workers, store_root,
                   need_models: bool = True):
     """Run ``fn`` over ``items`` inline or across a pool, yielding
     results unordered.  The inline path goes through the same worker
@@ -172,12 +170,17 @@ def run_units(specs, options: RunOptions = None) -> list:
     ``options`` is a :class:`~repro.runner.options.RunOptions`
     (``None`` means defaults).  After the call, ``options.stats``
     holds the invocation's stage accounting (``stage_capture_s``,
-    ``stage_eval_s`` and — in two-stage mode — ``traces_captured`` /
-    ``trace_store_hits``) and ``options.obs`` the invocation's
-    observability registry: every counter and timer accumulated across
-    the run, including merged per-worker snapshots (its snapshot is
-    what ``st2-run`` writes next to the manifest as ``metrics.json``).
+    ``stage_eval_s`` and, when any unit missed the result cache,
+    ``traces_captured`` / ``trace_store_hits``) and ``options.obs``
+    the invocation's observability registry: every counter and timer
+    accumulated across the run, including merged per-worker snapshots
+    (its snapshot is what ``st2-run`` writes next to the manifest as
+    ``metrics.json``).
+
+    Traces come from ``options.trace_store``, or from the process-wide
+    :func:`~repro.sim.trace_store.scratch_store` when it is ``None``.
     """
+    from repro.sim.trace_store import scratch_store
     from repro.st2.results import RunResult
 
     options = options if options is not None else RunOptions()
@@ -206,50 +209,48 @@ def run_units(specs, options: RunOptions = None) -> list:
             else:
                 pending.append((i, spec))
 
-        store = options.trace_store
         stats = {"stage_capture_s": 0.0, "stage_init_s": 0.0,
                  "stage_eval_s": 0.0}
         options.stats = stats
+        if not pending:
+            return results
+        store = options.trace_store
+        if store is None:           # never `or`: an empty store is falsy
+            store = scratch_store()
 
-        trace_keys = {}             # unit index -> trace key (or None)
-        if store is not None and pending:
-            with reg.span("runner.stage.capture"):
-                stats.update(_populate_store(store, pending, options,
-                                             version, trace_keys))
+        trace_keys = {}             # unit index -> trace key
+        with reg.span("runner.stage.capture"):
+            stats.update(_populate_store(store, pending, options,
+                                         version, trace_keys))
+        warm = stats.pop("warm_keys")
 
         def finish(i, result):
             snap = result.data.pop("obs", None)
             if snap:
                 reg.merge(snap)
             result.data.update(key=keys[i], cached=False)
-            if store is not None:
-                # provenance relative to *this invocation*: True only
-                # if the trace was warm before stage 1 ran
-                result.data["trace_cache_hit"] = \
-                    trace_keys.get(i) in stats.get("warm_keys", ())
+            # provenance relative to *this invocation*: True only if
+            # the trace was warm before stage 1 ran
+            result.data["trace_cache_hit"] = trace_keys[i] in warm
             if use_cache:
                 cache.store(keys[i], result.to_dict())
             obs.add("runner.units.executed")
             results[i] = result
             options.notify(specs[i], result)
 
-        if pending:
-            with reg.span("runner.stage.init"):
-                stats["stage_init_s"] = _prepare_eval(pending)
+        with reg.span("runner.stage.init"):
+            stats["stage_init_s"] = _prepare_eval(pending)
         t0 = time.perf_counter()
-        if pending:
-            items = _trace_items(pending, trace_keys)
-            store_root = str(store.root) if store is not None else None
-            workers = options.workers
-            if len(pending) <= INLINE_MAX_UNITS:
-                workers = 1
-            with reg.span("runner.stage.eval"):
-                for done in _map_parallel(_run_trace, items, workers,
-                                          store_root):
-                    for i, result in done:
-                        finish(i, result)
+        items = _trace_items(pending)
+        workers = options.workers
+        if len(pending) <= INLINE_MAX_UNITS:
+            workers = 1
+        with reg.span("runner.stage.eval"):
+            for done in _map_parallel(_run_trace, items, workers,
+                                      str(store.root)):
+                for i, result in done:
+                    finish(i, result)
         stats["stage_eval_s"] = time.perf_counter() - t0
-        stats.pop("warm_keys", None)
     return results
 
 
@@ -287,12 +288,9 @@ def _populate_store(store, pending, options: RunOptions,
     Fans out over (kernel, scale, seed) keys — never over configs —
     skipping entries that are already warm.
     """
-    distinct = {}                   # trace key -> capture item
     for i, spec in pending:
-        key = unit_trace_key(spec, version)
-        trace_keys[i] = key
-        distinct.setdefault(
-            key, (key, spec.kernel, spec.scale, spec.seed, version))
+        trace_keys[i] = unit_trace_key(spec, version)
+    distinct = capture_items((spec for _, spec in pending), version)
 
     warm = frozenset(k for k in distinct if store.has(k))
     todo = [item for key, item in distinct.items() if key not in warm]

@@ -23,7 +23,7 @@ import sys
 
 from repro import cli_common
 from repro.runner.cache import code_version
-from repro.sim.trace_store import TraceStore, trace_key
+from repro.sim.trace_store import TraceStore
 
 
 def build_parser():
@@ -102,22 +102,21 @@ def _cmd_ls(store: TraceStore, args) -> int:
 
 
 def _cmd_capture(store: TraceStore, args) -> int:
-    from repro.kernels.suite import resolve_kernels
     from repro.runner.pool import (_capture_one, _map_parallel,
-                                   default_workers)
-    from repro.runner.units import derive_unit_seed
+                                   capture_items, default_workers)
+    from repro.runner.units import build_units
 
+    if args.workers is not None and args.workers < 1:
+        return cli_common.fail("st2-trace", "--workers must be >= 1")
+    if not args.scale > 0:
+        return cli_common.fail("st2-trace", "--scale must be > 0")
     try:
-        kernels = resolve_kernels(args.kernels)
+        units = build_units(args.kernels, scale=args.scale,
+                            seed=args.seed, aux=False,
+                            per_kernel_seeds=args.per_kernel_seeds)
     except KeyError as exc:
         return cli_common.fail("st2-trace", exc.args[0])
-    version = code_version()
-    items = []
-    for kernel in kernels:
-        seed = derive_unit_seed(args.seed, kernel) \
-            if args.per_kernel_seeds else args.seed
-        key = trace_key(kernel, args.scale, seed, version)
-        items.append((key, kernel, args.scale, seed, version))
+    items = list(capture_items(units, code_version()).values())
 
     workers = args.workers if args.workers is not None \
         else default_workers()

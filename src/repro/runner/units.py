@@ -10,7 +10,9 @@ produce bit-identical results.
 
 :func:`execute_unit` runs one unit end to end (trace → speculation →
 timing → energy) and flattens the outcome into the JSON-serialisable
-dict that the disk cache and the JSONL manifest both store.
+dict that the disk cache and the JSONL manifest both store.  Every
+unit reads its trace from a trace store; :func:`capture_trace` is the
+one function that fills one.
 """
 
 from __future__ import annotations
@@ -176,8 +178,7 @@ def _aux_metrics(run, pack) -> dict:
 
 
 def evaluation_payload(run, config: SpeculationConfig,
-                       models: ModelBundle = None, facts=None,
-                       plan_key=None) -> dict:
+                       models: ModelBundle = None, facts=None) -> dict:
     """The numeric core of one (run × config) evaluation.
 
     Returns ``{"metrics", "energy_stacks"}`` — exactly the payload
@@ -197,8 +198,7 @@ def evaluation_payload(run, config: SpeculationConfig,
     facts = facts or {}
     obs.add("absint.facts", fact_bits(facts))
     ev, static_peek = evaluate_unit(
-        run, config, facts, models.power_model, models.adder_model,
-        plan_key=plan_key)
+        run, config, facts, models.power_model, models.adder_model)
     base_stack, st2_stack = ev.energy.normalized_stacks()
     return {
         "metrics": {
@@ -228,33 +228,21 @@ def unit_trace_key(spec: UnitSpec, version: str = None) -> str:
                      version if version is not None else code_version())
 
 
-def _obtain_run(spec: UnitSpec, store, store_key, use_mem_cache):
-    """Get the unit's KernelRun: from the trace store (capturing on a
-    cold miss), or — single-stage mode — from the functional simulator
-    via the in-process memo.  Returns ``(run, hit, capture_s)``."""
-    t0 = time.perf_counter()
-    if store is not None:
-        key = store_key or unit_trace_key(spec)
-        hit = store.has(key)
-        if not hit:
-            from repro.runner.cache import code_version
-            live = kernel_suite.run_kernel(spec.kernel, scale=spec.scale,
-                                           seed=spec.seed, use_cache=False)
-            store.put(key, live, code_version=code_version(),
-                      scale=spec.scale, seed=spec.seed)
-        return store.get(key), hit, \
-            0.0 if hit else time.perf_counter() - t0
-    hit = use_mem_cache and (spec.kernel, spec.scale, spec.seed) \
-        in kernel_suite._run_cache
-    run = kernel_suite.run_kernel(spec.kernel, scale=spec.scale,
-                                  seed=spec.seed,
-                                  use_cache=use_mem_cache)
-    return run, hit, 0.0 if hit else time.perf_counter() - t0
+def capture_trace(store, key: str, kernel: str, scale: float, seed: int,
+                  version: str) -> bool:
+    """Functionally execute one (kernel, scale, seed) and publish its
+    trace under ``key``, unless the store already holds it.  Returns
+    whether this call published the entry."""
+    if store.has(key):
+        return False
+    run = kernel_suite.run_kernel(kernel, scale=scale, seed=seed,
+                                  use_cache=False)
+    return store.put(key, run, code_version=version, scale=scale,
+                     seed=seed)
 
 
 def execute_unit(spec: UnitSpec, models: ModelBundle = None,
-                 use_mem_cache: bool = True, store=None,
-                 store_key: str = None) -> RunResult:
+                 store=None) -> RunResult:
     """Run one unit end to end; returns its typed
     :class:`~repro.st2.results.RunResult`.
 
@@ -263,10 +251,11 @@ def execute_unit(spec: UnitSpec, models: ModelBundle = None,
     round-trips), so it can be disk-cached and written to the manifest
     verbatim.
 
-    With ``store`` (a :class:`~repro.sim.trace_store.TraceStore`), the
-    functional execution is decoupled: the trace is opened read-only
-    from the store (memory-mapped, shared across processes) and only
-    captured — once, for every config that shares it — on a cold miss.
+    The trace is opened read-only from ``store`` (a
+    :class:`~repro.sim.trace_store.TraceStore`; ``None`` means the
+    process-wide :func:`~repro.sim.trace_store.scratch_store`) and
+    captured into it — once, for every config that shares it — on a
+    miss.
 
     Raises :class:`ValueError` naming the offending field when the
     trace cannot be evaluated: an adder width outside [1, 64], an
@@ -274,17 +263,23 @@ def execute_unit(spec: UnitSpec, models: ModelBundle = None,
     warp-instruction key range.
     """
     from repro.lint.facts import facts_for_kernel
+    from repro.runner.cache import code_version
+    from repro.sim.trace_store import scratch_store
     from repro.sim.vec.plan import plan_for
 
     models = (models or ModelBundle()).ensure()
+    if store is None:
+        store = scratch_store()
     t0 = time.perf_counter()
-    run, trace_hit, capture_s = _obtain_run(spec, store, store_key,
-                                            use_mem_cache)
+    version = code_version()
+    key = unit_trace_key(spec, version)
+    trace_hit = not capture_trace(store, key, spec.kernel, spec.scale,
+                                  spec.seed, version)
+    capture_s = 0.0 if trace_hit else time.perf_counter() - t0
+    run = store.get(key)
     t_eval = time.perf_counter()
-    plan_key = (spec.kernel, spec.scale, spec.seed)
     payload = evaluation_payload(run, spec.config, models=models,
-                                 facts=facts_for_kernel(spec.kernel),
-                                 plan_key=plan_key)
+                                 facts=facts_for_kernel(spec.kernel))
     result = {
         "kernel": spec.kernel,
         "scale": spec.scale,
@@ -294,7 +289,7 @@ def execute_unit(spec: UnitSpec, models: ModelBundle = None,
         "wall_time_s": 0.0,     # patched below, after measuring
         "capture_time_s": capture_s,
         "eval_time_s": 0.0,     # patched below, after measuring
-        "trace_cache_hit": bool(trace_hit),
+        "trace_cache_hit": trace_hit,
         "trace_rows": int(len(run.trace)),
         "trace_bytes": int(trace_nbytes(run.trace, run.insts)),
         "n_static_pcs": int(run.n_static_pcs),
@@ -303,7 +298,7 @@ def execute_unit(spec: UnitSpec, models: ModelBundle = None,
     }
     if spec.aux:
         # config-independent: measured once per trace, copied per unit
-        plan = plan_for(run, plan_key)
+        plan = plan_for(run)
         result["aux"] = plan.aux(lambda: _aux_metrics(run, plan.pack))
     result["eval_time_s"] = time.perf_counter() - t_eval
     result["wall_time_s"] = time.perf_counter() - t0

@@ -64,7 +64,10 @@ def _error(status: int, code: str, message: str,
 
 
 class ServeApp:
-    """The experiment service (routes + scheduler + lifecycle)."""
+    """The experiment service (routes + scheduler + lifecycle).
+
+    Workers read traces from ``trace_store``; ``None`` means the
+    process-wide :func:`~repro.sim.trace_store.scratch_store`."""
 
     def __init__(self, shards: int = 2, trace_store=None, cache=None,
                  use_cache: bool = True,
@@ -73,20 +76,20 @@ class ServeApp:
                  host: str = "127.0.0.1", port: int = 0,
                  registry=None):
         from repro.runner.cache import ResultCache, code_version
+        from repro.sim.trace_store import scratch_store
 
         self.state = ServeState(client_quota=client_quota,
                                 max_queued_units=max_queued_units)
         self.shards = shards
-        self.trace_store = trace_store          # TraceStore or None
+        # never `or`: an empty store is falsy
+        self.trace_store = trace_store if trace_store is not None \
+            else scratch_store()
         self.cache = cache if cache is not None else ResultCache()
         self.use_cache = use_cache
         self.code_version = code_version()
         self.registry = registry if registry is not None else obs.Obs()
-        self.pool = ShardedPool(
-            shards,
-            store_root=str(trace_store.root)
-            if trace_store is not None else None,
-            on_result=self._on_pool_result)
+        self.pool = ShardedPool(shards, str(self.trace_store.root),
+                                on_result=self._on_pool_result)
         self.server = httpd.HttpServer(self.handle, host=host,
                                        port=port)
         self._loop = None
@@ -178,9 +181,7 @@ class ServeApp:
             spec = job.units[index]
             trace_key = unit_trace_key(spec, self.code_version)
             entry.trace_key = trace_key
-            store_key = trace_key if self.trace_store is not None \
-                else None
-            self.pool.submit(key, spec, trace_key, store_key=store_key)
+            self.pool.submit(key, spec, trace_key)
             self._budget -= 1
 
     def _next_dispatchable(self):
@@ -282,8 +283,7 @@ class ServeApp:
             "shards": self.shards,
             "draining": self.state.draining,
             "code_version": self.code_version,
-            "trace_store": str(self.trace_store.root)
-            if self.trace_store is not None else None,
+            "trace_store": str(self.trace_store.root),
         })
 
     def _stats(self) -> httpd.Response:

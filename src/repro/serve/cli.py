@@ -40,7 +40,8 @@ def build_parser():
                              "(default %(default)s)")
     parser.add_argument("--trace-store", metavar="DIR", default=None,
                         help="shared trace store directory (default: "
-                             "per-worker in-process memo only)")
+                             "a temporary store that is removed at "
+                             "exit)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="result cache directory (default: "
                              "$REPRO_CACHE_DIR or ~/.cache/repro)")

@@ -5,10 +5,9 @@ distinct (kernel, scale, seed) functional execution lands on the same
 worker process, whose task queue is FIFO.  Two properties fall out:
 
 * **capture-exactly-once** — the first unit of a trace captures it
-  (into the shared trace store when configured, or the worker's
-  in-process memo otherwise); every later unit of the same trace finds
-  it warm.  No two workers ever execute the same kernel functionally,
-  cluster-wide, without any cross-process locking.
+  into the pool's trace store; every later unit of the same trace
+  finds it warm.  No two workers ever execute the same kernel
+  functionally, cluster-wide, without any cross-process locking.
 * **locality** (the WaSP scheduling argument) — a worker keeps serving
   traces it has already mapped, so its trace-store handles, evaluation
   plans and page-cache working set stay hot.
@@ -38,8 +37,7 @@ def shard_of(trace_key: str, shards: int) -> int:
     return int(trace_key[:12], 16) % shards if shards > 1 else 0
 
 
-def _worker_main(shard: int, task_q, result_q, store_root,
-                 result_keys: bool = True) -> None:
+def _worker_main(shard: int, task_q, result_q, store_root) -> None:
     """One worker process: build models once, then serve eval tasks
     until the ``None`` sentinel.  Every task answer is
     ``(task_id, "ok", result_dict)`` or ``(task_id, "error", trace)``;
@@ -54,9 +52,9 @@ def _worker_main(shard: int, task_q, result_q, store_root,
         item = task_q.get()
         if item is None:
             break
-        task_id, spec, store_key = item
+        task_id, spec = item
         try:
-            _, result = _run_one((0, spec, store_key))
+            _, result = _run_one((0, spec))
             result_q.put((task_id, "ok", result.to_dict()))
         except Exception:
             result_q.put((task_id, "error", traceback.format_exc()))
@@ -66,11 +64,12 @@ class ShardedPool:
     """``shards`` worker processes, one FIFO task queue each, one
     shared result queue drained by a callback thread.
 
+    Every worker opens the trace store at ``store_root``.
     ``on_result(task_id, ok, payload)`` runs on the drainer thread —
     the caller is responsible for hopping back onto its own loop.
     """
 
-    def __init__(self, shards: int, store_root=None, on_result=None):
+    def __init__(self, shards: int, store_root, on_result=None):
         if shards < 1:
             raise ValueError("pool needs at least one shard")
         self.shards = shards
@@ -144,15 +143,14 @@ class ShardedPool:
 
     # -- work ----------------------------------------------------------
 
-    def submit(self, task_id, spec, trace_key: str,
-               store_key=None) -> int:
+    def submit(self, task_id, spec, trace_key: str) -> int:
         """Queue one evaluation unit on its trace's shard; returns the
         shard index chosen."""
         if self._closed:
             raise RuntimeError("pool is closed")
         shard = shard_of(trace_key, self.shards)
         obs.add(f"serve.pool.shard.{shard}.tasks")
-        self._task_qs[shard].put((task_id, spec, store_key))
+        self._task_qs[shard].put((task_id, spec))
         return shard
 
     def _drain(self, pending, expect_ready: bool) -> None:

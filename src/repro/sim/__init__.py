@@ -17,13 +17,10 @@ _LAZY_EXPORTS = {
     "StoredRun": ("repro.sim.trace_store", "StoredRun"),
     "TITAN_V": ("repro.sim.config", "TITAN_V"),
     "TimingResult": ("repro.sim.pipeline", "TimingResult"),
-    "TraceBundle": ("repro.sim.trace_io", "TraceBundle"),
     "TraceStore": ("repro.sim.trace_store", "TraceStore"),
     "compare_baseline_st2": ("repro.sim.pipeline",
                              "compare_baseline_st2"),
-    "load_trace": ("repro.sim.trace_io", "load_trace"),
     "run_kernel": ("repro.sim.functional", "run_kernel"),
-    "save_trace": ("repro.sim.trace_io", "save_trace"),
     "simulate_sm": ("repro.sim.pipeline", "simulate_sm"),
     "trace_key": ("repro.sim.trace_store", "trace_key"),
 }

@@ -1,116 +1,24 @@
-"""Trace persistence: save and reload captured traces as ``.npz``.
+"""Trace column layout and footprint.
 
-Functional execution is cheap but not free; persisting an
-:class:`~repro.sim.trace.AddTrace` (plus its instruction stream) lets
-design-space studies iterate on fixed traces — the same decoupling
-GPGPU-Sim users get from PTX trace files.  The format is a single
-compressed ``.npz`` with a small JSON header for metadata.
-
-For the capture-once/evaluate-many workflow (many readers, zero-copy
-sharing across pool workers) see :mod:`repro.sim.trace_store`, which
-stores the same columns as raw per-column ``.npy`` files loaded with
-``mmap_mode="r"``.
+The column names of an :class:`~repro.sim.trace.AddTrace` and an
+:class:`~repro.sim.trace.InstStream` that persistence and sizing share.
+Traces are persisted only by :mod:`repro.sim.trace_store`, which writes
+each column as a raw ``.npy`` file opened with ``mmap_mode="r"``.
 """
 
 from __future__ import annotations
 
-import json
-import warnings
-from dataclasses import dataclass, field
-from pathlib import Path
-
-import numpy as np
-
 from repro.sim.trace import AddTrace, InstStream
-
-FORMAT_VERSION = 1
 
 _ADD_COLUMNS = ("pc", "gtid", "ltid", "warp", "sm", "block", "seq",
                 "op_a", "op_b", "cin", "width", "opcode", "value")
 _INST_COLUMNS = ("seq", "block", "warp", "sm", "opcode", "active")
 
 
-@dataclass
-class TraceBundle:
-    """A loaded trace: ``.trace``, ``.insts`` (or None) and ``.metadata``.
-
-    :func:`load_trace` used to return a positional 3-tuple; unpacking a
-    bundle (``trace, insts, meta = load_trace(p)``) still works for one
-    release but emits a :class:`DeprecationWarning` — use the named
-    attributes instead.
-    """
-
-    trace: AddTrace
-    insts: InstStream = None
-    metadata: dict = field(default_factory=dict)
-
-    def __iter__(self):
-        warnings.warn(
-            "unpacking load_trace(...) as a (trace, insts, metadata) "
-            "tuple is deprecated; use the TraceBundle attributes "
-            ".trace/.insts/.metadata instead",
-            DeprecationWarning, stacklevel=2)
-        return iter((self.trace, self.insts, self.metadata))
-
-
 def trace_nbytes(trace: AddTrace, insts: InstStream = None) -> int:
     """In-memory footprint of a trace (and optional instruction
-    stream): the runner's per-unit trace-size metric, and a guide for
-    sizing trace archives before :func:`save_trace` compresses them."""
+    stream): the runner's per-unit trace-size metric."""
     total = sum(getattr(trace, c).nbytes for c in _ADD_COLUMNS)
     if insts is not None:
         total += sum(getattr(insts, c).nbytes for c in _INST_COLUMNS)
     return total
-
-
-def save_trace(path, trace: AddTrace, insts: InstStream = None,
-               metadata: dict = None) -> None:
-    """Write a trace (and optionally its InstStream) to ``path``."""
-    path = Path(path)
-    arrays = {f"add_{c}": getattr(trace, c) for c in _ADD_COLUMNS}
-    if insts is not None:
-        arrays.update({f"inst_{c}": getattr(insts, c)
-                       for c in _INST_COLUMNS})
-    header = {
-        "format_version": FORMAT_VERSION,
-        "n_rows": len(trace),
-        "pc_labels": list(trace.pc_labels),
-        "metadata": metadata or {},
-        "has_insts": insts is not None,
-    }
-    arrays["header"] = np.frombuffer(
-        json.dumps(header).encode(), dtype=np.uint8)
-    np.savez_compressed(path, **arrays)
-
-
-def load_trace(path) -> TraceBundle:
-    """Read back a :class:`TraceBundle` (``.trace``, ``.insts``,
-    ``.metadata``)."""
-    path = Path(path)
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header.get("format_version") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported trace format "
-                f"{header.get('format_version')!r} in {path}")
-        trace = AddTrace(
-            **{c: data[f"add_{c}"] for c in _ADD_COLUMNS},
-            pc_labels=list(header["pc_labels"]))
-        insts = None
-        if header.get("has_insts"):
-            insts = InstStream(
-                **{c: data[f"inst_{c}"] for c in _INST_COLUMNS})
-    return TraceBundle(trace=trace, insts=insts,
-                       metadata=header.get("metadata", {}))
-
-
-def save_kernel_run(path, run, extra_metadata: dict = None) -> None:
-    """Persist a :class:`~repro.sim.functional.KernelRun`'s trace."""
-    metadata = {
-        "kernel": run.name,
-        "grid_blocks": run.launch.grid_blocks,
-        "block_threads": run.launch.block_threads,
-        "n_static_pcs": run.n_static_pcs,
-    }
-    metadata.update(extra_metadata or {})
-    save_trace(path, run.trace, run.insts, metadata)

@@ -24,6 +24,11 @@ observe a partial entry and concurrent capture races resolve to
 whichever writer renames first (the loser discards its copy — both
 captured identical bytes).
 
+The store is the only place the runner, ``st2-sweep`` and
+``st2-serve`` get a trace from.  When no store is named they share the
+process-wide :func:`scratch_store`: a temporary directory created on
+first use and removed when the process that created it exits.
+
 Layering: this module never computes a code version itself — callers
 (the runner, ``st2-trace``) pass the digest that keys their own result
 cache, keeping ``repro.sim`` free of any dependency on
@@ -32,6 +37,7 @@ cache, keeping ``repro.sim`` free of any dependency on
 
 from __future__ import annotations
 
+import atexit
 import errno
 import hashlib
 import json
@@ -81,6 +87,31 @@ def default_store_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "repro" / "traces"
+
+
+_SCRATCH = None
+
+
+def scratch_store() -> "TraceStore":
+    """The process-wide store used when no store is named.
+
+    Created with :func:`tempfile.mkdtemp` on first use; an ``atexit``
+    hook removes it when the creating process exits.  Pool workers
+    never call this: they are handed the parent's root, because a
+    forked worker leaves with ``os._exit`` and would never run the
+    hook of a store it created.
+    """
+    global _SCRATCH
+    if _SCRATCH is None:
+        root = tempfile.mkdtemp(prefix="repro-traces-")
+        atexit.register(_remove_scratch, root, os.getpid())
+        _SCRATCH = TraceStore(root)
+    return _SCRATCH
+
+
+def _remove_scratch(root: str, owner: int) -> None:
+    if os.getpid() == owner:        # a forked child inherits the hook
+        shutil.rmtree(root, ignore_errors=True)
 
 
 def trace_key(kernel: str, scale: float, seed: int,
@@ -239,14 +270,6 @@ class TraceStore:
             raise
         obs.add("trace_store.put.created")
         return True
-
-    def put_run(self, run, code_version: str = "", scale: float = None,
-                seed: int = None, metadata: dict = None) -> str:
-        """Key a run by its identity and :meth:`put` it; returns the key."""
-        key = trace_key(run.name, scale, seed, code_version)
-        self.put(key, run, code_version=code_version, scale=scale,
-                 seed=seed, metadata=metadata)
-        return key
 
     # -- reading -------------------------------------------------------
 

@@ -20,20 +20,19 @@ is reported in the ablation row, not counted).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.core.batch import (evaluate_trace_batch, predict_trace_batch)
 from repro.core.predictors import (SpeculationConfig, SpeculationResult)
-from repro.sim.vec.plan import PlanKey, TracePlan, plan_for
+from repro.sim.vec.plan import TracePlan, plan_for
 from repro.sim.vec.timing import replay_pair
 
 
 def evaluate_unit(run: Any, config: SpeculationConfig, facts: Any,
-                  model: Any, adder_model: Any,
-                  plan_key: Optional[PlanKey] = None
+                  model: Any, adder_model: Any
                   ) -> Tuple[Any, Dict[str, Any]]:
     """One (trace × config) unit, end to end.
 
@@ -46,7 +45,7 @@ def evaluate_unit(run: Any, config: SpeculationConfig, facts: Any,
     from repro.st2.energy import (EnergyComparison, baseline_breakdown,
                                   st2_breakdown)
 
-    plan: TracePlan = plan_for(run, plan_key)
+    plan: TracePlan = plan_for(run)
     pack = plan.pack
     n = pack.n_rows
     trace = run.trace

@@ -7,13 +7,13 @@ arrays and the :class:`~repro.sim.vec.timing.TimingPlan` of resolved
 scheduling decisions, plus memos of the static carry-fact overlay and
 of the auxiliary (VaLHALLA + Figure 3) measurements.
 
-The stage-2 runner evaluates all configs of one trace in one process,
-so plans are cached —
-keyed by the unit's ``(kernel, scale, seed)`` identity, the same
-triple that keys the trace store — with a small bounded LRU: grids
-iterate configs per trace, so only a handful of traces are ever hot at
-once, and a pack is a few padded copies of the trace columns that
-should not accumulate for a whole suite.
+The runner evaluates all configs of one trace in one process, so plans
+are cached under the run's trace-store key
+(:attr:`~repro.sim.trace_store.StoredRun.key`, a content hash of
+kernel, scale, seed, code version and store format) with a small
+bounded LRU: grids iterate configs per trace, so only a handful of
+traces are ever hot at once, and a pack is a few padded copies of the
+trace columns that should not accumulate for a whole suite.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from repro.sim.vec.timing import TimingPlan, build_timing_plan
 
 #: traces kept planned at once (a grid evaluates configs per trace)
 PLAN_CACHE_SIZE = 8
-
-PlanKey = Tuple[str, float, int]
 
 
 @dataclass
@@ -68,28 +66,25 @@ class TracePlan:
         return copy.deepcopy(self._aux)
 
 
-_PLANS: Dict[PlanKey, TracePlan] = {}
+_PLANS: Dict[str, TracePlan] = {}
 
 
-def plan_for(run: Any, key: Optional[PlanKey] = None) -> TracePlan:
+def plan_for(run: Any) -> TracePlan:
     """The (possibly cached) plan of ``run``.
 
-    ``key`` is the unit's ``(kernel, scale, seed)``; without one the
-    plan is built fresh and not cached.  A cached plan is only reused
-    if its row counts still match the run (defensive: a key collision
-    across processes with different code versions would otherwise read
-    stale shapes).
+    A stored run is cached under its trace-store key, which names its
+    exact bytes.  A run without a key (a live capture, a fuzz kernel)
+    gets a fresh plan that is not cached.
     """
-    if key is not None:
-        plan = _PLANS.get(key)
-        if (plan is not None and plan.n_rows == len(run.trace)
-                and plan.n_insts == len(run.insts)):
-            _PLANS[key] = _PLANS.pop(key)      # refresh LRU position
-            return plan
+    key = getattr(run, "key", "")
+    plan = _PLANS.get(key) if key else None
+    if plan is not None:
+        _PLANS[key] = _PLANS.pop(key)          # refresh LRU position
+        return plan
     plan = TracePlan(n_rows=len(run.trace), n_insts=len(run.insts),
                      pack=build_pack(run.trace),
                      timing=build_timing_plan(run))
-    if key is not None:
+    if key:
         _PLANS[key] = plan
         while len(_PLANS) > PLAN_CACHE_SIZE:
             _PLANS.pop(next(iter(_PLANS)))

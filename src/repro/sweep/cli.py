@@ -80,9 +80,10 @@ def build_parser():
                           "or ~/.cache/repro)")
     run.add_argument("--trace-store", nargs="?", const="",
                      default=None, metavar="DIR",
-                     help="two-stage pipeline through a memory-mapped "
-                          "trace store (bare flag: the default store "
-                          "dir)")
+                     help="keep traces in this memory-mapped trace "
+                          "store (bare flag: the default store dir); "
+                          "without the flag, traces go to a temporary "
+                          "store that is removed at exit")
     run.add_argument("--quiet", action="store_true",
                      help="suppress progress lines")
     cli_common.add_json_flag(run)

@@ -114,6 +114,18 @@ def test_cli_rejects_empty_work_list(capsys):
     assert "no work units" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--workers", "0"), ("--workers", "-3"),
+    ("--scale", "0"), ("--scale", "-1")])
+def test_cli_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "manifest.jsonl"
+    rc = main(["--kernels", "qrng_K2", "--no-cache", flag, value,
+               "--out", str(out)])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_round_trip(tmp_path):
     results = [{"kernel": "k", "metrics": {"x": float("nan")},
                 "cached": False}]

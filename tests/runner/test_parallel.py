@@ -82,7 +82,7 @@ def spy_eval_fan_outs(monkeypatch) -> list:
     seen = []
     real = pool._map_parallel
 
-    def spy(fn, items, workers, store_root=None, need_models=True):
+    def spy(fn, items, workers, store_root, need_models=True):
         if fn is pool._run_trace:
             seen.append((items, workers))
         return real(fn, items, workers, store_root,
@@ -173,13 +173,13 @@ class TestOncePerTrace:
 
         ((items, _),) = seen
         pending = [i for i in range(len(units)) if i != 2]
-        assert sorted(i for item in items for i, _, _ in item) == pending
+        assert sorted(i for item in items for i, _ in item) == pending
         for item in items:
-            indices = [i for i, _, _ in item]
+            indices = [i for i, _ in item]
             assert indices == sorted(indices)
             assert len({(s.kernel, s.scale, s.seed)
-                        for _, s, _ in item}) == 1
-            assert all(units[i] == s for i, s, _ in item)
+                        for _, s in item}) == 1
+            assert all(units[i] == s for i, s in item)
         assert len(items) == len(KERNELS)
 
 

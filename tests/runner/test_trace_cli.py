@@ -41,6 +41,17 @@ class TestCapture:
         assert rc == 2
         assert "unknown kernel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"), ("--workers", "-3"),
+        ("--scale", "0"), ("--scale", "-1")])
+    def test_out_of_range_flags_exit_2(self, tmp_path, capsys, flag,
+                                       value):
+        rc = main(["--store", str(tmp_path), "capture",
+                   "--kernels", "qrng_K2", flag, value])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert len(TraceStore(tmp_path)) == 0
+
     def test_per_kernel_seeds_change_keys(self, warm_store):
         version = code_version()
         shared = trace_key("binomial", 0.15, 0, version)

@@ -5,9 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.speculation import PREV, ST2_DESIGN
+from repro.kernels.suite import run_kernel
+from repro.lint.facts import facts_for_kernel
 from repro.runner import RunOptions, build_units, run_units
-from repro.runner.units import (RESULT_SCHEMA, execute_unit, results_equal,
-                                unit_trace_key)
+from repro.runner.units import (RESULT_SCHEMA, ModelBundle,
+                                evaluation_payload, execute_unit,
+                                results_equal, unit_trace_key)
 from repro.sim.trace_store import TraceStore
 
 KERNELS = ["qrng_K2", "sortNets_K2"]
@@ -19,9 +22,27 @@ def units():
     return build_units(KERNELS, configs=CONFIGS, aux=False)
 
 
+def live_run(spec):
+    return run_kernel(spec.kernel, scale=spec.scale, seed=spec.seed,
+                      use_cache=False)
+
+
 @pytest.fixture(scope="module")
-def single_stage(units):
-    return run_units(units, RunOptions(workers=1, use_cache=False))
+def live_payloads(units):
+    """The reference: ``evaluation_payload`` on a live capture, with no
+    trace store in between."""
+    models = ModelBundle().ensure()
+    runs = {spec.kernel: live_run(spec) for spec in units}
+    return [evaluation_payload(runs[spec.kernel], spec.config,
+                               models=models,
+                               facts=facts_for_kernel(spec.kernel))
+            for spec in units]
+
+
+def payload_of(result) -> dict:
+    data = result.to_dict()
+    return {"metrics": data["metrics"],
+            "energy_stacks": data["energy_stacks"]}
 
 
 def two_stage_options(tmp_path, workers=1) -> RunOptions:
@@ -41,8 +62,7 @@ class TestTwoStagePipeline:
         assert opts.stats["trace_store_hits"] == 0
         assert len(opts.trace_store) == len(KERNELS)
 
-    def test_warm_store_zero_reexecution(self, tmp_path, units,
-                                         single_stage, pools):
+    def test_warm_store_zero_reexecution(self, tmp_path, units, pools):
         cold_opts = two_stage_options(tmp_path)
         cold = run_units(units, cold_opts)
         warm_opts = two_stage_options(tmp_path, workers=2)
@@ -56,24 +76,33 @@ class TestTwoStagePipeline:
             assert results_equal(c, w)
 
     def test_bit_identical_to_single_stage(self, tmp_path, units,
-                                           single_stage, pools):
-        """Stage-2 evaluation from the memmapped store must reproduce
-        the single-stage runner exactly, serial and parallel."""
+                                           live_payloads, pools):
+        """Evaluation from the memmapped store must reproduce
+        ``evaluation_payload`` on the live capture exactly, serial and
+        parallel."""
         for workers in (1, 2):
             results = run_units(
                 units, two_stage_options(tmp_path, workers=workers))
-            for s, r in zip(single_stage, results):
-                assert results_equal(s, r), (workers, s.kernel)
+            for expect, r in zip(live_payloads, results):
+                assert results_equal(payload_of(r), expect), \
+                    (workers, r.kernel)
         assert pools, "the parallel pass never started a pool"
 
     def test_aux_metrics_from_store(self, tmp_path):
         """VaLHALLA + correlation aux measurements work off memmaps."""
-        aux_units = build_units(["qrng_K2"], aux=True)
-        (direct,) = run_units(aux_units,
-                              RunOptions(workers=1, use_cache=False))
-        (stored,) = run_units(aux_units, two_stage_options(tmp_path))
-        assert results_equal(direct, stored)
+        from repro.core.batch import build_pack
+        from repro.runner.units import _aux_metrics
+
+        (spec,) = build_units(["qrng_K2"], aux=True)
+        (stored,) = run_units([spec], two_stage_options(tmp_path))
+        live = live_run(spec)
         assert stored.aux is not None
+        assert results_equal(stored.aux,
+                             _aux_metrics(live, build_pack(live.trace)))
+        assert results_equal(
+            payload_of(stored),
+            evaluation_payload(live, spec.config,
+                               facts=facts_for_kernel(spec.kernel)))
 
     def test_stage_timings_recorded(self, tmp_path, units):
         opts = two_stage_options(tmp_path)

@@ -9,6 +9,7 @@ import pytest
 from repro.runner.units import build_units, resolve_configs, \
     unit_trace_key
 from repro.serve.pool import ShardedPool, shard_of
+from repro.sim.trace_store import TraceStore
 
 
 class TestShardOf:
@@ -41,19 +42,19 @@ class TestShardOf:
         shards = {shard_of(unit_trace_key(u, "v0"), 4) for u in units}
         assert len(shards) == 1
 
-    def test_rejects_zero_shards(self):
+    def test_rejects_zero_shards(self, tmp_path):
         with pytest.raises(ValueError):
-            ShardedPool(0)
+            ShardedPool(0, str(tmp_path))
 
 
 class TestPoolRoundTrip:
-    def test_submit_executes_and_reports(self):
+    def test_submit_executes_and_reports(self, tmp_path):
         """One real worker: submit two units of the same trace,
         results come back on the drainer callback with the obs
-        snapshot attached."""
+        snapshot attached, and the trace lands in the pool's store."""
         results = queue.Queue()
         pool = ShardedPool(
-            1, on_result=lambda tid, ok, payload:
+            1, str(tmp_path), on_result=lambda tid, ok, payload:
             results.put((tid, ok, payload)))
         pool.start()
         try:
@@ -76,3 +77,4 @@ class TestPoolRoundTrip:
         assert "metrics" in payload
         assert "obs" in payload     # transient snapshot for the parent
         assert payload["obs"]["counters"]
+        assert TraceStore(tmp_path).has(unit_trace_key(units[0]))

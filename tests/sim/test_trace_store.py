@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from repro.kernels.suite import KERNEL_NAMES, run_suite
-from repro.sim.trace_io import _ADD_COLUMNS, _INST_COLUMNS
+from repro.sim.trace_io import _ADD_COLUMNS, _INST_COLUMNS, trace_nbytes
 from repro.sim.trace_store import (StoredRun, TraceStore, default_store_dir,
-                                   trace_key)
+                                   scratch_store, trace_key)
 
 SCALE = 0.12
 
@@ -108,6 +108,27 @@ class TestStoreSemantics:
     def test_default_dir_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "x"))
         assert default_store_dir() == tmp_path / "x"
+
+
+    def test_trace_nbytes_of_stored_entry(self, store, suite_runs):
+        """The per-unit ``trace_bytes`` metric is the same whether it
+        is read off a live run or its memory-mapped entry."""
+        run = suite_runs["pathfinder"]
+        stored = store.get(trace_key("pathfinder", SCALE, 0, "v-test"))
+        add = sum(getattr(run.trace, c).nbytes for c in _ADD_COLUMNS)
+        inst = sum(getattr(run.insts, c).nbytes for c in _INST_COLUMNS)
+        assert trace_nbytes(run.trace) == add
+        assert trace_nbytes(run.trace, run.insts) == add + inst
+        assert trace_nbytes(stored.trace, stored.insts) == add + inst
+
+    def test_scratch_store_is_process_wide(self):
+        import tempfile
+        from pathlib import Path
+
+        first = scratch_store()
+        assert scratch_store() is first
+        assert first.root.is_dir()
+        assert first.root.parent == Path(tempfile.gettempdir())
 
 
 class TestGetMemo:

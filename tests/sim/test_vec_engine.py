@@ -167,6 +167,25 @@ class TestSupported:
             assert plan.n_insts == len(run.insts), name
 
 
+class TestPlanIdentity:
+    def test_store_key_reuses_one_plan(self, tmp_path):
+        """Two opens of one trace-store entry share a plan: the key
+        names the entry's exact bytes."""
+        from repro.sim.trace_store import trace_key
+
+        run = run_kernel("qrng_K2", scale=SCALE, seed=0)
+        key = trace_key("qrng_K2", SCALE, 0, "v-test")
+        TraceStore(tmp_path).put(key, run, code_version="v-test")
+        first = TraceStore(tmp_path).get(key)
+        second = TraceStore(tmp_path).get(key)
+        assert first is not second and first.key == key
+        assert plan_for(first) is plan_for(second)
+
+    def test_live_run_gets_fresh_plan(self):
+        run = run_kernel("qrng_K2", scale=SCALE, seed=0)
+        assert plan_for(run) is not plan_for(run)
+
+
 class TestArrayLevelParity:
     @pytest.mark.parametrize("name", ["qrng_K1", "sortNets_K2",
                                       "pathfinder"])
