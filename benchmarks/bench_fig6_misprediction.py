@@ -10,14 +10,15 @@ from _bench_utils import save_artifact
 from repro.analysis.ascii_charts import hbar_chart
 
 
-def _collect(suite_evaluations):
-    return {name: (e.misprediction_rate, e.recomputed_per_misprediction)
-            for name, e in suite_evaluations.items()}
+def _collect(runner_results):
+    return {name: (r.misprediction_rate,
+                   r.metrics.recomputed_per_misprediction)
+            for name, r in runner_results.items()}
 
 
-def test_fig6_misprediction_rates(benchmark, suite_evaluations,
+def test_fig6_misprediction_rates(benchmark, runner_results,
                                   artifact_dir):
-    stats = benchmark.pedantic(_collect, args=(suite_evaluations,),
+    stats = benchmark.pedantic(_collect, args=(runner_results,),
                                rounds=1, iterations=1)
 
     names = list(stats)

@@ -10,27 +10,34 @@ import numpy as np
 
 from _bench_utils import save_artifact
 from repro.analysis.ascii_charts import table
+from repro.st2.architecture import evaluate_run
 from repro.st2.overheads import overhead_report
 
 
-def _adder_rate(suite_evaluations):
+def _adder_rate(evaluations):
     """Average chip-wide adder ops/s across the suite."""
     rates = []
-    for e in suite_evaluations.values():
+    for e in evaluations:
         # reconstruct ops/s from the kernel's activity counts
         rates.append(e.speculation.n_ops
                      / max(e.timing_baseline.duration_s(), 1e-9))
     return float(np.mean(rates))
 
 
-def test_overheads(benchmark, suite_evaluations, artifact_dir):
+def test_overheads(benchmark, suite_runs, power_model, adder_model,
+                   artifact_dir):
     report = benchmark.pedantic(overhead_report, rounds=1, iterations=1)
 
-    rate = _adder_rate(suite_evaluations)
+    # absolute joules and durations: the runner payload carries only
+    # normalised stacks, so evaluate the session's traces directly
+    evaluations = [evaluate_run(run, model=power_model,
+                                adder_model=adder_model)
+                   for run in suite_runs.values()]
+    rate = _adder_rate(evaluations)
     avg_power = float(np.mean(
         [e.energy.baseline.system_j
          / e.timing_baseline.duration_s()
-         for e in suite_evaluations.values()]))
+         for e in evaluations]))
     dyn_w = report.shifter_dynamic_w(rate)
     penalty = report.savings_penalty(avg_power, rate)
 

@@ -10,13 +10,12 @@ from _bench_utils import save_artifact
 from repro.analysis.ascii_charts import hbar_chart
 
 
-def _slowdowns(suite_evaluations):
-    return {name: e.slowdown for name, e in suite_evaluations.items()}
+def _slowdowns(runner_results):
+    return {name: r.slowdown for name, r in runner_results.items()}
 
 
-def test_performance_overhead(benchmark, suite_evaluations,
-                              artifact_dir):
-    slows = benchmark.pedantic(_slowdowns, args=(suite_evaluations,),
+def test_performance_overhead(benchmark, runner_results, artifact_dir):
+    slows = benchmark.pedantic(_slowdowns, args=(runner_results,),
                                rounds=1, iterations=1)
 
     names = list(slows)
@@ -34,5 +33,4 @@ def test_performance_overhead(benchmark, suite_evaluations,
     assert slows[worst_name] < 0.06, "worst case must stay small"
     # the worst kernel should be one of the high-misprediction,
     # ALU-bound ones the paper identifies
-    worst_eval = suite_evaluations[worst_name]
-    assert worst_eval.misprediction_rate > 0.1
+    assert runner_results[worst_name].misprediction_rate > 0.1

@@ -22,8 +22,7 @@ KERNELS = ("pathfinder", "sad_K1", "kmeans_K1", "msort_K1", "dwt2d_K1",
 
 
 def _one_seed(seed):
-    runs = run_suite(scale=SCALE, seed=seed, names=KERNELS,
-                     use_cache=False)
+    runs = run_suite(scale=SCALE, seed=seed, names=KERNELS)
     val, ltid, gtid = [], [], []
     temporal, spatial = [], []
     for name, run in runs.items():

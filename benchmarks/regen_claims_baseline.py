@@ -2,7 +2,7 @@
 """Regenerate ``BENCH_claims.json``: the 18 headline-scorecard values.
 
 Runs the scorecard measurement
-(:func:`bench_headline_scorecard.measure_claims`) at its pinned scale
+(:func:`repro.st2.scorecard.measure_claims`) at its pinned scale
 and writes every measured value.  ``tests/test_claims.py`` then gates
 each value at ``rel_tol`` on top of the paper-tolerance grades, so a
 change that moves any claim fails tier-1 even inside the paper's band.
@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from bench_headline_scorecard import CLAIMS_SCALE, grade, measure_claims
+from repro.st2.scorecard import CLAIMS_SCALE, grade, measure_claims
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_claims.json"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """The full Section VI experiment on a few kernels: calibrated power
 model, baseline-vs-ST2 energy breakdown, timing overhead — the
-machinery behind Figures 6 and 7.
+machinery behind Figures 6 and 7, driven through the cached runner.
 
 Run:  python examples/full_gpu_energy_study.py
 """
@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.analysis.ascii_charts import stacked_pair, table
 from repro.power.components import Component
-from repro.st2.architecture import evaluate_suite
+from repro.runner import build_units, run_suite_units
 from repro.st2.overheads import overhead_report
 
 KERNELS = ("pathfinder", "sad_K1", "msort_K2", "qrng_K1", "kmeans_K1",
@@ -18,21 +18,21 @@ KERNELS = ("pathfinder", "sad_K1", "msort_K2", "qrng_K1", "kmeans_K1",
 
 
 def main() -> None:
-    evals = evaluate_suite(scale=1.0, names=KERNELS)
+    keyed = run_suite_units(build_units(KERNELS, scale=1.0, aux=False))
+    evals = {kernel: result for (kernel, _cfg), result in keyed.items()}
 
     # -- Figure 7 style stacked energy ------------------------------------
     comps = [c.value for c in Component] + ["static"]
     base_stacks, st2_stacks = [], []
     for e in evals.values():
-        b, s = e.energy.normalized_stacks()
-        base_stacks.append(b)
-        st2_stacks.append(s)
+        base_stacks.append(e.energy_stacks["baseline"])
+        st2_stacks.append(e.energy_stacks["st2"])
     print(stacked_pair("normalized system energy: baseline vs ST2",
                        list(evals), base_stacks, st2_stacks, comps))
 
     # -- summary table ------------------------------------------------------
     rows = [(name,
-             f"{e.energy.alu_fpu_share:.1%}",
+             f"{e.alu_fpu_share:.1%}",
              f"{e.misprediction_rate:.1%}",
              f"{e.slowdown:+.3%}",
              f"{e.system_saving:.1%}",

@@ -12,8 +12,10 @@ Public API highlights
 * :data:`repro.core.speculation.ST2_DESIGN` — the paper's final design
   point (``Ltid+Prev+ModPC4+Peek``).
 * :mod:`repro.kernels.suite` — the 23-kernel evaluation suite.
-* :func:`repro.st2.architecture.evaluate_suite` — the end-to-end
-  Section VI evaluation (misprediction, timing, energy).
+* :func:`repro.st2.architecture.evaluate_run` — the end-to-end
+  Section VI evaluation of one run (misprediction, timing, energy).
+* :mod:`repro.st2.scorecard` — the 18 headline claims, measured from a
+  runner pass and graded against the paper (``st2-report``).
 * :mod:`repro.runner` — the parallel cached experiment runner
   (``st2-run``) with its two-stage trace-store pipeline (``st2-trace``).
 * :mod:`repro.serve` — the async sharded experiment service

@@ -6,9 +6,12 @@ Parboil.  (The paper's workload list also names cudaTensorCoreGemm, but
 no tensor kernel appears on any figure axis — its FP32 accumulation path
 is available as the :mod:`repro.kernels.tensor_gemm` extension.)
 
-``run_suite`` executes every kernel once and caches the
-:class:`~repro.sim.functional.KernelRun` per (name, scale, seed), since
-several experiments (Figures 1, 3, 5, 6, 7) share the same traces.
+``run_kernel`` / ``run_suite`` execute kernels functionally, returning
+a fresh :class:`~repro.sim.functional.KernelRun` per call.  The paper's
+experiments share one capture per (kernel, scale, seed) through a
+trace store instead: the runner's stage 1, ``st2-report`` and the
+benchmark fixtures all go through
+:func:`repro.runner.units.capture_trace`.
 """
 
 from __future__ import annotations
@@ -134,13 +137,6 @@ def resolve_kernels(spec) -> tuple:
                  if not (n in seen or seen.add(n)))
 
 
-#: In-process memo of :func:`run_kernel` for library callers
-#: (``run_suite``, ``evaluate_kernel``, ``st2-report``).  The runner,
-#: sweeps and ``st2-serve`` never use it: they read traces from a
-#: trace store.
-_run_cache: dict = {}
-
-
 def spec_by_name(name: str) -> KernelSpec:
     for spec in SUITE + EXTENDED_SUITE:
         if spec.name == name:
@@ -149,25 +145,12 @@ def spec_by_name(name: str) -> KernelSpec:
                    f"{KERNEL_NAMES + EXTENDED_NAMES}")
 
 
-def run_kernel(name: str, scale: float = 1.0, seed: int = 0,
-               use_cache: bool = True):
-    """Run (or fetch the cached run of) one suite kernel."""
-    key = (name, scale, seed)
-    if use_cache and key in _run_cache:
-        return _run_cache[key]
-    run = spec_by_name(name).run(scale=scale, seed=seed)
-    if use_cache:
-        _run_cache[key] = run
-    return run
+def run_kernel(name: str, scale: float = 1.0, seed: int = 0):
+    """Functionally execute one suite kernel."""
+    return spec_by_name(name).run(scale=scale, seed=seed)
 
 
-def run_suite(scale: float = 1.0, seed: int = 0, names=None,
-              use_cache: bool = True) -> dict:
+def run_suite(scale: float = 1.0, seed: int = 0, names=None) -> dict:
     """Execute the whole suite; returns ``{kernel name: KernelRun}``."""
     names = KERNEL_NAMES if names is None else names
-    return {name: run_kernel(name, scale, seed, use_cache)
-            for name in names}
-
-
-def clear_cache() -> None:
-    _run_cache.clear()
+    return {name: run_kernel(name, scale, seed) for name in names}

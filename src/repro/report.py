@@ -1,10 +1,19 @@
-"""One-shot reproduction report: ``python -m repro.report [scale]``.
+"""One-shot reproduction report: ``st2-report [scale]`` /
+``python -m repro.report [scale]``.
 
-Runs the complete evaluation pipeline — suite execution, correlation
-study, design-space exploration, circuit characterisation, power-model
-calibration/validation, and the end-to-end ST2 GPU comparison — and
-prints every figure as an ASCII chart with the paper's numbers
-alongside. This is the no-arguments way to see the whole reproduction.
+One runner pass evaluates the 23-kernel suite under every Figure 5
+design-ladder config.  Figure 5 and the Section VI table read the unit
+metrics, Figure 3 and the VaLHALLA comparison the units' ``aux``
+measurements, and Figure 1 and the Section V-C power-model validation
+the stored traces of that same pass.  Circuit characterisation and the
+overhead arithmetic complete the figures, each printed as an ASCII
+chart with the paper's number alongside, and the report ends with the
+graded 18-claim scorecard (:mod:`repro.st2.scorecard`) of the ST2
+design units.
+
+Exit codes follow the shared contract (:mod:`repro.cli_common`): 0
+when every claim is within its documented tolerance, 1 when the
+scorecard has a FAIL row, 2 for a non-numeric or non-positive scale.
 """
 
 from __future__ import annotations
@@ -14,35 +23,57 @@ import time
 
 import numpy as np
 
+from repro import cli_common
 from repro.analysis.ascii_charts import hbar_chart, table
 from repro.circuits.characterize import (best_slice_width,
-                                         characterize_adders,
                                          slice_bitwidth_sweep)
-from repro.core.correlation import slice_carry_correlation
-from repro.core.speculation import DESIGN_LADDER, FIG3_CONFIGS, explore
+from repro.core.speculation import DESIGN_LADDER, FIG3_CONFIGS, ST2_DESIGN
 from repro.isa.opcodes import MixCategory
-from repro.kernels.suite import run_suite
 from repro.power.activity import activity_from_run
 from repro.power.calibration import calibrate
 from repro.power.hardware import SyntheticSilicon
 from repro.power.validation import validate
+from repro.runner import (RunOptions, build_units, default_workers,
+                          run_suite_units)
+from repro.runner.units import stored_run
 from repro.sim.pipeline import simulate_sm
-from repro.st2.architecture import evaluate_suite
+from repro.sim.trace_store import scratch_store
+from repro.st2.architecture import default_adder_model
 from repro.st2.overheads import overhead_report
+from repro.st2.scorecard import grade, measure, render
 
 
 def _section(title: str) -> None:
     print(f"\n{'=' * 70}\n{title}\n{'=' * 70}")
 
 
-def main(scale: float = None, seed: int = 0) -> None:
-    if scale is None:   # console-script entry: read argv
-        scale = float(sys.argv[1]) if len(sys.argv) > 1 else 1.0
+def build_parser():
+    parser = cli_common.build_parser(
+        "st2-report",
+        "Regenerate every figure and headline claim of the ST2 GPU "
+        "paper from one runner pass and print them with the paper's "
+        "numbers alongside.")
+    parser.add_argument("scale", nargs="?", type=float, default=1.0,
+                        help="workload scale factor (default 1.0)")
+    return parser
+
+
+def report(scale: float, seed: int = 0) -> int:
+    """Print the whole report; returns the exit code (1 when a
+    headline claim is out of tolerance)."""
     t0 = time.time()
     print(f"ST2 GPU reproduction report (scale={scale}, seed={seed})")
 
     _section("Executing the 23-kernel suite")
-    runs = run_suite(scale=scale, seed=seed)
+    store = scratch_store()
+    units = build_units("all", configs=DESIGN_LADDER, scale=scale,
+                        seed=seed)
+    keyed = run_suite_units(units, RunOptions(
+        workers=default_workers(), use_cache=False, trace_store=store))
+    st2 = {kernel: result for (kernel, config), result in keyed.items()
+           if config == ST2_DESIGN.name}
+    runs = {spec.kernel: stored_run(store, spec) for spec in units
+            if spec.config == ST2_DESIGN}
     total_rows = sum(len(r.trace) for r in runs.values())
     print(f"{len(runs)} kernels, {total_rows:,} adder operations, "
           f"{sum(r.insts.thread_instructions() for r in runs.values()):,}"
@@ -50,7 +81,7 @@ def main(scale: float = None, seed: int = 0) -> None:
 
     _section("Figure 1 — instruction mix")
     arith = []
-    for name, run in runs.items():
+    for run in runs.values():
         mix = run.insts.mix()
         tot = sum(mix.values())
         arith.append(sum(v for k, v in mix.items()
@@ -61,32 +92,29 @@ def main(scale: float = None, seed: int = 0) -> None:
           "(paper: 21/23)")
 
     _section("Figure 3 — slice carry-in correlation")
-    f3 = {c.name: [] for c in FIG3_CONFIGS}
-    for name, run in runs.items():
-        for k, v in slice_carry_correlation(run.trace,
-                                            name).match_rates.items():
-            f3[k].append(v)
     paper3 = {"Prev+Gtid": "50%", "Prev+FullPC+Gtid": "83%",
               "Prev+FullPC+Ltid": "89%"}
-    for k, v in f3.items():
-        print(f"  {k:20s} {np.nanmean(v):6.1%}  (paper {paper3[k]})")
+    for c in FIG3_CONFIGS:
+        rate = np.nanmean([r.aux["correlation"][c.name]
+                           for r in st2.values()])
+        print(f"  {c.name:20s} {rate:6.1%}  (paper {paper3[c.name]})")
 
     _section("Figure 5 — carry-speculation design space")
-    ladder = {c.name: [] for c in DESIGN_LADDER}
-    for run in runs.values():
-        for p in explore(run.trace):
-            ladder[p.config.name].append(p.misprediction_rate)
-    means = {k: float(np.mean(v)) for k, v in ladder.items()}
+    means = {c.name: float(np.mean([keyed[k, c.name].misprediction_rate
+                                    for k in runs]))
+             for c in DESIGN_LADDER}
     print(hbar_chart("avg thread misprediction rate",
                      list(means), list(means.values())))
-    st2r = means["Ltid+Prev+ModPC4+Peek"]
-    print(f"\nST2 vs VaLHALLA: {1 - st2r / means['VaLHALLA']:.0%} lower"
+    st2r = means[ST2_DESIGN.name]
+    valhalla = np.mean([r.aux["valhalla_misprediction_rate"]
+                        for r in st2.values()])
+    print(f"\nST2 vs VaLHALLA: {1 - st2r / valhalla:.0%} lower"
           " (paper: 65% lower)")
 
     _section("Section V-B — circuit characterisation")
     points = slice_bitwidth_sweep()
     p8 = next(p for p in points if p.slice_width == 8)
-    adder = characterize_adders()
+    adder = default_adder_model()
     print(f"best slice width: {best_slice_width(points)} (paper: 8)\n"
           f"8-bit slice voltage: {p8.vdd_fraction:.0%} of nominal "
           f"(paper: 60%)\n"
@@ -96,6 +124,8 @@ def main(scale: float = None, seed: int = 0) -> None:
           " (paper: ~70%)")
 
     _section("Section V-C — power-model calibration + validation")
+    # validate() draws from the RNG state calibrate() leaves behind,
+    # so both run on this one silicon instance, in this order
     silicon = SyntheticSilicon(seed=seed)
     cal = calibrate(silicon)
     acts = {n: activity_from_run(r, simulate_sm(r.insts, r.launch),
@@ -106,17 +136,17 @@ def main(scale: float = None, seed: int = 0) -> None:
           "(paper: 10.5% +/- 3.8%, r = 0.8)")
 
     _section("Section VI — ST2 GPU end-to-end")
-    evals = evaluate_suite(scale=scale, seed=seed, model=cal.model)
-    rows = [(n, f"{e.misprediction_rate:.1%}", f"{e.slowdown:+.2%}",
-             f"{e.energy.alu_fpu_share:.1%}", f"{e.system_saving:.1%}",
-             f"{e.chip_saving:.1%}") for n, e in evals.items()]
+    mets = {n: r.metrics for n, r in st2.items()}
+    rows = [(n, f"{m.misprediction_rate:.1%}", f"{m.slowdown:+.2%}",
+             f"{m.alu_fpu_share:.1%}", f"{m.system_saving:.1%}",
+             f"{m.chip_saving:.1%}") for n, m in mets.items()]
     print(table("per-kernel evaluation",
                 ["kernel", "miss", "slowdown", "ALU+FPU share",
                  "system saving", "chip saving"], rows))
-    miss = np.mean([e.misprediction_rate for e in evals.values()])
-    slow = np.mean([e.slowdown for e in evals.values()])
-    sys_s = np.mean([e.system_saving for e in evals.values()])
-    chip_s = np.mean([e.chip_saving for e in evals.values()])
+    miss = np.mean([m.misprediction_rate for m in mets.values()])
+    slow = np.mean([m.slowdown for m in mets.values()])
+    sys_s = np.mean([m.system_saving for m in mets.values()])
+    chip_s = np.mean([m.chip_saving for m in mets.values()])
     print(f"\naverages: miss {miss:.1%} (paper 9%), slowdown "
           f"{slow:.2%} (paper 0.36%),\n  system saving {sys_s:.1%} "
           f"(paper 19%), chip saving {chip_s:.1%} (paper 21%)")
@@ -133,8 +163,24 @@ def main(scale: float = None, seed: int = 0) -> None:
           f"area, {rep.shifter_static_w:.2f} W static "
           "(paper: <0.68%, ~0.6 W)")
 
+    _section("Headline claims — scorecard")
+    claim_rows, failures = grade(measure(st2, adder))
+    print(render(claim_rows, failures))
+
     print(f"\nreport complete in {time.time() - t0:.1f}s")
+    return cli_common.EXIT_PROBLEMS if failures else cli_common.EXIT_OK
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    if not args.scale > 0:
+        return cli_common.fail("st2-report", "scale must be > 0")
+    return report(args.scale)
+
+
+def console_main() -> int:
+    return cli_common.run_cli(main)
 
 
 if __name__ == "__main__":
-    main(scale=float(sys.argv[1]) if len(sys.argv) > 1 else 1.0)
+    sys.exit(console_main())

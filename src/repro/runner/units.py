@@ -235,10 +235,21 @@ def capture_trace(store, key: str, kernel: str, scale: float, seed: int,
     whether this call published the entry."""
     if store.has(key):
         return False
-    run = kernel_suite.run_kernel(kernel, scale=scale, seed=seed,
-                                  use_cache=False)
+    run = kernel_suite.run_kernel(kernel, scale=scale, seed=seed)
     return store.put(key, run, code_version=version, scale=scale,
                      seed=seed)
+
+
+def stored_run(store, spec: UnitSpec):
+    """The :class:`~repro.sim.trace_store.StoredRun` behind ``spec``,
+    read from ``store`` and captured into it first when missing — the
+    trace a runner pass through ``store`` evaluated ``spec`` against."""
+    from repro.runner.cache import code_version
+
+    version = code_version()
+    key = unit_trace_key(spec, version)
+    capture_trace(store, key, spec.kernel, spec.scale, spec.seed, version)
+    return store.get(key)
 
 
 def execute_unit(spec: UnitSpec, models: ModelBundle = None,

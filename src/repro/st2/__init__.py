@@ -17,9 +17,7 @@ _LAZY_EXPORTS = {
     "RunMetrics": ("repro.st2.results", "RunMetrics"),
     "RunResult": ("repro.st2.results", "RunResult"),
     "as_run_result": ("repro.st2.results", "as_run_result"),
-    "evaluate_kernel": ("repro.st2.architecture", "evaluate_kernel"),
     "evaluate_run": ("repro.st2.architecture", "evaluate_run"),
-    "evaluate_suite": ("repro.st2.architecture", "evaluate_suite"),
     "overhead_report": ("repro.st2.overheads", "overhead_report"),
 }
 

@@ -8,8 +8,9 @@ modified GPGPU-Sim + GPUWattch toolchain does:
 3. cycle-approximate timing of the baseline and ST2 pipelines,
 4. the calibrated power model, with ST2's adder-energy transformation.
 
-``evaluate_kernel``/``evaluate_suite`` are what the Figure 6/7 and the
-performance-overhead benchmarks call.
+``evaluate_run`` evaluates one already-executed run this way, through
+the engine (:func:`repro.sim.vec.engine.evaluate_unit`) that the
+runner's :func:`~repro.runner.units.evaluation_payload` also calls.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from repro.circuits.characterize import AdderEnergyModel, characterize_adders
 from repro.core.predictors import SpeculationConfig, SpeculationResult
 from repro.core.speculation import ST2_DESIGN
-from repro.kernels import suite as kernel_suite
 from repro.power.calibration import calibrated_model
 from repro.power.model import GPUPowerModel
 from repro.sim.pipeline import TimingResult
@@ -83,28 +83,3 @@ def evaluate_run(run, config: SpeculationConfig = ST2_DESIGN,
                                   model or calibrated_model(),
                                   adder_model or default_adder_model())
     return evaluation
-
-
-def evaluate_kernel(name: str, scale: float = 1.0, seed: int = 0,
-                    config: SpeculationConfig = ST2_DESIGN,
-                    model: GPUPowerModel = None,
-                    adder_model: AdderEnergyModel = None) -> KernelEvaluation:
-    """Run one suite kernel by name and evaluate it end to end
-    (misprediction, timing, energy) under ``config``."""
-    run = kernel_suite.run_kernel(name, scale=scale, seed=seed)
-    return evaluate_run(run, config=config, model=model,
-                        adder_model=adder_model)
-
-
-def evaluate_suite(scale: float = 1.0, seed: int = 0,
-                   names=None,
-                   config: SpeculationConfig = ST2_DESIGN,
-                   model: GPUPowerModel = None,
-                   adder_model: AdderEnergyModel = None) -> dict:
-    """Run the whole Section VI evaluation; name -> KernelEvaluation."""
-    model = model or calibrated_model()
-    adder_model = adder_model or default_adder_model()
-    runs = kernel_suite.run_suite(scale=scale, seed=seed, names=names)
-    return {name: evaluate_run(run, config=config, model=model,
-                               adder_model=adder_model)
-            for name, run in runs.items()}

@@ -15,9 +15,11 @@ paper's schematic explicit:
 * the final **carry-select resolution** that decides, per suspect
   slice, whether the cycle-1 or cycle-2 sum is the correct one.
 
-The tests drive it clock by clock and cross-validate every outcome
-against the behavioural model — the RTL-level proof that one recompute
-cycle always suffices.
+It is a test reference, like ``tests/sim/reference_timing.py``: no
+production path runs it.  ``test_st2_rtl.py`` and
+``test_cross_model.py`` drive it clock by clock and cross-validate
+every outcome against the behavioural model — the RTL-level proof that
+one recompute cycle always suffices.
 """
 
 from __future__ import annotations

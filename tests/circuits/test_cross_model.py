@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from repro.circuits.adders_rtl import sliced_adder
-from repro.circuits.st2_rtl import ST2AdderRTL
 from repro.core import bitops
 from repro.core.adder import ST2Adder
 from repro.core.slices import INT64, AdderGeometry
+from tests.circuits.reference_st2_rtl import ST2AdderRTL
 
 
 def _stimulus(a, b, cin, preds, width):

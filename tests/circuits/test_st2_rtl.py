@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.st2_rtl import ST2AdderRTL
 from repro.core import bitops
 from repro.core.adder import ST2Adder
 from repro.core.slices import FP32_MANTISSA, INT32, INT64, AdderGeometry
+from tests.circuits.reference_st2_rtl import ST2AdderRTL
 
 
 def _predictions(rng, geo):

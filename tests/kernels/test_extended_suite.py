@@ -20,11 +20,11 @@ class TestRegistry:
         assert "affineChain" in EXTENDED_NAMES
 
     def test_run_kernel_reaches_extensions(self):
-        run = run_kernel("mri-q_K2", scale=SCALE, use_cache=False)
+        run = run_kernel("mri-q_K2", scale=SCALE)
         assert len(run.trace) > 0
 
     def test_extensions_work_with_st2_machinery(self):
-        run = run_kernel("histo_K2", scale=SCALE, use_cache=False)
+        run = run_kernel("histo_K2", scale=SCALE)
         res = run_speculation(run.trace, ST2_DESIGN)
         assert 0.0 <= res.thread_misprediction_rate <= 1.0
 

@@ -5,8 +5,7 @@ import pytest
 
 from repro.isa.opcodes import MixCategory
 from repro.kernels.runtime import blocks_for, scaled
-from repro.kernels.suite import (KERNEL_NAMES, SUITE, clear_cache,
-                                 run_kernel, run_suite, spec_by_name)
+from repro.kernels.suite import KERNEL_NAMES, SUITE, run_suite, spec_by_name
 
 SCALE = 0.15
 
@@ -33,14 +32,6 @@ class TestRegistry:
     def test_unknown_kernel_raises(self):
         with pytest.raises(KeyError):
             spec_by_name("nonexistent_K9")
-
-    def test_cache_returns_same_object(self):
-        a = run_kernel("pathfinder", scale=SCALE)
-        b = run_kernel("pathfinder", scale=SCALE)
-        assert a is b
-        clear_cache()
-        c = run_kernel("pathfinder", scale=SCALE)
-        assert c is not a
 
 
 class TestSuiteProperties:

@@ -1,6 +1,6 @@
 """Runs that name no trace store read their traces from the
-process-wide scratch store: the kernel-run memo stays untouched, and
-the scratch directory is gone when the process exits."""
+process-wide scratch store, and the scratch directory is gone when the
+process exits."""
 
 from __future__ import annotations
 
@@ -10,9 +10,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.kernels import suite as kernel_suite
 from repro.runner import RunOptions, build_units, resolve_configs, run_units
 from repro.runner.pool import INLINE_MAX_UNITS
 from repro.runner.units import execute_unit, unit_trace_key
@@ -22,30 +19,22 @@ KERNELS = ["qrng_K2", "sortNets_K2"]
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-@pytest.fixture
-def empty_memo():
-    """Start from an empty kernel-run memo; restore it afterwards."""
-    saved = dict(kernel_suite._run_cache)
-    kernel_suite.clear_cache()
-    yield kernel_suite._run_cache
-    kernel_suite._run_cache.update(saved)
-
-
 def in_scratch(units) -> bool:
     return all(scratch_store().has(unit_trace_key(u)) for u in units)
 
 
 class TestNoMemo:
-    """Each test uses its own seed, so its traces are captured cold."""
+    """Functional execution has no in-process memo: every trace lands in
+    the scratch store.  Each test uses its own seed, so its traces are
+    captured cold."""
 
-    def test_inline_run_units(self, empty_memo):
+    def test_inline_run_units(self):
         units = build_units(KERNELS, scale=0.1, seed=11, aux=False)
         assert not in_scratch(units)
         run_units(units, RunOptions(workers=1, use_cache=False))
-        assert empty_memo == {}
         assert in_scratch(units)
 
-    def test_pooled_run_units(self, empty_memo, monkeypatch):
+    def test_pooled_run_units(self, monkeypatch):
         from repro.runner import pool
 
         started = []
@@ -58,14 +47,12 @@ class TestNoMemo:
         assert not in_scratch(units)
         run_units(units, RunOptions(workers=2, use_cache=False))
         assert started, "the run never started a pool"
-        assert empty_memo == {}
         assert in_scratch(units)
 
-    def test_execute_unit(self, empty_memo):
+    def test_execute_unit(self):
         (spec,) = build_units(["qrng_K2"], scale=0.1, seed=13, aux=False)
         assert not in_scratch([spec])
         cold = execute_unit(spec)
-        assert empty_memo == {}
         assert in_scratch([spec])
         assert execute_unit(spec).trace_cache_hit
         assert cold.trace_rows > 0

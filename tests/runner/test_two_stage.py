@@ -23,8 +23,7 @@ def units():
 
 
 def live_run(spec):
-    return run_kernel(spec.kernel, scale=spec.scale, seed=spec.seed,
-                      use_cache=False)
+    return run_kernel(spec.kernel, scale=spec.scale, seed=spec.seed)
 
 
 @pytest.fixture(scope="module")

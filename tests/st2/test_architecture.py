@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from repro.core.speculation import ST2_DESIGN, STATIC_ONE
+from repro.kernels.suite import run_kernel
 from repro.power.components import Component
-from repro.st2.architecture import (default_adder_model, evaluate_kernel,
-                                    evaluate_suite)
+from repro.st2.architecture import default_adder_model, evaluate_run
 
 
 @pytest.fixture(scope="module")
-def pathfinder_eval():
-    return evaluate_kernel("pathfinder", scale=0.3, seed=0)
+def pathfinder_run():
+    return run_kernel("pathfinder", scale=0.3, seed=0)
+
+
+@pytest.fixture(scope="module")
+def pathfinder_eval(pathfinder_run):
+    return evaluate_run(pathfinder_run)
 
 
 class TestKernelEvaluation:
@@ -47,9 +52,9 @@ class TestKernelEvaluation:
 
 
 class TestDesignSensitivity:
-    def test_worse_predictor_saves_less(self):
-        good = evaluate_kernel("pathfinder", scale=0.3, config=ST2_DESIGN)
-        bad = evaluate_kernel("pathfinder", scale=0.3, config=STATIC_ONE)
+    def test_worse_predictor_saves_less(self, pathfinder_run):
+        good = evaluate_run(pathfinder_run, config=ST2_DESIGN)
+        bad = evaluate_run(pathfinder_run, config=STATIC_ONE)
         assert bad.misprediction_rate > good.misprediction_rate
         assert bad.system_saving < good.system_saving
         assert bad.slowdown >= good.slowdown - 0.01
@@ -59,7 +64,8 @@ class TestSuiteEvaluation:
     @pytest.fixture(scope="class")
     def evals(self):
         names = ("pathfinder", "sad_K1", "msort_K2", "qrng_K1")
-        return evaluate_suite(scale=0.15, names=names)
+        return {name: evaluate_run(run_kernel(name, scale=0.15))
+                for name in names}
 
     def test_all_kernels_evaluated(self, evals):
         assert len(evals) == 4
