@@ -62,7 +62,7 @@ def suite_runs(trace_store) -> dict:
 @pytest.fixture(scope="session")
 def power_model():
     from repro.power.calibration import calibrated_model
-    return calibrated_model(seed=0)
+    return calibrated_model()
 
 
 @pytest.fixture(scope="session")

@@ -725,7 +725,7 @@ def bound_constants(power_model: object = None,
     from repro.st2.energy import ADDER_FRACTION
 
     pm = power_model if power_model is not None \
-        else calibrated_model(seed=0)
+        else calibrated_model()
     am = adder_model if adder_model is not None \
         else default_adder_model()
     s_max = float(am.saving(0.0, 0.0))          # type: ignore[attr-defined]

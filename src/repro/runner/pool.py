@@ -59,17 +59,14 @@ def _init_worker(store_root, need_models: bool = True) -> None:
     circuit-characterised adder model once per worker process (stage-1
     capture workers skip them), and open the run's trace store.
 
-    Model calibration runs inside a **discarded** obs scope: it
-    functionally executes microbenchmarks whose instrumentation must
-    not pollute the run's metrics — and must not do so *differently*
-    between the inline path (once, in the parent) and the pooled path
-    (once per worker)."""
+    Building the models records no obs metrics, so building them once
+    in the parent (inline path) or once per worker (pooled path) leaves
+    the run's metrics the same."""
     global _WORKER_STORE
     from repro.sim.trace_store import TraceStore
 
     if need_models:
-        with obs.scoped():
-            _WORKER_MODELS.ensure()
+        _WORKER_MODELS.ensure()
     _WORKER_STORE = TraceStore(store_root)
 
 
@@ -261,21 +258,19 @@ def _prepare_eval(pending) -> float:
 
     Pool workers are forked from the parent wherever fork exists
     (Linux, the CI runners), so warming these memos here means every
-    worker inherits them instead of each paying the model calibration
-    on first use inside the evaluation stage — ``stage_eval_s`` then
-    measures evaluation, not interpreter start-up.  On spawn platforms
-    the workers still build their own models in ``_init_worker``;
-    results are identical either way.
+    worker inherits them instead of each paying the adder
+    characterisation on first use inside the evaluation stage —
+    ``stage_eval_s`` then measures evaluation, not interpreter
+    start-up.  On spawn platforms the workers still build their own
+    models in ``_init_worker``; results are identical either way.
 
-    Model calibration runs inside a discarded obs scope for the same
-    reason as in ``_init_worker``; the facts memo emits no obs at all.
-    Returns the wall time spent (reported as ``stage_init_s``).
+    Neither the models nor the facts memo record obs metrics.  Returns
+    the wall time spent (reported as ``stage_init_s``).
     """
     from repro.lint.facts import facts_for_kernel
 
     t0 = time.perf_counter()
-    with obs.scoped():
-        _WORKER_MODELS.ensure()
+    _WORKER_MODELS.ensure()
     for kernel in sorted({spec.kernel for _, spec in pending}):
         facts_for_kernel(kernel)
     return time.perf_counter() - t0

@@ -140,18 +140,17 @@ def build_units(kernels, configs=(ST2_DESIGN,), scale: float = 1.0,
 @dataclass
 class ModelBundle:
     """The session-scoped models every unit shares (built once per
-    process / pool worker; deterministic for a given seed)."""
+    process / pool worker; deterministic)."""
 
     power_model: object = None
     adder_model: object = None
-    seed: int = 0
     _built: bool = field(default=False, repr=False)
 
     def ensure(self) -> "ModelBundle":
         if not self._built:
             from repro.power.calibration import calibrated_model
             from repro.st2.architecture import default_adder_model
-            self.power_model = calibrated_model(seed=self.seed)
+            self.power_model = calibrated_model()
             self.adder_model = default_adder_model()
             self._built = True
         return self

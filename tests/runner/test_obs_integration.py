@@ -4,9 +4,14 @@ metrics.json emission, and reconciliation against the manifest."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs
 from repro.core.speculation import PREV, ST2_DESIGN
 from repro.runner import RunOptions, build_units, run_units
@@ -77,6 +82,27 @@ class TestRunnerObs:
         run_units(units[:1], opts)
         assert opts.obs is mine
         assert mine.counter("runner.units") == 1
+
+
+class TestModelBundleObs:
+    def test_building_models_records_nothing(self):
+        """The pool builds the models once in the parent (inline path)
+        or once per worker (pooled path) inside the run's obs scope, so
+        the two paths report the same metrics only if the build records
+        nothing.  A fresh interpreter makes every model memo cold."""
+        code = ("import sys\n"
+                "from repro import obs\n"
+                "from repro.runner.units import ModelBundle\n"
+                "with obs.scoped() as reg:\n"
+                "    ModelBundle().ensure()\n"
+                "snap = reg.snapshot()\n"
+                "sys.exit(0 if snap == {'counters': {}, 'timers': {}} "
+                "else str(snap))\n")
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMetricsEmission:

@@ -148,16 +148,31 @@ class TestLazyExports:
     def test_import_is_light(self):
         """``import repro.st2`` must not drag in the power stack (the
         point of lazy exports: cache-hit runner paths stay cheap)."""
-        import os
-        import subprocess
-        import sys
         code = ("import sys; import repro.st2; "
                 "sys.exit(1 if 'repro.power.model' in sys.modules "
                 "else 0)")
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": str(REPO / "src")})
-        assert proc.returncode == 0
+        assert _fresh_process(code).returncode == 0
+
+    def test_cli_paths_never_import_scipy(self):
+        """The CLIs and the model bundle every unit builds run on numpy
+        alone: the calibrated model is committed data, not a fit."""
+        code = ("import sys\n"
+                "import repro.runner.cli, repro.sweep.cli, "
+                "repro.serve.cli, repro.report\n"
+                "from repro.runner.units import ModelBundle\n"
+                "ModelBundle().ensure()\n"
+                "sys.exit('scipy' in sys.modules)\n")
+        assert _fresh_process(code).returncode == 0
+
+
+def _fresh_process(code: str):
+    """Run ``code`` in a new interpreter on this checkout's sources."""
+    import os
+    import subprocess
+    import sys
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
 
 
 class TestTensorGemmExtension:
