@@ -16,7 +16,8 @@ observability dump next to it (``st2_manifest.metrics.json``) that
 ``st2-stats`` reads.
 
 Exit codes follow the shared contract (:mod:`repro.cli_common`):
-0 success, 2 usage/input errors.
+0 success, 1 a unit lost its worker process twice
+(:class:`~repro.runner.pool.WorkerLost`), 2 usage/input errors.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.kernels.suite import KERNEL_GROUPS, resolve_kernels
 from repro.runner.cache import code_version
 from repro.runner.manifest import write_manifest
 from repro.runner.options import RunOptions
-from repro.runner.pool import RunTimer, run_units
+from repro.runner.pool import RunTimer, WorkerLost, run_units
 from repro.runner.units import build_units, resolve_configs
 
 
@@ -148,7 +149,11 @@ def main(argv=None) -> int:
         args, progress=_progress_printer(len(units), quiet),
         timer=timer)
 
-    results = run_units(units, options)
+    try:
+        results = run_units(units, options)
+    except WorkerLost as exc:
+        return cli_common.fail("st2-run", str(exc),
+                               code=cli_common.EXIT_PROBLEMS)
 
     meta = {
         "kernels": list(kernels),

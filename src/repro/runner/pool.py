@@ -14,9 +14,15 @@ sharing the OS page cache.
 The evaluation fan-out schedules **one task per trace**: every pending
 unit of one (kernel, scale, seed) runs in the same process, so the
 trace's evaluation plan, static-peek overlay and auxiliary
-measurements are built once per run, not once per config.  Both
-stages run inline for ``workers <= 1`` (or a small grid) through the
-same worker entry points as the pool, which is what the
+measurements are built once per run, not once per config.
+
+With ``workers > 1`` both stages run on a :class:`WorkerPool`.  Stage 1
+uses a pool that exits with the stage, so no capture memory lingers in
+an evaluation worker.  Stage 2 uses a pool that lives for the call, or
+the caller's: ``run_sweep`` holds one across all its waves and
+``st2-serve`` one for the daemon, so a trace pinned to a worker keeps
+its plan there from wave to wave.  ``workers <= 1`` runs both stages
+inline through the same worker entry points, which is what the
 parallel-equals-serial guarantee rests on.
 
 Results always come back in work-list order; the parent alone writes
@@ -27,9 +33,15 @@ an entry (first writer wins; both wrote identical bytes).
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
+import signal
+import threading
 import time
+import traceback
+from collections import deque
+from contextlib import nullcontext
 
 from repro import obs
 from repro.runner.cache import code_version, unit_key
@@ -40,13 +52,6 @@ from repro.runner.units import (ModelBundle, UnitSpec, capture_trace,
 _WORKER_MODELS = ModelBundle()
 _WORKER_STORE = None
 
-#: Evaluation fan-outs at or below this many units run inline: a unit
-#: costs milliseconds, so the pool's fork + IPC overhead dominates
-#: small grids.  Inline and pooled execution produce identical results
-#: and metrics (the parallel-equals-serial guarantee), so the cutoff is
-#: purely a latency choice.
-INLINE_MAX_UNITS = 16
-
 
 def default_workers() -> int:
     """A safe parallelism default: the pool pays off quickly but the
@@ -54,50 +59,382 @@ def default_workers() -> int:
     return max(1, min(4, os.cpu_count() or 1))
 
 
-def _init_worker(store_root, need_models: bool = True) -> None:
-    """Pool initializer: build the calibrated power model and the
-    circuit-characterised adder model once per worker process (stage-1
-    capture workers skip them), and open the run's trace store.
+# ----------------------------------------------------------------------
+# the worker pool
+# ----------------------------------------------------------------------
 
-    Building the models records no obs metrics, so building them once
-    in the parent (inline path) or once per worker (pooled path) leaves
-    the run's metrics the same."""
+class WorkerLost(RuntimeError):
+    """A task lost its worker process twice: the worker exited (killed,
+    out of memory, crashed) while running it, was respawned, and the
+    respawned worker exited too.  ``unit`` names the task's work and
+    ``exitcode`` is the last worker's exit code (negative: the signal
+    that killed it)."""
+
+    def __init__(self, unit: str, exitcode):
+        super().__init__(f"worker lost running {unit} "
+                         f"(exit code {exitcode}, after one retry)")
+        self.unit = unit
+        self.exitcode = exitcode
+
+
+class _RemoteTraceback(Exception):
+    """The cause attached to an exception re-raised from a worker."""
+
+    def __str__(self) -> str:
+        return f"\n\n(in the worker process)\n{self.args[0]}"
+
+
+class _Task:
+    __slots__ = ("task_id", "fn", "arg", "key", "label", "losses")
+
+    def __init__(self, task_id, fn, arg, key, label):
+        self.task_id = task_id
+        self.fn = fn
+        self.arg = arg
+        self.key = key
+        self.label = label
+        self.losses = 0
+
+
+class _Slot:
+    """One worker position: its process and channel (``None`` until
+    spawned, and again once the worker has exited), the task it runs,
+    and the tasks pinned to it that wait their turn."""
+
+    def __init__(self):
+        self.proc = None
+        self.conn = None
+        self.task = None
+        self.queue = deque()
+
+
+def _worker_main(conn) -> None:
+    """A worker process: answer each ``(fn, arg)`` received with
+    ``(True, fn(arg))`` or ``(False, (exception, traceback text))``,
+    until the ``None`` sentinel or the parent's end closing."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent owns ^C
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        fn, arg = task
+        try:
+            reply = (True, fn(arg))
+        except Exception as exc:
+            reply = (False, (exc, traceback.format_exc()))
+        try:
+            conn.send(reply)
+        except OSError:                 # the parent is gone
+            return
+        except Exception:               # an answer that does not pickle
+            text = traceback.format_exc()
+            conn.send((False, (RuntimeError(text), text)))
+
+
+class WorkerPool:
+    """``workers`` worker processes, each with its own task channel.
+
+    A task may carry a *key* (the trace key of its work).  The first
+    task of a key pins the key to the worker that runs it, and every
+    later task of that key waits for that worker: a trace's plan and
+    page-cache working set stay in one process (the WaSP locality
+    argument), and a trace that serve units capture on first use is
+    captured once.  Tasks of unpinned keys go to idle workers only, in
+    submission order.  A worker runs one task at a time; the parent
+    holds the rest.
+
+    Workers fork (spawn where fork is missing) when first given a
+    task, so they inherit whatever the parent prepared before.  A
+    worker that exits while running a task is respawned in the same
+    slot, so its pins survive, and the task is sent again; a task that
+    loses its worker twice fails with :class:`WorkerLost`.
+
+    :meth:`run` drives the pool from the calling thread.  :meth:`serve`
+    starts a thread that reports each finished task to a callback, for
+    callers that submit from an event loop.  As a context manager the
+    pool is closed when the block ends, or terminated when it raises.
+    """
+
+    def __init__(self, workers: int):
+        if workers < 1:
+            raise ValueError("a worker pool needs at least one worker")
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
+        self._slots = [_Slot() for _ in range(workers)]
+        self._pins = {}                 # key -> _Slot
+        self._backlog = deque()         # tasks whose key is unpinned
+        self._lock = threading.Lock()
+        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
+        self._ids = itertools.count()
+        self._drainer = None
+        self._closed = False
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.terminate()
+
+    # -- work ----------------------------------------------------------
+
+    def submit(self, task_id, fn, arg, key=None, label: str = "") -> None:
+        """Queue ``fn(arg)``; ``key`` routes it (see the class doc) and
+        ``label`` names it in a :class:`WorkerLost`."""
+        task = _Task(task_id, fn, arg, key, label)
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            owner = self._pins.get(key) if key is not None else None
+            (owner.queue if owner is not None else self._backlog) \
+                .append(task)
+            self._dispatch()
+
+    def run(self, fn, tasks):
+        """Run ``fn(arg)`` for each ``(key, label, arg)`` of ``tasks``
+        and yield the results as they finish.  A task's exception, or
+        its :class:`WorkerLost`, is raised here."""
+        pending = set()
+        for key, label, arg in tasks:
+            task_id = next(self._ids)
+            pending.add(task_id)
+            self.submit(task_id, fn, arg, key=key, label=label)
+        while pending:
+            for task_id, ok, value in self._poll():
+                pending.discard(task_id)
+                if not ok:
+                    exc, remote = value
+                    raise exc from (_RemoteTraceback(remote)
+                                    if remote else None)
+                yield value
+
+    def serve(self, on_result) -> None:
+        """Spawn every worker and start a thread that calls
+        ``on_result(task_id, ok, payload)`` for each finished task,
+        until the pool is closed; ``payload`` is the result, or the
+        error text of a failed task."""
+        with self._lock:
+            for slot in self._slots:
+                self._spawn(slot)
+        self._drainer = threading.Thread(
+            target=self._drain, args=(on_result,),
+            name="worker-pool-drain", daemon=True)
+        self._drainer.start()
+
+    def _drain(self, on_result) -> None:
+        while True:
+            for task_id, ok, value in self._poll():
+                if not ok:
+                    exc, remote = value
+                    value = remote or str(exc)
+                on_result(task_id, ok, value)
+            with self._lock:
+                if self._closed and \
+                        all(slot.proc is None for slot in self._slots):
+                    return
+
+    # -- lifecycle -----------------------------------------------------
+
+    def close(self) -> None:
+        """Let every worker finish its task, then stop and join it.
+        Tasks not yet sent to a worker are dropped."""
+        self._stop(kill=False)
+
+    def terminate(self) -> None:
+        """Kill every worker now (error paths and hard stops)."""
+        self._stop(kill=True)
+
+    def _stop(self, kill: bool) -> None:
+        with self._lock:
+            self._closed = True
+            procs = [slot.proc for slot in self._slots
+                     if slot.proc is not None]
+            for slot in self._slots:
+                if slot.proc is None:
+                    continue
+                if kill:
+                    slot.proc.kill()
+                    continue
+                try:
+                    slot.conn.send(None)
+                except OSError:
+                    pass
+            self._wake()
+        if self._drainer is not None:
+            self._drainer.join()        # it reaps every worker
+        else:
+            for proc in procs:
+                proc.join()
+
+    # -- internals (callers hold the lock unless noted) ----------------
+
+    def _wake(self) -> None:
+        """Interrupt a :meth:`_poll` waiting on a stale set of workers."""
+        self._wake_w.send_bytes(b"")
+
+    def _spawn(self, slot) -> None:
+        parent_end, child_end = self._ctx.Pipe()
+        proc = self._ctx.Process(target=_worker_main, args=(child_end,),
+                                 name="repro-pool-worker", daemon=True)
+        proc.start()
+        child_end.close()
+        slot.proc, slot.conn = proc, parent_end
+        self._wake()
+
+    def _dispatch(self) -> None:
+        """Give every idle worker its next task."""
+        if self._closed:
+            return
+        for slot in self._slots:
+            if slot.task is None:
+                task = self._next_task(slot)
+                if task is not None:
+                    self._send(slot, task)
+
+    def _next_task(self, slot):
+        """``slot``'s oldest pinned task, else the oldest backlog task,
+        pinning its key to ``slot``.  A backlog task whose key was
+        pinned meanwhile moves to its owner, which is busy: an idle
+        owner visited earlier in this pass drained the backlog."""
+        if slot.queue:
+            return slot.queue.popleft()
+        while self._backlog:
+            task = self._backlog.popleft()
+            owner = slot if task.key is None \
+                else self._pins.setdefault(task.key, slot)
+            if owner is slot:
+                return task
+            owner.queue.append(task)
+        return None
+
+    def _send(self, slot, task) -> None:
+        if slot.proc is None:
+            self._spawn(slot)
+        slot.task = task
+        try:
+            slot.conn.send((task.fn, task.arg))
+        except OSError:
+            pass                        # the worker died: _poll sees it
+
+    def _poll(self) -> list:
+        """Wait (without the lock) until a worker answers or exits;
+        returns the finished tasks as ``(task_id, ok, value)``."""
+        from multiprocessing.connection import wait
+
+        with self._lock:
+            watch = {}
+            for slot in self._slots:
+                if slot.proc is not None:
+                    watch[slot.conn] = slot
+                    watch[slot.proc.sentinel] = slot
+        ready = wait([*watch, self._wake_r])
+        done = []
+        with self._lock:
+            while self._wake_r.poll():
+                self._wake_r.recv_bytes()
+            for slot in dict.fromkeys(watch[obj] for obj in ready
+                                      if obj in watch):
+                self._service(slot, slot.proc.sentinel in ready, done)
+            self._dispatch()
+        return done
+
+    def _service(self, slot, exited: bool, done: list) -> None:
+        """Take ``slot``'s answer, if one is waiting, then handle its
+        worker's exit: respawn-and-resend once, :class:`WorkerLost`
+        the second time."""
+        proc, conn = slot.proc, slot.conn
+        try:
+            if conn.poll():
+                ok, value = conn.recv()
+                done.append((slot.task.task_id, ok, value))
+                slot.task = None
+        except (EOFError, OSError):     # it exited, maybe mid-answer
+            exited = True
+        if not exited:
+            return
+        proc.join()
+        conn.close()
+        task, slot.task = slot.task, None
+        slot.proc = slot.conn = None
+        if task is None or self._closed:
+            return
+        task.losses += 1
+        if task.losses < 2:
+            slot.queue.appendleft(task)     # _dispatch respawns the slot
+            return
+        done.append((task.task_id, False,
+                     (WorkerLost(task.label, proc.exitcode), None)))
+
+
+def _stage_pool(workers: int, n_tasks: int):
+    """A pool that lives for one stage, or ``nullcontext()`` (inline)
+    when ``workers <= 1`` or there is nothing to run."""
+    if workers > 1 and n_tasks:
+        return WorkerPool(min(workers, n_tasks))
+    return nullcontext()
+
+
+def _fan_out(pool, fn, tasks):
+    """``fn`` over ``tasks`` (``(key, label, arg)`` triples) on
+    ``pool``, or inline when it is ``None``; yields results unordered.
+    Inline and pooled runs go through the same entry points, so their
+    results and metrics are the same."""
+    if pool is None:
+        return (fn(arg) for _, _, arg in tasks)
+    return pool.run(fn, tasks)
+
+
+# ----------------------------------------------------------------------
+# worker entry points
+# ----------------------------------------------------------------------
+
+def _store(root: str):
+    """This process's handle on the trace store at ``root``, kept
+    across tasks."""
     global _WORKER_STORE
-    from repro.sim.trace_store import TraceStore
+    if _WORKER_STORE is None or str(_WORKER_STORE.root) != root:
+        from repro.sim.trace_store import TraceStore
+        _WORKER_STORE = TraceStore(root)
+    return _WORKER_STORE
 
-    if need_models:
-        _WORKER_MODELS.ensure()
-    _WORKER_STORE = TraceStore(store_root)
+
+def _run_trace(task) -> list:
+    """Stage-2 task ``(store root, [(index, spec), ...])``: every
+    pending unit of one trace, in work-list order, so the units share
+    the process's plan of that trace.  Each unit runs under a fresh obs
+    scope whose snapshot travels home with the result (as the transient
+    ``"obs"`` key, popped and merged by the parent).  Returns
+    ``[(index, result), ...]``."""
+    root, items = task
+    store = _store(root)
+    done = []
+    for index, spec in items:
+        with obs.scoped() as reg:
+            with reg.span("runner.unit"):
+                result = execute_unit(spec, models=_WORKER_MODELS,
+                                      store=store)
+        result.data["obs"] = reg.snapshot()
+        done.append((index, result))
+    return done
 
 
-def _run_one(item) -> tuple:
-    """One unit, end to end, under a fresh obs scope whose snapshot
-    travels home with the result (as the transient ``"obs"`` key —
-    popped and merged by the parent)."""
-    index, spec = item
+def _capture_one(task) -> tuple:
+    """Stage-1 task ``(store root, item)``:
+    :func:`~repro.runner.units.capture_trace` one distinct (kernel,
+    scale, seed).  Returns ``(key, captured, wall_s, obs_snapshot)``."""
+    root, item = task
     with obs.scoped() as reg:
-        with reg.span("runner.unit"):
-            result = execute_unit(spec, models=_WORKER_MODELS,
-                                  store=_WORKER_STORE)
-    result.data["obs"] = reg.snapshot()
-    return index, result
-
-
-def _run_trace(items) -> list:
-    """Stage-2 work item: every pending unit of one trace, in
-    work-list order, so the units share the process's plan of that
-    trace.  Returns ``[(index, result), ...]``."""
-    return [_run_one(item) for item in items]
-
-
-def _trace_items(pending) -> list:
-    """The evaluation fan-out's items: the pending ``(index, spec)``
-    pairs grouped by (kernel, scale, seed), in work-list order."""
-    groups = {}
-    for i, spec in pending:
-        groups.setdefault((spec.kernel, spec.scale, spec.seed), []) \
-            .append((i, spec))
-    return list(groups.values())
+        with reg.span("runner.trace.capture"):
+            t0 = time.perf_counter()
+            created = capture_trace(_store(root), *item)
+            wall_s = time.perf_counter() - t0 if created else 0.0
+    return item[0], created, wall_s, reg.snapshot()
 
 
 def capture_items(specs, version: str) -> dict:
@@ -112,51 +449,23 @@ def capture_items(specs, version: str) -> dict:
     return items
 
 
-def _capture_one(item) -> tuple:
-    """Stage-1 work item: :func:`~repro.runner.units.capture_trace`
-    one distinct (kernel, scale, seed).  Returns
-    ``(key, captured, wall_s, obs_snapshot)``."""
-    with obs.scoped() as reg:
-        with reg.span("runner.trace.capture"):
-            t0 = time.perf_counter()
-            created = capture_trace(_WORKER_STORE, *item)
-            wall_s = time.perf_counter() - t0 if created else 0.0
-    return item[0], created, wall_s, reg.snapshot()
+def capture_traces(store, items, workers: int):
+    """Stage 1 over ``items`` (values of :func:`capture_items`) on a
+    pool that exits with the stage, or inline for ``workers <= 1``.
+    Yields ``(key, captured, wall_s, obs_snapshot)`` as each finishes;
+    a capture whose worker dies twice raises :class:`WorkerLost`
+    naming the kernel."""
+    root = str(store.root)
+    tasks = [(None, item[1], (root, item)) for item in items]
+    with _stage_pool(workers, len(tasks)) as pool:
+        yield from _fan_out(pool, _capture_one, tasks)
 
 
-def _pool_context():
-    """Prefer fork (cheap, Linux CI); fall back to spawn elsewhere."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
+# ----------------------------------------------------------------------
+# the runner
+# ----------------------------------------------------------------------
 
-
-def _map_parallel(fn, items, workers, store_root,
-                  need_models: bool = True):
-    """Run ``fn`` over ``items`` inline or across a pool, yielding
-    results unordered.  The inline path goes through the same worker
-    entry points, which is what the parallel-equals-serial guarantee
-    rests on.
-
-    Each item is one task: the evaluation stage passes one item per
-    trace (see :func:`_run_trace`), so a trace's plan is built by one
-    worker.  Results and metrics are scheduling-independent either way.
-    """
-    if not items:
-        return
-    if workers > 1 and len(items) > 1:
-        ctx = _pool_context()
-        with ctx.Pool(min(workers, len(items)),
-                      initializer=_init_worker,
-                      initargs=(store_root, need_models)) as pool:
-            yield from pool.imap_unordered(fn, items)
-    else:
-        _init_worker(store_root, need_models=need_models)
-        for item in items:
-            yield fn(item)
-
-
-def run_units(specs, options: RunOptions = None) -> list:
+def run_units(specs, options: RunOptions = None, pool=None) -> list:
     """Execute ``specs`` and return their results, in order.
 
     Each element is a typed :class:`~repro.st2.results.RunResult` —
@@ -176,6 +485,11 @@ def run_units(specs, options: RunOptions = None) -> list:
 
     Traces come from ``options.trace_store``, or from the process-wide
     :func:`~repro.sim.trace_store.scratch_store` when it is ``None``.
+
+    Evaluation runs on ``pool`` when given (a :class:`WorkerPool` the
+    caller keeps across calls), else on a pool of ``options.workers``
+    that lives for this call, else inline for ``workers <= 1``.  A unit
+    whose worker dies twice raises :class:`WorkerLost`.
     """
     from repro.sim.trace_store import scratch_store
     from repro.st2.results import RunResult
@@ -238,17 +552,27 @@ def run_units(specs, options: RunOptions = None) -> list:
         with reg.span("runner.stage.init"):
             stats["stage_init_s"] = _prepare_eval(pending)
         t0 = time.perf_counter()
-        items = _trace_items(pending)
-        workers = options.workers
-        if len(pending) <= INLINE_MAX_UNITS:
-            workers = 1
+        tasks = _eval_tasks(pending, trace_keys, str(store.root))
         with reg.span("runner.stage.eval"):
-            for done in _map_parallel(_run_trace, items, workers,
-                                      str(store.root)):
-                for i, result in done:
-                    finish(i, result)
+            with (nullcontext(pool) if pool is not None
+                  else _stage_pool(options.workers, len(tasks))) as live:
+                for done in _fan_out(live, _run_trace, tasks):
+                    for i, result in done:
+                        finish(i, result)
         stats["stage_eval_s"] = time.perf_counter() - t0
     return results
+
+
+def _eval_tasks(pending, trace_keys, root: str) -> list:
+    """The evaluation fan-out's tasks, one per trace:
+    ``(trace key, unit labels, (root, [(index, spec), ...]))`` with
+    the trace's pending units in work-list order."""
+    groups = {}
+    for i, spec in pending:
+        groups.setdefault(trace_keys[i], []).append((i, spec))
+    return [(key, ", ".join(spec.label for _, spec in items),
+             (root, items))
+            for key, items in groups.items()]
 
 
 def _prepare_eval(pending) -> float:
@@ -257,12 +581,13 @@ def _prepare_eval(pending) -> float:
     per-kernel static carry facts.
 
     Pool workers are forked from the parent wherever fork exists
-    (Linux, the CI runners), so warming these memos here means every
-    worker inherits them instead of each paying the adder
-    characterisation on first use inside the evaluation stage —
-    ``stage_eval_s`` then measures evaluation, not interpreter
-    start-up.  On spawn platforms the workers still build their own
-    models in ``_init_worker``; results are identical either way.
+    (Linux, the CI runners) when first given a task, so warming these
+    memos here means every worker inherits them instead of each paying
+    the adder characterisation on first use inside the evaluation
+    stage — ``stage_eval_s`` then measures evaluation, not interpreter
+    start-up.  Workers that already run (a sweep's pool, from an
+    earlier wave) or were spawned build what they miss on first use;
+    results are identical either way.
 
     Neither the models nor the facts memo record obs metrics.  Returns
     the wall time spent (reported as ``stage_init_s``).
@@ -293,9 +618,8 @@ def _populate_store(store, pending, options: RunOptions,
     t0 = time.perf_counter()
     captured = []
     registry = obs.get_obs()
-    for key, created, wall_s, snap in _map_parallel(
-            _capture_one, todo, options.workers, str(store.root),
-            need_models=False):
+    for key, created, wall_s, snap in capture_traces(store, todo,
+                                                     options.workers):
         registry.merge(snap)
         if created:
             captured.append(key)

@@ -13,7 +13,8 @@ same store ``st2-run --trace-store`` reads, so ``capture`` followed by
 a sweep is the capture-once/evaluate-many workflow from EXPERIMENTS.md.
 
 Exit codes follow the shared contract (:mod:`repro.cli_common`):
-0 success, 1 damaged entries found, 2 usage/input errors.  ``ls`` and
+0 success, 1 damaged entries found or a capture that lost its worker
+process twice, 2 usage/input errors.  ``ls`` and
 ``verify`` accept ``--json``.
 """
 
@@ -102,8 +103,8 @@ def _cmd_ls(store: TraceStore, args) -> int:
 
 
 def _cmd_capture(store: TraceStore, args) -> int:
-    from repro.runner.pool import (_capture_one, _map_parallel,
-                                   capture_items, default_workers)
+    from repro.runner.pool import (WorkerLost, capture_items,
+                                   capture_traces, default_workers)
     from repro.runner.units import build_units
 
     if args.workers is not None and args.workers < 1:
@@ -121,19 +122,22 @@ def _cmd_capture(store: TraceStore, args) -> int:
     workers = args.workers if args.workers is not None \
         else default_workers()
     captured = skipped = 0
-    for key, created, wall_s, _snap in _map_parallel(
-            _capture_one, items, workers, str(store.root),
-            need_models=False):
-        header = store.header(key)
-        if created:
-            captured += 1
-            print(f"captured {header['kernel']:<14} "
-                  f"{header['n_rows']:>10,} rows in {wall_s:.2f}s "
-                  f"-> {key[:12]}")
-        else:
-            skipped += 1
-            print(f"warm     {header['kernel']:<14} "
-                  f"{header['n_rows']:>10,} rows  {key[:12]}")
+    try:
+        for key, created, wall_s, _snap in capture_traces(
+                store, items, workers):
+            header = store.header(key)
+            if created:
+                captured += 1
+                print(f"captured {header['kernel']:<14} "
+                      f"{header['n_rows']:>10,} rows in {wall_s:.2f}s "
+                      f"-> {key[:12]}")
+            else:
+                skipped += 1
+                print(f"warm     {header['kernel']:<14} "
+                      f"{header['n_rows']:>10,} rows  {key[:12]}")
+    except WorkerLost as exc:
+        return cli_common.fail("st2-trace", str(exc),
+                               code=cli_common.EXIT_PROBLEMS)
     print(f"{captured} captured, {skipped} already warm, "
           f"store: {store.root}")
     return cli_common.EXIT_OK

@@ -1,7 +1,8 @@
-"""``repro.serve`` — the async sharded experiment service.
+"""``repro.serve`` — the async experiment service.
 
-A zero-new-dependency HTTP/JSON daemon (``st2-serve``) fronting a
-sharded multiprocessing worker pool, plus the matching client library
+A zero-new-dependency HTTP/JSON daemon (``st2-serve``) fronting the
+runner's :class:`~repro.runner.pool.WorkerPool` (trace keys pinned to
+workers, dead workers respawned), plus the matching client library
 and CLI (``st2-client``).  Jobs are submitted as typed
 :class:`repro.api.JobSpec` documents, expand server-side into the same
 work units ``st2-run`` executes offline, and come back as
@@ -14,8 +15,6 @@ Layering (each module is independently testable):
   chunked streaming);
 * :mod:`repro.serve.state` — jobs, priority queue, per-client quotas,
   request coalescing;
-* :mod:`repro.serve.pool` — trace-key-sharded worker processes
-  (capture-exactly-once by construction);
 * :mod:`repro.serve.app` — routes + dispatcher + graceful drain;
 * :mod:`repro.serve.client` — blocking client library over
   ``http.client``;
@@ -28,10 +27,9 @@ See ``docs/serving.md`` for the API reference and deployment notes.
 from __future__ import annotations
 
 from repro.serve.app import DISPATCH_DEPTH, ServeApp, run_app
-from repro.serve.pool import ShardedPool, shard_of
 from repro.serve.state import RejectError, ServeState
 
 __all__ = [
     "DISPATCH_DEPTH", "RejectError", "ServeApp", "ServeState",
-    "ShardedPool", "run_app", "shard_of",
+    "run_app",
 ]

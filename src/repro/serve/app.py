@@ -2,10 +2,15 @@
 
 One :class:`ServeApp` owns the whole server: the HTTP front
 (:mod:`repro.serve.httpd`), the job state (:mod:`repro.serve.state`),
-the sharded worker pool (:mod:`repro.serve.pool`), the result cache
-and the observability registry.  The event loop thread is the only
-thing that touches mutable state — pool results hop onto it via
-``call_soon_threadsafe`` — so the application needs no locks.
+one :class:`~repro.runner.pool.WorkerPool` for the daemon's lifetime,
+the result cache and the observability registry.  The pool pins each
+trace key to the worker that first runs it, so a trace is captured
+once and its plan stays hot in one process.  The event loop thread is
+the only thing that touches the application's mutable state — pool
+results hop onto it via ``call_soon_threadsafe`` — so the application
+needs no locks.  A unit whose worker dies twice fails its jobs
+(``serve.units.errors``); the pool respawns the worker and the daemon
+keeps serving.
 
 Request lifecycle::
 
@@ -38,7 +43,6 @@ from repro import obs
 from repro.api import (SCHEMA_VERSION, ErrorEnvelope, JobResult,
                        JobSpec, WireError)
 from repro.serve import httpd
-from repro.serve.pool import ShardedPool
 from repro.serve.state import (DEFAULT_CLIENT_QUOTA,
                                DEFAULT_MAX_QUEUED_UNITS, RejectError,
                                ServeState)
@@ -76,6 +80,7 @@ class ServeApp:
                  host: str = "127.0.0.1", port: int = 0,
                  registry=None):
         from repro.runner.cache import ResultCache, code_version
+        from repro.runner.pool import WorkerPool
         from repro.sim.trace_store import scratch_store
 
         self.state = ServeState(client_quota=client_quota,
@@ -88,8 +93,7 @@ class ServeApp:
         self.use_cache = use_cache
         self.code_version = code_version()
         self.registry = registry if registry is not None else obs.Obs()
-        self.pool = ShardedPool(shards, str(self.trace_store.root),
-                                on_result=self._on_pool_result)
+        self.pool = WorkerPool(shards)
         self.server = httpd.HttpServer(self.handle, host=host,
                                        port=port)
         self._loop = None
@@ -106,7 +110,9 @@ class ServeApp:
         port; ``self.server.address`` is the resolved URL)."""
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
-        await self._loop.run_in_executor(None, self.pool.start)
+        # fork the workers before the listener opens: none inherits it
+        await self._loop.run_in_executor(None, self.pool.serve,
+                                         self._on_pool_result)
         await self.server.start()
         return self
 
@@ -159,8 +165,10 @@ class ServeApp:
         """Dispatch units while budget lasts.  Cache hits and
         coalesced units never consume budget, so a fully-warm job
         completes within the submitting request."""
+        from repro.runner.pool import _run_trace
         from repro.runner.units import unit_trace_key
 
+        root = str(self.trace_store.root)
         while self._budget > 0:
             job = self._next_dispatchable()
             if job is None:
@@ -181,7 +189,8 @@ class ServeApp:
             spec = job.units[index]
             trace_key = unit_trace_key(spec, self.code_version)
             entry.trace_key = trace_key
-            self.pool.submit(key, spec, trace_key)
+            self.pool.submit(key, _run_trace, (root, [(index, spec)]),
+                             key=trace_key, label=spec.label)
             self._budget -= 1
 
     def _next_dispatchable(self):
@@ -212,13 +221,16 @@ class ServeApp:
             return best
 
     def _on_pool_result(self, key, ok: bool, payload) -> None:
-        """Runs on the pool drainer thread: hop onto the loop."""
+        """Runs on the pool's drain thread: hop onto the loop.
+        ``payload`` is ``[(index, result)]``, or the error text."""
         self._loop.call_soon_threadsafe(self._finish_exec, key, ok,
                                         payload)
 
     def _finish_exec(self, key, ok: bool, payload) -> None:
         with obs.scoped(self.registry):
             if ok:
+                ((_, result),) = payload
+                payload = result.to_dict()
                 snap = payload.pop("obs", None)
                 if snap:
                     self.registry.merge(snap)

@@ -21,7 +21,8 @@ workflow).  The observability snapshot rides next to the manifest as
 
 Exit codes follow the shared contract (:mod:`repro.cli_common`):
 0 success (including a budget-bounded partial sweep), 1 sweep
-execution failures, 2 usage/input errors (bad spec files, out-of-range
+execution failures (a unit that lost its worker process twice
+included; rerunning resumes), 2 usage/input errors (bad spec files, out-of-range
 ``--workers``/``--max-units`` and resume-digest mismatches included).
 """
 
@@ -117,6 +118,7 @@ def _load_spec(path):
 def _cmd_run(args) -> int:
     import json
 
+    from repro.runner.pool import WorkerLost
     from repro.sweep.engine import (ResumeMismatch, SweepError,
                                     SweepOptions, run_sweep)
 
@@ -149,6 +151,10 @@ def _cmd_run(args) -> int:
     except SweepError as exc:
         return cli_common.fail(PROG, str(exc),
                                code=cli_common.EXIT_PROBLEMS)
+    except WorkerLost as exc:
+        return cli_common.fail(
+            PROG, f"{exc}; rerun the same command to resume from "
+            f"{manifest}", code=cli_common.EXIT_PROBLEMS)
 
     doc = result.to_wire()
     out = Path(args.out)

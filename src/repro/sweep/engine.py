@@ -4,8 +4,9 @@ incremental Pareto tracking and provably-sound early pruning.
 Execution is config-major over the plan's equivalence classes
 (:mod:`repro.sweep.grid`): each scheduled config evaluates its kernels
 in waves, updating the Pareto frontier as configs complete.  Every
-wave runs through :func:`repro.runner.pool.run_units`, the same
-in-process pool path as ``st2-run``.
+wave runs through :func:`repro.runner.pool.run_units`, the same path
+as ``st2-run``, on one evaluation pool that lives for the whole sweep:
+each trace stays pinned to the worker holding its plan.
 
 **Pruning** (default on; ``--no-prune`` for exhaustive mode) has two
 tiers, both logged to obs counters and both frontier-preserving:
@@ -43,15 +44,18 @@ manifest stamped with the spec digest.  A restarted sweep replays
 those units — tolerating a torn final line from a mid-write kill —
 and executes only what is missing (``sweep.units.reused`` vs
 ``sweep.units.executed``; the kill/resume CI job pins re-executions
-at zero).
+at zero).  A unit whose worker dies twice ends the sweep in
+:class:`~repro.runner.pool.WorkerLost`; every wave finished before it
+is in the manifest, so a rerun resumes from there.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, List, Mapping, Optional,
-                    Tuple)
+from typing import (Any, ContextManager, Dict, Iterable, List, Mapping,
+                    Optional, Tuple)
 
 from repro import obs
 from repro.api import SweepSpec
@@ -437,13 +441,15 @@ class _SweepRun:
 
     # -- execution -----------------------------------------------------
 
-    def execute(self, units: List[Any]) -> None:
-        """Run one wave, manifest every result as it lands."""
+    def execute(self, units: List[Any], pool: Any) -> None:
+        """Run one wave on the sweep's evaluation ``pool`` (``None``:
+        inline), then manifest its results."""
         from repro.runner.pool import run_units
 
         t0 = time.perf_counter()
         results = [r.to_dict() for r in run_units(units,
-                                                  self.run_options)]
+                                                  self.run_options,
+                                                  pool=pool)]
         self.registry.record_timer("sweep.wave.wall",
                                    time.perf_counter() - t0)
         for unit in results:
@@ -587,6 +593,8 @@ class _SweepRun:
 def run_sweep(spec: SweepSpec, manifest_path: str,
               options: Optional[SweepOptions] = None) -> SweepResult:
     """Execute one sweep end to end; see the module docstring."""
+    from repro.runner.pool import WorkerPool
+
     options = options if options is not None else SweepOptions()
     plan = expand_plan(spec)
     if not plan.groups:
@@ -599,11 +607,17 @@ def run_sweep(spec: SweepSpec, manifest_path: str,
     run.count("sweep.expand.duplicates", plan.duplicate_configs)
     run.load_resume()
     run.open_manifest()
+    workers = run.run_options.workers
+    # one evaluation pool for every wave, so a trace stays pinned to
+    # the worker that holds its plan
+    evaluation: ContextManager[Any] = WorkerPool(workers) \
+        if workers > 1 else nullcontext()
     try:
-        if options.prune:
-            _run_pruned(run)
-        else:
-            _run_exhaustive(run)
+        with evaluation as pool:
+            if options.prune:
+                _run_pruned(run, pool)
+            else:
+                _run_exhaustive(run, pool)
     finally:
         assert run.writer is not None
         run.writer.close()
@@ -635,7 +649,7 @@ def _chunk_size(run: _SweepRun) -> int:
     return max(1, default_workers())
 
 
-def _run_pruned(run: _SweepRun) -> None:
+def _run_pruned(run: _SweepRun, pool: Any) -> None:
     """Config-major execution: one representative per equivalence
     class, domination-checked between waves."""
     chunk = _chunk_size(run)
@@ -657,13 +671,13 @@ def _run_pruned(run: _SweepRun) -> None:
                 else min(len(pending), budget)
             wave, pending = pending[:min(take, chunk)], \
                 pending[min(take, chunk):]
-            run.execute(wave)
+            run.execute(wave, pool)
         if config.name not in run.pruned \
                 and not run.pending_units(config):
             run.finish_config(group, config)
 
 
-def _run_exhaustive(run: _SweepRun) -> None:
+def _run_exhaustive(run: _SweepRun, pool: Any) -> None:
     """Every grid member executes, in multi-config waves of up to
     :data:`WAVE_UNITS` units.  Equivalent members must agree bit-for-bit
     before merging into their class point (the soundness check that
@@ -681,12 +695,12 @@ def _run_exhaustive(run: _SweepRun) -> None:
                 break
             wave.append(unit)
             if len(wave) >= WAVE_UNITS:
-                run.execute(wave)
+                run.execute(wave, pool)
                 wave = []
         if not run.complete:
             break
     if wave:
-        run.execute(wave)
+        run.execute(wave, pool)
     if not run.complete:
         run.say("unit budget exhausted; stopping "
                 "(resume from the manifest)")

@@ -7,18 +7,16 @@ import pytest
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Route every fan-out through the pool — the test grids sit under
-    :data:`~repro.runner.pool.INLINE_MAX_UNITS` — and record each pool
-    started, so a test can assert the pool really ran."""
-    from repro.runner import pool
+    """Record every worker process a :class:`WorkerPool` starts, so a
+    test can assert the pool really ran."""
+    from repro.runner.pool import WorkerPool
 
     started = []
-    real = pool._pool_context
+    real = WorkerPool._spawn
 
-    def spy():
-        started.append(True)
-        return real()
+    def spy(self, slot):
+        started.append(self)
+        return real(self, slot)
 
-    monkeypatch.setattr(pool, "INLINE_MAX_UNITS", 0)
-    monkeypatch.setattr(pool, "_pool_context", spy)
+    monkeypatch.setattr(WorkerPool, "_spawn", spy)
     return started

@@ -76,45 +76,21 @@ def test_default_workers_bounded():
 
 
 def spy_eval_fan_outs(monkeypatch) -> list:
-    """Record ``(items, workers)`` of every evaluation fan-out."""
+    """Record ``(items, pool)`` of every evaluation fan-out: the
+    ``[(index, spec), ...]`` of each task, and the pool it ran on
+    (``None`` inline)."""
     from repro.runner import pool
 
     seen = []
-    real = pool._map_parallel
+    real = pool._fan_out
 
-    def spy(fn, items, workers, store_root, need_models=True):
+    def spy(live, fn, tasks):
         if fn is pool._run_trace:
-            seen.append((items, workers))
-        return real(fn, items, workers, store_root,
-                    need_models=need_models)
+            seen.append(([arg[1] for _, _, arg in tasks], live))
+        return real(live, fn, tasks)
 
-    monkeypatch.setattr(pool, "_map_parallel", spy)
+    monkeypatch.setattr(pool, "_fan_out", spy)
     return seen
-
-
-class TestInlineDispatch:
-    """Evaluation fan-outs of at most ``INLINE_MAX_UNITS`` units skip
-    the pool (its fork + IPC overhead dominates millisecond-priced
-    units); larger ones honour ``options.workers``."""
-
-    def eval_workers(self, monkeypatch, cutoff=None):
-        from repro.runner import pool
-
-        seen = spy_eval_fan_outs(monkeypatch)
-        if cutoff is not None:
-            monkeypatch.setattr(pool, "INLINE_MAX_UNITS", cutoff)
-        units = build_units(KERNELS, scale=0.1, aux=False)
-        run_units(units, RunOptions(workers=2, use_cache=False))
-        assert len(seen) == 1
-        return seen[0][1]
-
-    def test_small_grid_runs_inline(self, monkeypatch):
-        from repro.runner.pool import INLINE_MAX_UNITS
-        assert len(KERNELS) <= INLINE_MAX_UNITS
-        assert self.eval_workers(monkeypatch) == 1
-
-    def test_large_grid_honours_workers(self, monkeypatch):
-        assert self.eval_workers(monkeypatch, cutoff=1) == 2
 
 
 class TestOncePerTrace:

@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from repro.runner import RunOptions, build_units, resolve_configs, run_units
-from repro.runner.pool import INLINE_MAX_UNITS
 from repro.runner.units import execute_unit, unit_trace_key
 from repro.sim.trace_store import scratch_store
 
@@ -34,19 +33,12 @@ class TestNoMemo:
         run_units(units, RunOptions(workers=1, use_cache=False))
         assert in_scratch(units)
 
-    def test_pooled_run_units(self, monkeypatch):
-        from repro.runner import pool
-
-        started = []
-        real = pool._pool_context
-        monkeypatch.setattr(pool, "_pool_context",
-                            lambda: started.append(True) or real())
+    def test_pooled_run_units(self, pools):
         units = build_units(KERNELS, configs=resolve_configs("ladder"),
                             scale=0.1, seed=12, aux=False)
-        assert len(units) > INLINE_MAX_UNITS
         assert not in_scratch(units)
         run_units(units, RunOptions(workers=2, use_cache=False))
-        assert started, "the run never started a pool"
+        assert pools, "the run never started a pool"
         assert in_scratch(units)
 
     def test_execute_unit(self):

@@ -95,8 +95,8 @@ def reject_server(tmp_path_factory):
     app = ServeApp(shards=1, cache=ResultCache(root / "cache"),
                    use_cache=False, client_quota=4,
                    max_queued_units=6, registry=obs.Obs())
-    app.pool.start = lambda wait_ready=True: app.pool  # never fork
-    app.pool.submit = lambda *a, **k: 0                # swallow work
+    app.pool.serve = lambda on_result: None            # never fork
+    app.pool.submit = lambda *a, **k: None             # swallow work
     harness = ServerHarness(app).start()
     yield harness
     harness.stop()

@@ -231,10 +231,7 @@ class TestSeededRandomDraws:
 class TestObsCounterParity:
     KERNELS = ["qrng_K1", "qrng_K2"]
 
-    def grid(self, tmp_path, monkeypatch, workers=1):
-        from repro.runner import pool
-
-        monkeypatch.setattr(pool, "INLINE_MAX_UNITS", 0)
+    def grid(self, tmp_path, workers=1):
         units = build_units(self.KERNELS, configs=(ST2_DESIGN, PREV),
                             scale=SCALE, aux=False)
         opts = RunOptions(
@@ -243,11 +240,10 @@ class TestObsCounterParity:
         results = run_units(units, opts)
         return results, opts.obs.snapshot()["counters"]
 
-    def test_counters_count_one_evaluation_per_unit(self, tmp_path,
-                                                    monkeypatch):
+    def test_counters_count_one_evaluation_per_unit(self, tmp_path):
         """Each unit adds one prediction and one evaluation; the adder
         misprediction counter is the units' dynamic mispredictions."""
-        results, counters = self.grid(tmp_path, monkeypatch)
+        results, counters = self.grid(tmp_path)
         rows = sum(r.trace_rows for r in results)
         assert counters["core.predict.ops"] == rows
         assert counters["core.adder.ops"] == rows
@@ -255,7 +251,7 @@ class TestObsCounterParity:
             round(r.metrics.misprediction_rate * r.trace_rows)
             for r in results)
 
-    def test_counters_worker_independent(self, tmp_path, monkeypatch):
-        _, serial = self.grid(tmp_path, monkeypatch, workers=1)
-        _, parallel = self.grid(tmp_path, monkeypatch, workers=2)
+    def test_counters_worker_independent(self, tmp_path):
+        _, serial = self.grid(tmp_path, workers=1)
+        _, parallel = self.grid(tmp_path, workers=2)
         assert serial == parallel

@@ -202,3 +202,36 @@ class TestOptions:
         with pytest.raises(KeyError):
             run_sweep(small_spec(kernels=("warp_drive",)),
                       tmp_path / "m.jsonl", make_options(cache_dir))
+
+
+class TestEvaluationPool:
+    def test_one_pool_and_trace_locality(self, tmp_path, monkeypatch):
+        """A 2-worker sweep starts one evaluation pool for all its
+        waves, and every unit of one trace runs on the same worker."""
+        from repro.runner.pool import WorkerPool, _run_trace
+
+        sends = []                  # (pool, trace key, worker slot)
+        real = WorkerPool._send
+
+        def spy(pool, slot, task):
+            if task.fn is _run_trace:
+                sends.append((pool, task.key, pool._slots.index(slot)))
+            return real(pool, slot, task)
+
+        monkeypatch.setattr(WorkerPool, "_send", spy)
+        spec = small_spec(
+            name="engine-pool",
+            kernels=("qrng_K2", "sortNets_K2", "qrng_K1", "pathfinder"),
+            axes=(("mechanism", ("operand", "prev", "valhalla")),),
+            scale=0.1)
+        result = run_sweep(spec, tmp_path / "m.jsonl",
+                           SweepOptions(use_cache=False, workers=2,
+                                        registry=obs.Obs()))
+        assert result.complete
+        assert len({pool for pool, _, _ in sends}) == 1
+        slots = {}
+        for _, key, slot in sends:
+            slots.setdefault(key, set()).add(slot)
+        assert len(slots) == 4
+        assert all(len(s) == 1 for s in slots.values()), slots
+        assert len(sends) > len(slots), "no trace ran twice"
