@@ -23,7 +23,7 @@ Public API highlights
   schemas of :mod:`repro.api`.
 * :mod:`repro.sweep` — declarative design-space sweeps (``st2-sweep``)
   with incremental Pareto-frontier tracking, sound dominance pruning
-  and manifest-based resume, locally or against ``st2-serve``.
+  and manifest-based resume.
 
 See DESIGN.md for the full system inventory, EXPERIMENTS.md for the
 paper-vs-measured record of every figure, and README.md ("Public API")

@@ -37,6 +37,7 @@ field it is ignored.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
@@ -60,6 +61,16 @@ ERROR_CODES = ("bad_request", "not_found", "pending", "quota_exhausted",
 
 class WireError(ValueError):
     """A wire document failed validation (shape, types or version)."""
+
+
+def valid_scale(value: Any) -> bool:
+    """Whether ``value`` is a usable workload scale: a finite, positive
+    real number.  The one check behind :class:`JobSpec`,
+    :class:`SweepSpec` and the ``--scale`` of ``st2-run``,
+    ``st2-trace capture`` and ``st2-report``."""
+    return (isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
 
 
 def _check_version(doc: Mapping[str, Any], kind: str) -> int:
@@ -122,10 +133,9 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.kernels:
             raise WireError("job_spec: kernels must be non-empty")
-        if not (isinstance(self.scale, (int, float))
-                and self.scale > 0):
-            raise WireError(f"job_spec: scale must be positive, "
-                            f"got {self.scale!r}")
+        if not valid_scale(self.scale):
+            raise WireError(f"job_spec: scale must be finite and "
+                            f"positive, got {self.scale!r}")
 
     # -- wire form -----------------------------------------------------
 
@@ -245,11 +255,9 @@ class SweepSpec:
         if not self.name or not isinstance(self.name, str):
             raise WireError("sweep_spec: name must be a non-empty "
                             "string")
-        if not (isinstance(self.scale, (int, float))
-                and not isinstance(self.scale, bool)
-                and self.scale > 0):
-            raise WireError(f"sweep_spec: scale must be positive, "
-                            f"got {self.scale!r}")
+        if not valid_scale(self.scale):
+            raise WireError(f"sweep_spec: scale must be finite and "
+                            f"positive, got {self.scale!r}")
         if not self.axes:
             raise WireError("sweep_spec: axes must name at least one "
                             "swept field")

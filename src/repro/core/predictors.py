@@ -32,6 +32,7 @@ and the two are cross-checked in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -160,15 +161,13 @@ def predict_trace(trace, config: SpeculationConfig,
     ``carries`` optionally supplies the trace's precomputed true slice
     carry-ins (:func:`trace_slice_carries`)."""
     from repro.core.batch import build_pack, predict_trace_batch
-    with obs.timer("core.predict"):
+    with obs.span("core.predict"):
         pack = build_pack(trace)
         if carries is not None:
             pack.carries = carries
         pred = predict_trace_batch(trace, config, pack)
-    obs.add("core.predict.ops", pack.n_rows)
-    obs.add("core.predict.history_lookups", pack.history_lookups)
-    obs.add("core.predict.history_hits", int(pred.has_prev.sum()))
-    obs.add("core.predict.peek_static", int(pred.peek_known.sum()))
+    count_speculation(pack.n_rows, prediction=pred,
+                      history_lookups=pack.history_lookups)
     return pred
 
 
@@ -209,16 +208,39 @@ def evaluate_trace(trace, prediction: Prediction) -> SpeculationResult:
     """Run the ST2 adder over the trace with the given predictions."""
     from repro.core.batch import build_pack, evaluate_trace_batch
     n = len(trace)
-    with obs.timer("core.evaluate"):
+    with obs.span("core.evaluate"):
         mispredicted, recomputed, wrong_bits = evaluate_trace_batch(
             build_pack(trace), prediction.bits)
-    obs.add("core.adder.ops", n)
-    obs.add("core.adder.mispredicts", int(mispredicted.sum()))
-    obs.add("core.adder.recomputed_slices", int(recomputed.sum()))
-    obs.add("core.adder.wrong_bits", int(wrong_bits.sum()))
-    return SpeculationResult(config=prediction.config, n_ops=n,
-                             mispredicted=mispredicted,
-                             recomputed=recomputed, wrong_bits=wrong_bits)
+    result = SpeculationResult(config=prediction.config, n_ops=n,
+                               mispredicted=mispredicted,
+                               recomputed=recomputed,
+                               wrong_bits=wrong_bits)
+    count_speculation(n, result=result)
+    return result
+
+
+def count_speculation(n: int, prediction: Optional[Prediction] = None,
+                      history_lookups: int = 0,
+                      result: Optional[SpeculationResult] = None
+                      ) -> None:
+    """Add one prediction (``prediction``, with its ``history_lookups``)
+    and/or one adder evaluation (``result``) over ``n`` operations to
+    the ``core.predict.*`` / ``core.adder.*`` counters — the one
+    emitter behind :func:`predict_trace`, :func:`evaluate_trace` and
+    the evaluation engine."""
+    if prediction is not None:
+        obs.add("core.predict.ops", n)
+        obs.add("core.predict.history_lookups", history_lookups)
+        obs.add("core.predict.history_hits",
+                int(prediction.has_prev.sum()))
+        obs.add("core.predict.peek_static",
+                int(prediction.peek_known.sum()))
+    if result is not None:
+        obs.add("core.adder.ops", n)
+        obs.add("core.adder.mispredicts", int(result.mispredicted.sum()))
+        obs.add("core.adder.recomputed_slices",
+                int(result.recomputed.sum()))
+        obs.add("core.adder.wrong_bits", int(result.wrong_bits.sum()))
 
 
 def run_speculation(trace, config: SpeculationConfig) -> SpeculationResult:

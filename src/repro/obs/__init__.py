@@ -1,6 +1,6 @@
 """``repro.obs`` — the unified observability layer.
 
-Zero-dependency hierarchical counters, timers and spans, threaded
+Zero-dependency counters and hierarchical span timers, threaded
 through the hot paths of the stack (functional executor, cycle models,
 predictors, trace store, runner), plus the ``metrics.json`` dump format
 and the baseline machinery behind ``st2-stats``.
@@ -11,9 +11,7 @@ the *active* registry::
     from repro import obs
 
     obs.add("sim.functional.trace_rows", len(trace))
-    with obs.timer("core.predict"):
-        ...
-    with obs.span("runner.stage.eval"):      # hierarchical
+    with obs.span("core.predict"):   # runner.unit/core.predict in a unit
         ...
 
 By default the active registry is one process-wide :class:`Obs`.
@@ -44,7 +42,7 @@ __all__ = [
     "TIMER_FIELDS", "TimerStat", "add", "baseline_from_metrics",
     "check_baseline", "diff_metrics", "flatten_metrics", "get_obs",
     "load_baseline", "lookup_metric", "metrics_path_for", "read_metrics",
-    "record_timer", "scoped", "span", "timer", "write_metrics",
+    "record_timer", "scoped", "span", "write_metrics",
 ]
 
 #: the process-wide fallback registry (instrumentation outside any
@@ -87,11 +85,6 @@ def add(name: str, n=1) -> None:
 def record_timer(name: str, seconds: float) -> None:
     """Record one pre-measured duration into timer ``name``."""
     get_obs().record_timer(name, seconds)
-
-
-def timer(name: str):
-    """Context manager timing a block into the active registry."""
-    return get_obs().timer(name)
 
 
 def span(name: str):

@@ -1,15 +1,16 @@
-"""Hierarchical counters, timers and spans — the observability core.
+"""Counters and hierarchical span timers — the observability core.
 
-One :class:`Obs` registry accumulates three kinds of instruments:
+One :class:`Obs` registry accumulates two kinds of instruments:
 
 * **counters** — monotonically accumulated numbers (``add``), named with
   dotted component paths (``sim.functional.trace_rows``);
-* **timers** — wall-time accumulators (``timer`` context manager or
-  ``record_timer``) carrying count / total / max seconds;
-* **spans** — timers whose recorded name is the ``/``-joined path of
-  every span active on the current thread (``runner.stage.eval`` inside
-  no other span; ``runner.unit/st2.evaluate`` when nested), so one
-  instrument call site produces a hierarchy in the dump.
+* **timers** — wall-time accumulators carrying count / total / max
+  seconds.  A block is timed with the ``span`` context manager, whose
+  recorded name is the ``/``-joined path of every span active on the
+  current thread (``runner.stage.eval`` inside no other span;
+  ``runner.unit/core.predict`` when nested), so one call site produces
+  a hierarchy in the dump.  ``record_timer`` files a duration measured
+  elsewhere under a flat name.
 
 Accumulation is thread-safe (one lock per registry).  Process-safe
 accumulation is by construction, not by sharing: every worker process
@@ -100,31 +101,7 @@ class Obs:
                 stat = self._timers[name] = TimerStat()
             stat.observe(seconds)
 
-    @contextmanager
-    def timer(self, name: str):
-        """Time the enclosed block into timer ``name`` (flat name — use
-        :meth:`span` for hierarchical attribution)."""
-        t0 = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.record_timer(name, time.perf_counter() - t0)
-
     # -- spans ---------------------------------------------------------
-
-    def _span_stack(self) -> list:
-        stack = getattr(self._local, "spans", None)
-        if stack is None:
-            stack = self._local.spans = []
-        return stack
-
-    def span_path(self, name: str = None) -> str:
-        """The hierarchical path of the active spans on this thread,
-        optionally extended with ``name``."""
-        parts = list(self._span_stack())
-        if name is not None:
-            parts.append(name)
-        return SPAN_SEP.join(parts)
 
     @contextmanager
     def span(self, name: str):
@@ -132,9 +109,12 @@ class Obs:
 
         The recorded timer name is the ``/``-joined path of every span
         active on this thread, so nested spans produce a tree in the
-        snapshot (``runner.stage.eval``, ``runner.unit/st2.evaluate``).
+        snapshot (``runner.stage.eval``, ``runner.unit/core.predict``).
+        The block is recorded even when it raises.
         """
-        stack = self._span_stack()
+        stack = getattr(self._local, "spans", None)
+        if stack is None:
+            stack = self._local.spans = []
         stack.append(name)
         path = SPAN_SEP.join(stack)
         t0 = time.perf_counter()

@@ -13,7 +13,8 @@ design units.
 
 Exit codes follow the shared contract (:mod:`repro.cli_common`): 0
 when every claim is within its documented tolerance, 1 when the
-scorecard has a FAIL row, 2 for a non-numeric or non-positive scale.
+scorecard has a FAIL row, 2 for a non-numeric, non-finite or non-positive
+scale.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from repro import cli_common
 from repro.analysis.ascii_charts import hbar_chart, table
+from repro.api import valid_scale
 from repro.circuits.characterize import (best_slice_width,
                                          slice_bitwidth_sweep)
 from repro.core.speculation import DESIGN_LADDER, FIG3_CONFIGS, ST2_DESIGN
@@ -173,8 +175,8 @@ def report(scale: float, seed: int = 0) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not args.scale > 0:
-        return cli_common.fail("st2-report", "scale must be > 0")
+    if not valid_scale(args.scale):
+        return cli_common.fail("st2-report", "scale must be finite and > 0")
     return report(args.scale)
 
 

@@ -23,13 +23,15 @@ Exit codes follow the shared contract (:mod:`repro.cli_common`):
 from __future__ import annotations
 
 import sys
+import time
 
 from repro import cli_common, obs
+from repro.api import valid_scale
 from repro.kernels.suite import KERNEL_GROUPS, resolve_kernels
 from repro.runner.cache import code_version
-from repro.runner.manifest import write_manifest
+from repro.runner.manifest import run_accounting, write_manifest
 from repro.runner.options import RunOptions
-from repro.runner.pool import RunTimer, WorkerLost, run_units
+from repro.runner.pool import WorkerLost, run_units
 from repro.runner.units import build_units, resolve_configs
 
 
@@ -123,8 +125,9 @@ def main(argv=None) -> int:
         return cli_common.fail("st2-run", exc.args[0])
     if args.workers is not None and args.workers < 1:
         return cli_common.fail("st2-run", "--workers must be >= 1")
-    if not args.scale > 0:
-        return cli_common.fail("st2-run", "--scale must be > 0")
+    if not valid_scale(args.scale):
+        return cli_common.fail("st2-run",
+                               "--scale must be finite and > 0")
 
     units = build_units(kernels, configs=configs, scale=args.scale,
                         seed=args.seed, aux=not args.no_aux,
@@ -143,11 +146,10 @@ def main(argv=None) -> int:
                       f"seed={spec.seed}")
         return cli_common.EXIT_OK
 
-    timer = RunTimer()
+    t0 = time.perf_counter()
     quiet = args.quiet or args.json
     options = RunOptions.from_args(
-        args, progress=_progress_printer(len(units), quiet),
-        timer=timer)
+        args, progress=_progress_printer(len(units), quiet))
 
     try:
         results = run_units(units, options)
@@ -167,11 +169,12 @@ def main(argv=None) -> int:
     }
     if options.trace_store is not None:
         meta["trace_store"] = str(options.trace_store.root)
-    meta.update(options.stats)
-    meta.update(timer.summary())
+    snapshot = options.obs.snapshot()
+    meta.update(run_accounting(snapshot))
+    meta["wall_time_s"] = time.perf_counter() - t0
     path = write_manifest(args.out, results, meta=meta)
     metrics_path = obs.write_metrics(obs.metrics_path_for(path),
-                                     options.obs.snapshot(), meta=meta)
+                                     snapshot, meta=meta)
 
     if args.json:
         cli_common.emit_json({
@@ -184,15 +187,15 @@ def main(argv=None) -> int:
 
     print()
     print(_summary_table(results))
-    print(f"\n{len(results)} units in {timer.elapsed_s:.2f}s "
-          f"({timer.hits} cache hits, {timer.misses} computed, "
-          f"workers={options.workers})")
-    if "traces_total" in options.stats:
-        s = options.stats
-        print(f"trace store: {s['traces_total']} traces "
-              f"({s['traces_captured']} captured in "
-              f"{s['stage_capture_s']:.2f}s, {s['trace_store_hits']} "
-              f"warm), stage 2 {s['stage_eval_s']:.2f}s")
+    print(f"\n{len(results)} units in {meta['wall_time_s']:.2f}s "
+          f"({meta['cache_hits']} cache hits, {meta['cache_misses']} "
+          f"computed, workers={options.workers})")
+    if "traces_total" in meta:
+        print(f"trace store: {meta['traces_total']} traces "
+              f"({meta['traces_captured']} captured in "
+              f"{meta['stage_capture_s']:.2f}s, "
+              f"{meta['trace_store_hits']} warm), "
+              f"stage 2 {meta['stage_eval_s']:.2f}s")
     print(f"manifest: {path}")
     print(f"metrics:  {metrics_path}")
     return cli_common.EXIT_OK

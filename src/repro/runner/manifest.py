@@ -1,7 +1,8 @@
 """JSONL run manifests: the machine-readable record of one invocation.
 
 Line 1 is a ``{"type": "run", ...}`` header (work-list shape, worker
-count, code version, totals); every following line is a
+count, code version, and the run's stage times and counts, read from
+its obs registry by :func:`run_accounting`); every following line is a
 ``{"type": "unit", ...}`` record holding one unit's full result dict —
 per-unit wall time, trace size, misprediction and energy summaries —
 plus its cache key and whether this run served it from disk.
@@ -55,6 +56,31 @@ class ManifestWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def run_accounting(snapshot: dict) -> dict:
+    """The manifest header's accounting keys, derived from the obs
+    ``snapshot`` of one :func:`~repro.runner.pool.run_units` call:
+
+    * ``stage_{capture,init,eval}_s`` — the ``runner.stage.*`` span
+      totals (0.0 for a stage that did not run);
+    * ``traces_total`` / ``traces_captured`` / ``trace_store_hits`` —
+      the ``runner.traces.{total,captured,warm}`` counters, present
+      only when stage 1 ran (some unit missed the result cache);
+    * ``cache_hits`` / ``cache_misses`` — the
+      ``runner.units.{cached,executed}`` counters.
+    """
+    timers, counters = snapshot["timers"], snapshot["counters"]
+    meta = {f"stage_{stage}_s":
+            timers.get(f"runner.stage.{stage}", {}).get("total_s", 0.0)
+            for stage in ("capture", "init", "eval")}
+    if "runner.traces.total" in counters:
+        meta["traces_total"] = counters["runner.traces.total"]
+        meta["traces_captured"] = counters["runner.traces.captured"]
+        meta["trace_store_hits"] = counters["runner.traces.warm"]
+    meta["cache_hits"] = counters.get("runner.units.cached", 0)
+    meta["cache_misses"] = counters.get("runner.units.executed", 0)
+    return meta
 
 
 def write_manifest(path, results, meta: dict = None) -> Path:

@@ -12,7 +12,7 @@ scratch store, which is removed at exit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.runner.cache import ResultCache
 
@@ -28,38 +28,32 @@ class RunOptions:
     traces.  ``None`` means the process-wide
     :func:`~repro.sim.trace_store.scratch_store`.
 
-    ``stats`` is populated by ``run_units`` with invocation-level
-    accounting (stage wall-times, traces captured vs served warm) so
-    callers — the CLI manifest in particular — can report it.
-
     ``obs`` is the invocation's observability registry
-    (:class:`repro.obs.Obs`).  Leave it ``None`` to let ``run_units``
-    create one; pass a registry to accumulate several invocations into
-    one.  After the call it holds every counter/timer of the run —
-    its snapshot is what ``st2-run`` writes as ``metrics.json``.
+    (:class:`repro.obs.Obs`) and the only record of its times and
+    counts.  Leave it ``None`` to let ``run_units`` create one; pass a
+    registry to accumulate several invocations into one.  After the
+    call it holds every counter and timer of the run — its snapshot is
+    what ``st2-run`` writes as ``metrics.json`` and reads its manifest
+    header from.
     """
 
     workers: int = 1
     cache: ResultCache = None
     use_cache: bool = True
     progress: object = None         # callable(spec, result) or None
-    timer: object = None            # RunTimer-like .observe(spec, result)
     trace_store: object = None      # TraceStore or None (scratch)
-    stats: dict = field(default_factory=dict)
     obs: object = None              # repro.obs.Obs or None (fresh)
 
     def resolved_cache(self) -> ResultCache:
         return self.cache if self.cache is not None else ResultCache()
 
     def notify(self, spec, result) -> None:
-        """Invoke the timer and progress hooks for one finished unit."""
-        if self.timer is not None:
-            self.timer.observe(spec, result)
+        """Invoke the progress hook for one finished unit."""
         if self.progress is not None:
             self.progress(spec, result)
 
     @classmethod
-    def from_args(cls, args, progress=None, timer=None) -> "RunOptions":
+    def from_args(cls, args, progress=None) -> "RunOptions":
         """Build options from ``st2-run`` parsed arguments.
 
         Understands ``--workers``, ``--cache-dir``, ``--no-cache`` and
@@ -78,4 +72,4 @@ class RunOptions:
             store = TraceStore(spec or None)
         return cls(workers=workers, cache=cache,
                    use_cache=not getattr(args, "no_cache", False),
-                   progress=progress, timer=timer, trace_store=store)
+                   progress=progress, trace_store=store)

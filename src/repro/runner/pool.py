@@ -38,7 +38,6 @@ import multiprocessing
 import os
 import signal
 import threading
-import time
 import traceback
 from collections import deque
 from contextlib import nullcontext
@@ -427,14 +426,13 @@ def _run_trace(task) -> list:
 def _capture_one(task) -> tuple:
     """Stage-1 task ``(store root, item)``:
     :func:`~repro.runner.units.capture_trace` one distinct (kernel,
-    scale, seed).  Returns ``(key, captured, wall_s, obs_snapshot)``."""
+    scale, seed) under a fresh obs scope whose ``runner.trace.capture``
+    span times it.  Returns ``(key, captured, obs_snapshot)``."""
     root, item = task
     with obs.scoped() as reg:
         with reg.span("runner.trace.capture"):
-            t0 = time.perf_counter()
             created = capture_trace(_store(root), *item)
-            wall_s = time.perf_counter() - t0 if created else 0.0
-    return item[0], created, wall_s, reg.snapshot()
+    return item[0], created, reg.snapshot()
 
 
 def capture_items(specs, version: str) -> dict:
@@ -452,7 +450,7 @@ def capture_items(specs, version: str) -> dict:
 def capture_traces(store, items, workers: int):
     """Stage 1 over ``items`` (values of :func:`capture_items`) on a
     pool that exits with the stage, or inline for ``workers <= 1``.
-    Yields ``(key, captured, wall_s, obs_snapshot)`` as each finishes;
+    Yields ``(key, captured, obs_snapshot)`` as each finishes;
     a capture whose worker dies twice raises :class:`WorkerLost`
     naming the kernel."""
     root = str(store.root)
@@ -474,14 +472,15 @@ def run_units(specs, options: RunOptions = None, pool=None) -> list:
     this invocation served it from disk).
 
     ``options`` is a :class:`~repro.runner.options.RunOptions`
-    (``None`` means defaults).  After the call, ``options.stats``
-    holds the invocation's stage accounting (``stage_capture_s``,
-    ``stage_eval_s`` and, when any unit missed the result cache,
-    ``traces_captured`` / ``trace_store_hits``) and ``options.obs``
-    the invocation's observability registry: every counter and timer
-    accumulated across the run, including merged per-worker snapshots
-    (its snapshot is what ``st2-run`` writes next to the manifest as
-    ``metrics.json``).
+    (``None`` means defaults).  After the call ``options.obs`` holds
+    the invocation's observability registry, the only record of its
+    times and counts: every counter and timer accumulated across the
+    run, including merged per-worker snapshots.  The
+    ``runner.stage.{capture,init,eval}`` spans time the stages, and
+    the ``runner.units.{cached,executed}`` and
+    ``runner.traces.{total,captured,warm}`` counters count the result
+    cache and the trace store (see
+    :func:`~repro.runner.manifest.run_accounting`).
 
     Traces come from ``options.trace_store``, or from the process-wide
     :func:`~repro.sim.trace_store.scratch_store` when it is ``None``.
@@ -520,9 +519,6 @@ def run_units(specs, options: RunOptions = None, pool=None) -> list:
             else:
                 pending.append((i, spec))
 
-        stats = {"stage_capture_s": 0.0, "stage_init_s": 0.0,
-                 "stage_eval_s": 0.0}
-        options.stats = stats
         if not pending:
             return results
         store = options.trace_store
@@ -531,9 +527,8 @@ def run_units(specs, options: RunOptions = None, pool=None) -> list:
 
         trace_keys = {}             # unit index -> trace key
         with reg.span("runner.stage.capture"):
-            stats.update(_populate_store(store, pending, options,
-                                         version, trace_keys))
-        warm = stats.pop("warm_keys")
+            warm = _populate_store(store, pending, options.workers,
+                                   version, trace_keys)
 
         def finish(i, result):
             snap = result.data.pop("obs", None)
@@ -550,8 +545,7 @@ def run_units(specs, options: RunOptions = None, pool=None) -> list:
             options.notify(specs[i], result)
 
         with reg.span("runner.stage.init"):
-            stats["stage_init_s"] = _prepare_eval(pending)
-        t0 = time.perf_counter()
+            _prepare_eval(pending)
         tasks = _eval_tasks(pending, trace_keys, str(store.root))
         with reg.span("runner.stage.eval"):
             with (nullcontext(pool) if pool is not None
@@ -559,7 +553,6 @@ def run_units(specs, options: RunOptions = None, pool=None) -> list:
                 for done in _fan_out(live, _run_trace, tasks):
                     for i, result in done:
                         finish(i, result)
-        stats["stage_eval_s"] = time.perf_counter() - t0
     return results
 
 
@@ -575,7 +568,7 @@ def _eval_tasks(pending, trace_keys, root: str) -> list:
             for key, items in groups.items()]
 
 
-def _prepare_eval(pending) -> float:
+def _prepare_eval(pending) -> None:
     """Build the shared per-process state in the *parent* before the
     evaluation fan-out: the calibrated power + adder models and the
     per-kernel static carry facts.
@@ -584,29 +577,28 @@ def _prepare_eval(pending) -> float:
     (Linux, the CI runners) when first given a task, so warming these
     memos here means every worker inherits them instead of each paying
     the adder characterisation on first use inside the evaluation
-    stage — ``stage_eval_s`` then measures evaluation, not interpreter
-    start-up.  Workers that already run (a sweep's pool, from an
-    earlier wave) or were spawned build what they miss on first use;
-    results are identical either way.
+    stage — the ``runner.stage.eval`` span then measures evaluation,
+    not interpreter start-up.  Workers that already run (a sweep's
+    pool, from an earlier wave) or were spawned build what they miss on
+    first use; results are identical either way.
 
-    Neither the models nor the facts memo record obs metrics.  Returns
-    the wall time spent (reported as ``stage_init_s``).
+    Neither the models nor the facts memo record obs metrics.
     """
     from repro.lint.facts import facts_for_kernel
 
-    t0 = time.perf_counter()
     _WORKER_MODELS.ensure()
     for kernel in sorted({spec.kernel for _, spec in pending}):
         facts_for_kernel(kernel)
-    return time.perf_counter() - t0
 
 
-def _populate_store(store, pending, options: RunOptions,
-                    version: str, trace_keys: dict) -> dict:
+def _populate_store(store, pending, workers: int, version: str,
+                    trace_keys: dict) -> frozenset:
     """Stage 1: capture every distinct pending trace into the store.
 
     Fans out over (kernel, scale, seed) keys — never over configs —
-    skipping entries that are already warm.
+    skipping entries that are already warm, whose keys it returns.
+    A capture that loses the race to publish counts as neither
+    captured nor warm, so ``runner.traces.total`` is its own counter.
     """
     for i, spec in pending:
         trace_keys[i] = unit_trace_key(spec, version)
@@ -615,23 +607,15 @@ def _populate_store(store, pending, options: RunOptions,
     warm = frozenset(k for k in distinct if store.has(k))
     todo = [item for key, item in distinct.items() if key not in warm]
 
-    t0 = time.perf_counter()
-    captured = []
+    captured = 0
     registry = obs.get_obs()
-    for key, created, wall_s, snap in capture_traces(store, todo,
-                                                     options.workers):
+    for _, created, snap in capture_traces(store, todo, workers):
         registry.merge(snap)
-        if created:
-            captured.append(key)
-    obs.add("runner.traces.captured", len(captured))
+        captured += created
+    obs.add("runner.traces.total", len(distinct))
+    obs.add("runner.traces.captured", captured)
     obs.add("runner.traces.warm", len(warm))
-    return {
-        "stage_capture_s": time.perf_counter() - t0,
-        "traces_total": len(distinct),
-        "traces_captured": len(captured),
-        "trace_store_hits": len(warm),
-        "warm_keys": warm,
-    }
+    return warm
 
 
 def run_suite_units(specs, options: RunOptions = None) -> dict:
@@ -640,26 +624,3 @@ def run_suite_units(specs, options: RunOptions = None) -> dict:
     results = run_units(specs, options=options)
     return {(spec.kernel, spec.config.name): result
             for spec, result in zip(specs, results)}
-
-
-class RunTimer:
-    """Wall-clock + hit/miss accounting for one runner invocation."""
-
-    def __init__(self):
-        self.t0 = time.perf_counter()
-        self.hits = 0
-        self.misses = 0
-
-    def observe(self, spec, result) -> None:
-        if getattr(result, "cached", False):
-            self.hits += 1
-        else:
-            self.misses += 1
-
-    @property
-    def elapsed_s(self) -> float:
-        return time.perf_counter() - self.t0
-
-    def summary(self) -> dict:
-        return {"wall_time_s": self.elapsed_s,
-                "cache_hits": self.hits, "cache_misses": self.misses}

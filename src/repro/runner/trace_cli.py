@@ -23,6 +23,7 @@ from __future__ import annotations
 import sys
 
 from repro import cli_common
+from repro.api import valid_scale
 from repro.runner.cache import code_version
 from repro.sim.trace_store import TraceStore
 
@@ -109,8 +110,9 @@ def _cmd_capture(store: TraceStore, args) -> int:
 
     if args.workers is not None and args.workers < 1:
         return cli_common.fail("st2-trace", "--workers must be >= 1")
-    if not args.scale > 0:
-        return cli_common.fail("st2-trace", "--scale must be > 0")
+    if not valid_scale(args.scale):
+        return cli_common.fail("st2-trace",
+                               "--scale must be finite and > 0")
     try:
         units = build_units(args.kernels, scale=args.scale,
                             seed=args.seed, aux=False,
@@ -123,11 +125,11 @@ def _cmd_capture(store: TraceStore, args) -> int:
         else default_workers()
     captured = skipped = 0
     try:
-        for key, created, wall_s, _snap in capture_traces(
-                store, items, workers):
+        for key, created, snap in capture_traces(store, items, workers):
             header = store.header(key)
             if created:
                 captured += 1
+                wall_s = snap["timers"]["runner.trace.capture"]["total_s"]
                 print(f"captured {header['kernel']:<14} "
                       f"{header['n_rows']:>10,} rows in {wall_s:.2f}s "
                       f"-> {key[:12]}")

@@ -88,7 +88,7 @@ class GridLauncher:
         mem = MemoryStats(record_streams=self.record_streams)
         san = KernelSanitizer(name or kernel_fn.__name__) \
             if self.sanitize else None
-        with obs.timer("sim.functional.run"):
+        with obs.span("sim.functional.run"):
             for block_id in range(launch.grid_blocks):
                 sm = block_id % self.gpu.n_sms
                 if san is not None:

@@ -199,7 +199,7 @@ class TraceStore:
         self.root.mkdir(parents=True, exist_ok=True)
         tmp = Path(tempfile.mkdtemp(dir=self.root, prefix=f".{key}-"))
         try:
-            with obs.timer("trace_store.put"):
+            with obs.span("trace_store.put"):
                 return self._publish(key, tmp, run, code_version, scale,
                                      seed, metadata)
         finally:
@@ -290,7 +290,7 @@ class TraceStore:
         :class:`StoredRun` is shared between callers, which is safe
         because the evaluation pipeline only ever reads it.  A memo hit
         emits exactly the observability a real open would (the
-        ``trace_store.get`` timer, the ``trace_store.open`` and
+        ``trace_store.get`` span, the ``trace_store.open`` and
         ``bytes_mapped`` counters), so run metrics stay independent of
         how evaluation units are scheduled over pool workers.
         """
@@ -298,12 +298,12 @@ class TraceStore:
         if memo is not None:
             self._get_memo[key] = self._get_memo.pop(key)  # LRU refresh
             stored, mapped = memo
-            with obs.timer("trace_store.get"):
+            with obs.span("trace_store.get"):
                 obs.add("trace_store.bytes_mapped", mapped)
             obs.add("trace_store.open")
             return stored
         mapped = 0
-        with obs.timer("trace_store.get"):
+        with obs.span("trace_store.get"):
             header = self.header(key)
             entry = self.path(key)
             geometry = header.get("columns", {})

@@ -26,7 +26,8 @@ import numpy as np
 
 from repro import obs
 from repro.core.batch import (evaluate_trace_batch, predict_trace_batch)
-from repro.core.predictors import (SpeculationConfig, SpeculationResult)
+from repro.core.predictors import (SpeculationConfig, SpeculationResult,
+                                   count_speculation)
 from repro.sim.vec.plan import TracePlan, plan_for
 from repro.sim.vec.timing import replay_pair
 
@@ -50,11 +51,11 @@ def evaluate_unit(run: Any, config: SpeculationConfig, facts: Any,
     n = pack.n_rows
     trace = run.trace
 
-    with obs.timer("core.predict"):
+    with obs.span("core.predict"):
         pred = predict_trace_batch(trace, config, pack)
     static_known, static_value = plan.static_peek(trace, facts)
 
-    with obs.timer("core.evaluate"):
+    with obs.span("core.evaluate"):
         mis, rec, wrong = evaluate_trace_batch(pack, pred.bits)
         # the static pass re-evaluates only rows the fact overlay
         # actually changes on a *valid* boundary: a bit that differs
@@ -73,19 +74,13 @@ def evaluate_unit(run: Any, config: SpeculationConfig, facts: Any,
             mis_s[rows] = evaluate_trace_batch(pack.rows(rows),
                                                static_bits)[0]
 
-    obs.add("core.predict.ops", n)
-    obs.add("core.predict.history_lookups", pack.history_lookups)
-    obs.add("core.predict.history_hits", int(pred.has_prev.sum()))
-    obs.add("core.predict.peek_static", int(pred.peek_known.sum()))
-    obs.add("predictor.static_peek_hits", int(static_known.sum()))
-    obs.add("core.adder.ops", n)
-    obs.add("core.adder.mispredicts", int(mis.sum()))
-    obs.add("core.adder.recomputed_slices", int(rec.sum()))
-    obs.add("core.adder.wrong_bits", int(wrong.sum()))
-
     speculation = SpeculationResult(config=config, n_ops=n,
                                     mispredicted=mis, recomputed=rec,
                                     wrong_bits=wrong)
+    count_speculation(n, prediction=pred,
+                      history_lookups=pack.history_lookups,
+                      result=speculation)
+    obs.add("predictor.static_peek_hits", int(static_known.sum()))
 
     base_t, st2_t = replay_pair(plan.timing, mis)
 

@@ -270,7 +270,7 @@ def run_pair(plan: TimingPlan, miss_frac: np.ndarray) -> tuple:
 def replay_pair(plan: TimingPlan, mispredicted: np.ndarray) -> tuple:
     """:func:`run_pair` for lane-level ``mispredicted`` flags, timed
     and counted in ``repro.obs``."""
-    with obs.timer("sim.timing.pair"):
+    with obs.span("sim.timing.pair"):
         base, st2 = run_pair(plan, plan_miss_frac(plan, mispredicted))
     obs.add("sim.timing.warp_insts", base.instructions)
     obs.add("sim.timing.stall_cycles_fu", base.stall_cycles_fu)

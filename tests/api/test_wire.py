@@ -66,6 +66,7 @@ class TestJobSpec:
         {"kernels": ["qrng_K2"], "priority": "high"},
         {"kernels": ["qrng_K2"], "client": 7},
         {"kernels": ["qrng_K2"], "schema_version": "one"},
+        {"kernels": ["qrng_K2"], "scale": float("inf")},  # JSON Infinity
     ])
     def test_malformed_documents_rejected(self, doc):
         with pytest.raises(WireError):

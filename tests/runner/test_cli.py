@@ -116,7 +116,7 @@ def test_cli_rejects_empty_work_list(capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--workers", "0"), ("--workers", "-3"),
-    ("--scale", "0"), ("--scale", "-1")])
+    ("--scale", "0"), ("--scale", "-1"), ("--scale", "inf")])
 def test_cli_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
     out = tmp_path / "manifest.jsonl"
     rc = main(["--kernels", "qrng_K2", "--no-cache", flag, value,

@@ -68,6 +68,22 @@ class TestRunnerObs:
         for name, value in functional.items():
             assert pooled["counters"].get(name) == value, name
 
+    def test_serial_and_parallel_timer_names_identical(self, tmp_path,
+                                                       units):
+        """Inline and pooled runs record the same timers, and each
+        layer's span lands under the runner span that ran it."""
+        _, serial = run_with_obs(tmp_path / "s", units, workers=1)
+        _, pooled = run_with_obs(tmp_path / "p", units, workers=2)
+        names = set(serial["timers"])
+        assert names == set(pooled["timers"])
+        assert {"runner.unit/core.predict", "runner.unit/core.evaluate",
+                "runner.unit/sim.timing.pair",
+                "runner.unit/trace_store.get",
+                "runner.trace.capture/sim.functional.run",
+                "runner.trace.capture/trace_store.put"} <= names
+        assert not [name for name in names
+                    if name.startswith(("core.", "sim.", "trace_store."))]
+
     def test_results_do_not_carry_transient_snapshots(self, tmp_path,
                                                       units):
         """The worker→parent 'obs' rider must be stripped before the
@@ -127,3 +143,40 @@ class TestMetricsEmission:
         assert timer["total_s"] == pytest.approx(sum(unit_walls),
                                                  rel=1e-6)
         assert metrics["meta"]["kernels"] == KERNELS
+
+
+class TestOneRecord:
+    def test_manifest_header_is_read_from_the_registry(self, tmp_path):
+        """The manifest header's stage times and counts are the metrics
+        file's span totals and counters, exactly: one record of the
+        run, not two clocks that disagree."""
+        from repro.runner.cli import main
+        from repro.runner.manifest import read_manifest
+        manifest = tmp_path / "obs-manifest.jsonl"
+        assert main(["--kernels", "qrng_K1", "--configs", "st2,prev",
+                     "--scale", "0.25", "--workers", "2", "--no-cache",
+                     "--trace-store", str(tmp_path / "traces"),
+                     "--out", str(manifest), "--quiet"]) == 0
+        header, _ = read_manifest(manifest)
+        metrics = obs.read_metrics(obs.metrics_path_for(manifest))
+        timers, counters = metrics["timers"], metrics["counters"]
+        for stage in ("init", "capture", "eval"):
+            assert header[f"stage_{stage}_s"] \
+                == metrics["meta"][f"stage_{stage}_s"] \
+                == timers[f"runner.stage.{stage}"]["total_s"], stage
+        assert header["traces_total"] \
+            == counters["runner.traces.total"] == 1
+        assert header["traces_captured"] \
+            == counters["runner.traces.captured"] == 1
+        assert header["trace_store_hits"] \
+            == counters["runner.traces.warm"] == 0
+        assert header["cache_misses"] \
+            == counters["runner.units.executed"] == 2
+        assert header["cache_hits"] == 0
+        assert set(header) == {
+            "manifest_version", "n_units", "kernels", "configs", "scale",
+            "seed", "workers", "use_cache", "cache_dir", "code_version",
+            "trace_store", "stage_capture_s", "stage_init_s",
+            "stage_eval_s", "traces_total", "traces_captured",
+            "trace_store_hits", "wall_time_s", "cache_hits",
+            "cache_misses"}

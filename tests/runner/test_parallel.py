@@ -178,13 +178,12 @@ class TestRunOptionsOnly:
         for s, a in zip(serial, again):
             assert results_equal(s, a)
 
-    def test_timer_hook_counts(self, tmp_path, serial_results):
-        from repro.runner.pool import RunTimer
+    def test_cache_counters(self, tmp_path, serial_results):
+        """The invocation registry counts result-cache misses and hits
+        across calls that share it."""
         units, _ = serial_results
-        timer = RunTimer()
-        opts = RunOptions(workers=1, cache=ResultCache(tmp_path),
-                          timer=timer)
+        opts = RunOptions(workers=1, cache=ResultCache(tmp_path))
         run_units(units, opts)
         run_units(units, opts)
-        assert timer.misses == len(units)
-        assert timer.hits == len(units)
+        assert opts.obs.counter("runner.units.executed") == len(units)
+        assert opts.obs.counter("runner.units.cached") == len(units)

@@ -43,7 +43,7 @@ class TestCapture:
 
     @pytest.mark.parametrize("flag, value", [
         ("--workers", "0"), ("--workers", "-3"),
-        ("--scale", "0"), ("--scale", "-1")])
+        ("--scale", "0"), ("--scale", "-1"), ("--scale", "inf")])
     def test_out_of_range_flags_exit_2(self, tmp_path, capsys, flag,
                                        value):
         rc = main(["--store", str(tmp_path), "capture",

@@ -56,9 +56,9 @@ class TestTwoStagePipeline:
         traces, not four."""
         opts = two_stage_options(tmp_path)
         run_units(units, opts)
-        assert opts.stats["traces_total"] == len(KERNELS)
-        assert opts.stats["traces_captured"] == len(KERNELS)
-        assert opts.stats["trace_store_hits"] == 0
+        assert opts.obs.counter("runner.traces.total") == len(KERNELS)
+        assert opts.obs.counter("runner.traces.captured") == len(KERNELS)
+        assert opts.obs.counter("runner.traces.warm") == 0
         assert len(opts.trace_store) == len(KERNELS)
 
     def test_warm_store_zero_reexecution(self, tmp_path, units, pools):
@@ -67,8 +67,8 @@ class TestTwoStagePipeline:
         warm_opts = two_stage_options(tmp_path, workers=2)
         warm = run_units(units, warm_opts)
         assert pools, "the warm evaluation never started a pool"
-        assert warm_opts.stats["traces_captured"] == 0
-        assert warm_opts.stats["trace_store_hits"] == len(KERNELS)
+        assert warm_opts.obs.counter("runner.traces.captured") == 0
+        assert warm_opts.obs.counter("runner.traces.warm") == len(KERNELS)
         assert all(r.trace_cache_hit for r in warm)
         assert all(not r.trace_cache_hit for r in cold)
         for c, w in zip(cold, warm):
@@ -106,8 +106,9 @@ class TestTwoStagePipeline:
     def test_stage_timings_recorded(self, tmp_path, units):
         opts = two_stage_options(tmp_path)
         run_units(units, opts)
-        assert opts.stats["stage_capture_s"] > 0
-        assert opts.stats["stage_eval_s"] > 0
+        timers = opts.obs.snapshot()["timers"]
+        assert timers["runner.stage.capture"]["total_s"] > 0
+        assert timers["runner.stage.eval"]["total_s"] > 0
 
     def test_result_cache_short_circuits_stage_one(self, tmp_path,
                                                    units):
@@ -119,7 +120,8 @@ class TestTwoStagePipeline:
         opts = RunOptions(cache=cache, trace_store=store)
         again = run_units(units, opts)
         assert all(r.cached for r in again)
-        assert "traces_total" not in opts.stats    # stage 1 skipped
+        counters = opts.obs.snapshot()["counters"]
+        assert "runner.traces.total" not in counters    # stage 1 skipped
 
 
 class TestExecuteUnitWithStore:

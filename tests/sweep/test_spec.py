@@ -95,6 +95,14 @@ class TestSpecValidation:
         with pytest.raises(WireError):
             small_spec(axes=())
 
+    def test_infinite_scale_rejected(self):
+        """JSON ``Infinity`` parses as a float; the spec refuses it
+        instead of overflowing at the first kernel launch."""
+        doc = small_spec().to_wire()
+        doc["scale"] = float("inf")
+        with pytest.raises(WireError, match="scale"):
+            SweepSpec.from_wire(doc)
+
     def test_grid_size(self):
         spec = small_spec(axes=(("mechanism", ("prev", "static1")),
                                 ("pc_index", ("none", "mod")),

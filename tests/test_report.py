@@ -86,7 +86,8 @@ class TestArguments:
         assert exc.value.code == 0
         assert "scale" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("scale", ["abc", "0", "-1", "nan"])
+    @pytest.mark.parametrize("scale", ["abc", "0", "-1", "nan",
+                                       "inf"])
     def test_bad_scale_is_a_usage_error(self, scale, capsys):
         try:
             code = report.main([scale])
