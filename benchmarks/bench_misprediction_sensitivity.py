@@ -12,8 +12,9 @@ import numpy as np
 
 from _bench_utils import save_artifact
 from repro.analysis.ascii_charts import table
-from repro.core.predictors import (Prediction, evaluate_trace,
-                                   predict_trace)
+from repro.core.batch import (build_pack, evaluate_trace_batch,
+                              predict_trace_batch)
+from repro.core.predictors import SpeculationResult
 from repro.core.speculation import ST2_DESIGN
 from repro.sim.pipeline import compare_baseline_st2
 
@@ -23,18 +24,20 @@ INJECT_RATES = (0.0, 0.05, 0.1, 0.2, 0.4, 0.8)
 
 def _sweep(run, adder_model):
     trace = run.trace
-    base_pred = predict_trace(trace, ST2_DESIGN)
-    carries_pred = base_pred.bits
+    pack = build_pack(trace)
+    carries_pred = predict_trace_batch(trace, ST2_DESIGN, pack).bits
     rng = np.random.default_rng(0)
     rows = []
     for rate in INJECT_RATES:
         bits = carries_pred.copy()
         flip = rng.random(bits.shape) < rate
         bits = np.where(flip, 1 - bits, bits)
-        pred = Prediction(config=ST2_DESIGN, bits=bits,
-                          has_prev=base_pred.has_prev,
-                          peek_known=base_pred.peek_known)
-        res = evaluate_trace(trace, pred)
+        mispredicted, recomputed, wrong_bits = evaluate_trace_batch(
+            pack, bits)
+        res = SpeculationResult(config=ST2_DESIGN, n_ops=pack.n_rows,
+                                mispredicted=mispredicted,
+                                recomputed=recomputed,
+                                wrong_bits=wrong_bits)
         base_t, st2_t = compare_baseline_st2(run, res.mispredicted)
         slowdown = st2_t.total_cycles / base_t.total_cycles - 1
         saving = adder_model.saving(

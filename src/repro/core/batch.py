@@ -15,12 +15,16 @@ over a *whole trace* in padded ``(N, 8)`` / ``(N, 7)`` arrays:
 * :func:`predict_trace_batch` / :func:`evaluate_trace_batch` — padded
   whole-trace prediction and ST2-adder evaluation.
 
-The public per-trace entry points of :mod:`repro.core.predictors` are
-thin wrappers over these kernels.  Correctness comes from slow,
-independent references: the dict-based
-:class:`~repro.core.history.ReferencePredictor` and the per-width
-:class:`~repro.core.adder.ST2Adder`, cross-checked in the tests.  No
-``repro.obs`` instrumentation happens at this level; callers count.
+Every caller builds one pack per trace and passes it to every kernel
+call on that trace: the evaluation engine through its cached plan,
+:func:`~repro.core.predictors.run_speculation` (the one counted
+in-process convenience), the design-space, correlation and ablation
+studies, and the fuzzer's adder oracle.  Correctness comes from slow,
+independent references in ``tests/core/reference_speculation.py`` (a
+dict-based history walk and per-width
+:mod:`~repro.core.bitops` / :class:`~repro.core.adder.ST2Adder`
+passes), cross-checked in the tests.  No ``repro.obs``
+instrumentation happens at this level; callers count.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import bitops
-from repro.core.predictors import carry_match_rate
+from repro.core.batch import build_pack, carry_match_rate_batch
 from repro.core.speculation import FIG3_CONFIGS
 
 
@@ -88,9 +88,8 @@ def slice_carry_correlation(trace, kernel: str = "",
     ``pack`` is the trace's :class:`~repro.core.batch.TracePack` when
     the caller already holds one (built once here otherwise)."""
     if pack is None:
-        from repro.core.batch import build_pack
         pack = build_pack(trace)
-    rates = {cfg.name: carry_match_rate(trace, cfg, pack)
+    rates = {cfg.name: carry_match_rate_batch(trace, cfg, pack)
              for cfg in configs}
     return CorrelationSummary(kernel=kernel, match_rates=rates)
 

@@ -19,24 +19,31 @@ A :class:`SpeculationConfig` names one point in the design space:
   across warps by lane — the ST2 choice).
 * ``sm_scoped`` — scope tables per SM (the physical CRF is per-SM).
 
-Predictions are computed over an entire :class:`~repro.sim.trace.AddTrace`
-at once by the batched kernels of :mod:`repro.core.batch`; the
-per-trace functions here are thin wrappers over them.  The history-table
-semantics ("the prediction for an operation is the carry vector stored
-by the most recent earlier operation with the same index") vectorises
-into a grouped shift along the trace's logical time order; a dict-based
-sequential reference implementation lives in :mod:`repro.core.history`
-and the two are cross-checked in the tests.
+Predictions and ST2-adder outcomes are computed over an entire
+:class:`~repro.sim.trace.AddTrace` at once by the batched kernels of
+:mod:`repro.core.batch`, on the trace's one
+:class:`~repro.core.batch.TracePack`.  This module holds what those
+kernels share: the config, the history keys, the result types, the one
+counter emitter and the one counted convenience,
+:func:`run_speculation`.  The history-table semantics ("the prediction
+for an operation is the carry vector stored by the most recent earlier
+operation with the same index") vectorise into a grouped shift along
+the trace's logical time order; a dict-based sequential reference lives
+in ``tests/core/reference_speculation.py`` and the two are
+cross-checked in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro import obs
+
+if TYPE_CHECKING:
+    from repro.core.batch import TracePack
 
 MAX_PREDICTIONS = 7  # the widest adder (64-bit) has 8 slices
 
@@ -82,25 +89,6 @@ def trace_n_predictions(trace) -> np.ndarray:
     return (trace.width.astype(np.int64) + 7) // 8 - 1
 
 
-def trace_slice_carries(trace) -> np.ndarray:
-    """True carry-in of every slice, padded to 8 columns."""
-    from repro.core.batch import build_pack
-    return build_pack(trace).carries
-
-
-def trace_peek(trace) -> tuple:
-    """Peek rule over the whole trace.
-
-    Returns ``(known, value)`` of shape ``(N, 7)``: ``known[r, j]`` is
-    True when the carry into slice ``j+1`` is statically determined by
-    the MSbs of slice ``j`` of both operands (both zero → 0, both one →
-    1), and ``value`` holds that static carry.
-    """
-    from repro.core.batch import build_pack
-    pack = build_pack(trace)
-    return pack.peek_known, pack.peek_value
-
-
 def trace_groups(trace) -> np.ndarray:
     """Simultaneity groups: one id per dynamic warp instruction."""
     return (trace.seq.astype(np.int64) << 24) + trace.warp.astype(np.int64)
@@ -141,7 +129,7 @@ def history_keys(trace, config: SpeculationConfig) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# prediction
+# prediction and evaluation
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -153,27 +141,6 @@ class Prediction:
     has_prev: np.ndarray        # (N, 7) bool — history hit (prev mechanisms)
     peek_known: np.ndarray      # (N, 7) bool — statically determined bits
 
-
-def predict_trace(trace, config: SpeculationConfig,
-                  carries: np.ndarray = None) -> Prediction:
-    """Compute every carry prediction the mechanism would make.
-
-    ``carries`` optionally supplies the trace's precomputed true slice
-    carry-ins (:func:`trace_slice_carries`)."""
-    from repro.core.batch import build_pack, predict_trace_batch
-    with obs.span("core.predict"):
-        pack = build_pack(trace)
-        if carries is not None:
-            pack.carries = carries
-        pred = predict_trace_batch(trace, config, pack)
-    count_speculation(pack.n_rows, prediction=pred,
-                      history_lookups=pack.history_lookups)
-    return pred
-
-
-# ----------------------------------------------------------------------
-# evaluation
-# ----------------------------------------------------------------------
 
 @dataclass
 class SpeculationResult:
@@ -199,25 +166,6 @@ class SpeculationResult:
             return 0.0
         return float(self.recomputed.sum() / n_miss)
 
-    @property
-    def extra_cycle_fraction(self) -> float:
-        return self.thread_misprediction_rate
-
-
-def evaluate_trace(trace, prediction: Prediction) -> SpeculationResult:
-    """Run the ST2 adder over the trace with the given predictions."""
-    from repro.core.batch import build_pack, evaluate_trace_batch
-    n = len(trace)
-    with obs.span("core.evaluate"):
-        mispredicted, recomputed, wrong_bits = evaluate_trace_batch(
-            build_pack(trace), prediction.bits)
-    result = SpeculationResult(config=prediction.config, n_ops=n,
-                               mispredicted=mispredicted,
-                               recomputed=recomputed,
-                               wrong_bits=wrong_bits)
-    count_speculation(n, result=result)
-    return result
-
 
 def count_speculation(n: int, prediction: Optional[Prediction] = None,
                       history_lookups: int = 0,
@@ -226,8 +174,8 @@ def count_speculation(n: int, prediction: Optional[Prediction] = None,
     """Add one prediction (``prediction``, with its ``history_lookups``)
     and/or one adder evaluation (``result``) over ``n`` operations to
     the ``core.predict.*`` / ``core.adder.*`` counters — the one
-    emitter behind :func:`predict_trace`, :func:`evaluate_trace` and
-    the evaluation engine."""
+    emitter behind :func:`run_speculation` and the evaluation
+    engine."""
     if prediction is not None:
         obs.add("core.predict.ops", n)
         obs.add("core.predict.history_lookups", history_lookups)
@@ -243,9 +191,30 @@ def count_speculation(n: int, prediction: Optional[Prediction] = None,
         obs.add("core.adder.wrong_bits", int(result.wrong_bits.sum()))
 
 
-def run_speculation(trace, config: SpeculationConfig) -> SpeculationResult:
-    """Predict + evaluate in one call."""
-    return evaluate_trace(trace, predict_trace(trace, config))
+def run_speculation(trace, config: SpeculationConfig,
+                    pack: Optional[TracePack] = None) -> SpeculationResult:
+    """Predict and evaluate ``config`` over ``trace``, counted once.
+
+    ``pack`` is the trace's :class:`~repro.core.batch.TracePack` when
+    the caller already holds one (built here otherwise), so a caller
+    scoring many configs against one trace builds it once."""
+    from repro.core.batch import (build_pack, evaluate_trace_batch,
+                                  predict_trace_batch)
+    with obs.span("core.predict"):
+        if pack is None:
+            pack = build_pack(trace)
+        pred = predict_trace_batch(trace, config, pack)
+    with obs.span("core.evaluate"):
+        mispredicted, recomputed, wrong_bits = evaluate_trace_batch(
+            pack, pred.bits)
+    result = SpeculationResult(config=config, n_ops=pack.n_rows,
+                               mispredicted=mispredicted,
+                               recomputed=recomputed,
+                               wrong_bits=wrong_bits)
+    count_speculation(pack.n_rows, prediction=pred,
+                      history_lookups=pack.history_lookups,
+                      result=result)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -275,9 +244,10 @@ def trace_static_peek(trace, facts) -> tuple:
     :class:`repro.isa.pc.PcTable` stores) to proven slice-boundary
     carries — the output of ``st2-lint facts`` /
     :func:`repro.lint.facts.facts_for_kernel`.  Returns ``(known,
-    value)`` of shape ``(N, 7)`` in the same convention as
-    :func:`trace_peek`: ``known[r, j]`` means the carry into slice
-    ``j+1`` of row ``r`` is statically proven to be ``value[r, j]``.
+    value)`` of shape ``(N, 7)`` in the same convention as the runtime
+    Peek arrays of :class:`~repro.core.batch.TracePack`: ``known[r, j]``
+    means the carry into slice ``j+1`` of row ``r`` is statically
+    proven to be ``value[r, j]``.
 
     Rows match a fact only on exact label *and* width: labels are not
     unique across op classes (an FP add can share a source line with
@@ -305,15 +275,3 @@ def trace_static_peek(trace, facts) -> tuple:
                 known[rows, j] = True
                 value[rows, j] = c
     return known, value
-
-
-def carry_match_rate(trace, config: SpeculationConfig,
-                     pack=None) -> float:
-    """Figure 3 metric: fraction of slice carry-ins matching the
-    predecessor's, over (row, slice) pairs that have a predecessor.
-
-    ``pack`` is the trace's :class:`~repro.core.batch.TracePack` when
-    the caller already holds one (built here otherwise)."""
-    from repro.core.batch import build_pack, carry_match_rate_batch
-    return carry_match_rate_batch(
-        trace, config, pack if pack is not None else build_pack(trace))

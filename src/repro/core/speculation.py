@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.batch import build_pack
 from repro.core.predictors import SpeculationConfig, run_speculation
 
 STATIC_ONE = SpeculationConfig("staticOne", "static1")
@@ -184,10 +185,12 @@ class DesignSpacePoint:
 
 
 def explore(trace, configs=DESIGN_LADDER) -> list:
-    """Run the design-space exploration over one kernel trace."""
+    """Run the design-space exploration over one kernel trace (one
+    :class:`~repro.core.batch.TracePack`, shared by every config)."""
+    pack = build_pack(trace)
     points = []
     for cfg in configs:
-        result = run_speculation(trace, cfg)
+        result = run_speculation(trace, cfg, pack)
         points.append(DesignSpacePoint(
             config=cfg,
             misprediction_rate=result.thread_misprediction_rate,

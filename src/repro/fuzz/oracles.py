@@ -16,10 +16,12 @@ cross-examined by independent implementations of the same claims:
 * **adder oracle** — per sampled trace row, a from-first-principles
   big-int reference of the ST2 sliced adder (true carries, cycle-1
   carry-outs, error/suspect sets) recomputes what
-  :class:`~repro.core.adder.ST2Adder` and
-  :func:`~repro.core.predictors.evaluate_trace` report, across
-  predictor configs; the speculative result must equal the exact
-  wrapped add.
+  :class:`~repro.core.adder.ST2Adder` and the batched kernels the
+  evaluation engine runs (:func:`~repro.core.batch.build_pack`,
+  :func:`~repro.core.batch.predict_trace_batch`,
+  :func:`~repro.core.batch.evaluate_trace_batch`, on one pack per
+  trace) report, across predictor configs; the speculative result must
+  equal the exact wrapped add.
 
 * **bounds oracle** — the static speculation-outcome bounds of
   :mod:`repro.lint.bounds` must *contain* the dynamically observed
@@ -108,8 +110,8 @@ def check_static_facts(run: Any, facts: Dict[str, Any],
                        verdict: KernelVerdict) -> None:
     """Every proven carry bit must match the observed dynamic carry of
     every trace row its label covers; bails must claim nothing."""
-    from repro.core.predictors import (trace_slice_carries,
-                                       trace_static_peek)
+    from repro.core.batch import build_pack
+    from repro.core.predictors import trace_static_peek
 
     trace = run.trace
     known, value = trace_static_peek(trace, facts_json)
@@ -121,7 +123,7 @@ def check_static_facts(run: Any, facts: Dict[str, Any],
             "facts JSON export disagrees with in-memory CarryFacts",
             {"labels": sorted(facts_json)}))
     verdict.checks["static_bits"] = int(known.sum())
-    truth = trace_slice_carries(trace)[:, 1:]
+    truth = build_pack(trace).carries[:, 1:]
     bad = known & (value != truth[:, :known.shape[1]])
     if bad.any():
         rows, bounds = np.nonzero(bad)
@@ -297,8 +299,8 @@ def check_adder(run: Any, configs: Sequence[Any],
                 seed: int = 0) -> None:
     """Reference-check the speculative adder row by row, per config."""
     from repro.core.adder import ST2Adder
-    from repro.core.predictors import (evaluate_trace, predict_trace,
-                                       trace_slice_carries)
+    from repro.core.batch import (build_pack, evaluate_trace_batch,
+                                  predict_trace_batch)
     from repro.core.slices import geometry_for
 
     trace = run.trace
@@ -307,11 +309,13 @@ def check_adder(run: Any, configs: Sequence[Any],
         verdict.skips["adder"] = "empty adder trace"
         return
     rows = sample_rows(n, limit, seed)
-    carries = trace_slice_carries(trace)
+    pack = build_pack(trace)
+    carries = pack.carries
     checked = 0
     for config in configs:
-        pred = predict_trace(trace, config)
-        res = evaluate_trace(trace, pred)
+        pred = predict_trace_batch(trace, config, pack)
+        mispredicted, recomputed, wrong_bits = evaluate_trace_batch(
+            pack, pred.bits)
         for r in rows.tolist():
             a = int(trace.op_a[r])
             b = int(trace.op_b[r])
@@ -326,7 +330,7 @@ def check_adder(run: Any, configs: Sequence[Any],
                     carries[r, :geo.n_slices],
                     np.asarray(ref["carry_ins"], dtype=np.uint8)):
                 problems.append(
-                    f"trace_slice_carries {carries[r, :geo.n_slices].tolist()} "
+                    f"pack carries {carries[r, :geo.n_slices].tolist()} "
                     f"!= reference {ref['carry_ins']}")
             if geo.n_predictions:
                 out = ST2Adder(geo).add(
@@ -348,14 +352,14 @@ def check_adder(run: Any, configs: Sequence[Any],
                         f"ST2Adder recomputed "
                         f"{int(out.recomputed_slices[0])} != reference "
                         f"{ref['recomputed']}")
-                if bool(res.mispredicted[r]) != ref["mispredicted"] \
-                        or int(res.recomputed[r]) != ref["recomputed"] \
-                        or int(res.wrong_bits[r]) != ref["wrong_bits"]:
+                if bool(mispredicted[r]) != ref["mispredicted"] \
+                        or int(recomputed[r]) != ref["recomputed"] \
+                        or int(wrong_bits[r]) != ref["wrong_bits"]:
                     problems.append(
-                        f"evaluate_trace accounting "
-                        f"(mis={bool(res.mispredicted[r])}, "
-                        f"rec={int(res.recomputed[r])}, "
-                        f"wrong={int(res.wrong_bits[r])}) != reference "
+                        f"evaluate_trace_batch accounting "
+                        f"(mis={bool(mispredicted[r])}, "
+                        f"rec={int(recomputed[r])}, "
+                        f"wrong={int(wrong_bits[r])}) != reference "
                         f"(mis={ref['mispredicted']}, "
                         f"rec={ref['recomputed']}, "
                         f"wrong={ref['wrong_bits']})")

@@ -85,8 +85,9 @@ class ResultCache:
     """One-file-per-unit JSON store with atomic writes.
 
     ``load`` returns ``None`` on any miss — including unreadable JSON,
-    a key mismatch (hash collision or renamed file) and missing result
-    fields — so callers recompute instead of crashing.
+    a payload or result that is not a JSON object, a key mismatch (hash
+    collision or renamed file) and missing result fields — so callers
+    recompute instead of crashing.
     """
 
     def __init__(self, root=None):
@@ -97,22 +98,20 @@ class ResultCache:
         return self.units_dir / f"{key}.json"
 
     def load(self, key: str):
-        path = self.path(key)
         try:
-            with open(path) as fh:
+            with open(self.path(key)) as fh:
                 payload = json.load(fh)
-            if payload.get("key") != key:
-                obs.add("result_cache.misses")
-                return None
-            result = payload["result"]
-            if any(f not in result for f in RESULT_FIELDS):
-                obs.add("result_cache.misses")
-                return None
-            obs.add("result_cache.hits")
-            return result
-        except (OSError, ValueError, TypeError, KeyError):
+        except (OSError, ValueError):
+            payload = None
+        result = None
+        if isinstance(payload, dict) and payload.get("key") == key:
+            result = payload.get("result")
+        if not isinstance(result, dict) \
+                or any(f not in result for f in RESULT_FIELDS):
             obs.add("result_cache.misses")
             return None
+        obs.add("result_cache.hits")
+        return result
 
     def store(self, key: str, result: dict) -> Path:
         self.units_dir.mkdir(parents=True, exist_ok=True)

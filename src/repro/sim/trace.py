@@ -64,11 +64,6 @@ class AddTrace:
     def __len__(self) -> int:
         return len(self.pc)
 
-    @property
-    def n_predictions(self) -> np.ndarray:
-        """Per-row count of speculated carries (slices - 1, 8-bit slices)."""
-        return (self.width.astype(np.int64) + 7) // 8 - 1
-
     def select(self, mask: np.ndarray) -> "AddTrace":
         """Row subset (mask or index array), preserving order."""
         return AddTrace(

@@ -26,40 +26,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import bitops
-from repro.core.batch import previous_same_key_batch
-from repro.core.predictors import (SpeculationConfig, history_keys,
-                                   run_speculation, trace_groups,
-                                   trace_peek)
+from repro.core.batch import (TracePack, build_pack, evaluate_trace_batch,
+                              previous_same_key_batch)
+from repro.core.predictors import (MAX_PREDICTIONS, SpeculationConfig,
+                                   history_keys, run_speculation,
+                                   trace_groups)
 from repro.core.speculation import ST2_DESIGN
+
+
+def _rate(mispredicted: np.ndarray) -> float:
+    """Thread misprediction rate of one evaluation (0 for no rows)."""
+    return float(mispredicted.mean()) if len(mispredicted) else 0.0
+
 
 # ----------------------------------------------------------------------
 # history depth
 # ----------------------------------------------------------------------
 
 
-def _depth_predictions(trace, config: SpeculationConfig,
-                       depth: int) -> np.ndarray:
+def _depth_predictions(pack: TracePack, prevs: np.ndarray, depth: int,
+                       peek: bool) -> np.ndarray:
     """Prediction bits using the last ``depth`` carry vectors per entry.
 
-    Depth-1 is the paper's Prev. For deeper history the prediction is
-    the majority vote of the stored vectors (ties resolved toward the
-    most recent) — the natural hardware generalisation (a small shift
-    register per entry).
+    ``prevs`` are the per-boundary history predecessors of the config's
+    index.  Depth-1 is the paper's Prev. For deeper history the
+    prediction is the majority vote of the stored vectors (ties
+    resolved toward the most recent) — the natural hardware
+    generalisation (a small shift register per entry).
     """
-    from repro.core.predictors import (MAX_PREDICTIONS,
-                                       trace_n_predictions,
-                                       trace_slice_carries)
-    carries = trace_slice_carries(trace)
-    n_preds = trace_n_predictions(trace)
-    keys = history_keys(trace, config)
-    groups = trace_groups(trace)
-    n = len(trace)
+    carries = pack.carries
+    n = pack.n_rows
     bits = np.zeros((n, MAX_PREDICTIONS), dtype=np.uint8)
-    prevs = previous_same_key_batch(
-        keys, groups, np.arange(MAX_PREDICTIONS)[None, :]
-        < n_preds[:, None])
     for j in range(MAX_PREDICTIONS):
-        if not (n_preds > j).any():
+        if not (pack.n_preds > j).any():
             continue
         # chain of predecessors: prev, prev-of-prev, ...
         prev = prevs[:, j]
@@ -82,9 +81,8 @@ def _depth_predictions(trace, config: SpeculationConfig,
             maj = np.where(2 * votes > counts, 1,
                            np.where(2 * votes < counts, 0, recent))
         bits[:, j] = maj.astype(np.uint8)
-    if config.peek:
-        known, value = trace_peek(trace)
-        bits = np.where(known, value, bits)
+    if peek:
+        bits = np.where(pack.peek_known, pack.peek_value, bits)
     return bits
 
 
@@ -97,17 +95,15 @@ class DepthPoint:
 def history_depth_sweep(trace, depths=(1, 2, 3, 4),
                         config: SpeculationConfig = ST2_DESIGN) -> list:
     """Misprediction rate vs history depth at the ST2 index."""
-    from repro.core.predictors import Prediction, evaluate_trace
+    pack = build_pack(trace)
+    prevs = previous_same_key_batch(history_keys(trace, config),
+                                    trace_groups(trace), pack.pred_valid)
     points = []
     for depth in depths:
-        bits = _depth_predictions(trace, config, depth)
-        pred = Prediction(config=config, bits=bits,
-                          has_prev=np.zeros_like(bits, dtype=bool),
-                          peek_known=np.zeros_like(bits, dtype=bool))
-        res = evaluate_trace(trace, pred)
-        points.append(DepthPoint(depth=depth,
-                                 misprediction_rate=res
-                                 .thread_misprediction_rate))
+        bits = _depth_predictions(pack, prevs, depth, config.peek)
+        points.append(DepthPoint(
+            depth=depth,
+            misprediction_rate=_rate(evaluate_trace_batch(pack, bits)[0])))
     return points
 
 
@@ -138,17 +134,14 @@ def contention_sweep(trace, config: SpeculationConfig = ST2_DESIGN,
     writes, the rest are dropped (the paper's arbitration). Dropping
     updates only stales predictions — correctness is untouched.
     """
-    from repro.core.predictors import (MAX_PREDICTIONS, Prediction,
-                                       evaluate_trace,
-                                       trace_n_predictions,
-                                       trace_slice_carries)
     if len(trace) > max_rows:
         trace = trace.select(np.arange(max_rows))
-    ideal = run_speculation(trace, config)
+    pack = build_pack(trace)
+    ideal = run_speculation(trace, config, pack)
 
     rng = np.random.default_rng(seed)
-    carries = trace_slice_carries(trace)
-    n_preds = trace_n_predictions(trace)
+    carries = pack.carries
+    n_preds = pack.n_preds
     keys = history_keys(trace, config)
     groups = trace_groups(trace)
     n = len(trace)
@@ -205,15 +198,10 @@ def contention_sweep(trace, config: SpeculationConfig = ST2_DESIGN,
     flush_cycle()
 
     if config.peek:
-        known, value = trace_peek(trace)
-        bits = np.where(known, value, bits)
-    pred = Prediction(config=config, bits=bits,
-                      has_prev=np.zeros_like(bits, dtype=bool),
-                      peek_known=np.zeros_like(bits, dtype=bool))
-    contended = evaluate_trace(trace, pred)
+        bits = np.where(pack.peek_known, pack.peek_value, bits)
     return ContentionResult(
         ideal_rate=ideal.thread_misprediction_rate,
-        contended_rate=contended.thread_misprediction_rate,
+        contended_rate=_rate(evaluate_trace_batch(pack, bits)[0]),
         updates_dropped_fraction=dropped / max(total_updates, 1))
 
 

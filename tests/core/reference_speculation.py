@@ -4,8 +4,10 @@ kernels of :mod:`repro.core.batch`.
 These are the straightforward formulations: one
 :func:`~repro.core.bitops.slice_carry_ins` / ``slice_operand_bits``
 pass and one :class:`~repro.core.adder.ST2Adder` per distinct adder
-width, sequential dict walks for the history mechanisms.  The tests
-replay the production kernels against them.
+width, sequential dict walks for the history mechanisms
+(:class:`ReferencePredictor` for ``prev``).  None of them builds a
+:class:`~repro.core.batch.TracePack` or calls a batched kernel, so the
+tests replay the production kernels against code they do not share.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import numpy as np
 
 from repro.core import bitops
 from repro.core.adder import ST2Adder
-from repro.core.history import ReferencePredictor
 from repro.core.predictors import (MAX_PREDICTIONS, history_keys,
                                    trace_groups, trace_n_predictions)
 from repro.core.slices import geometry_for
@@ -52,6 +53,84 @@ def peek(trace) -> tuple:
         known[cols] = ((a & b) == 1) | ((a | b) == 0)
         value[cols] = ((a & b) == 1).astype(np.uint8)
     return known, value
+
+
+class ReferencePredictor:
+    """Sequential, dict-based oracle for the ``prev`` mechanism: one
+    history-table entry per index, walked row by row."""
+
+    def __init__(self, config):
+        if config.mechanism != "prev":
+            raise ValueError("ReferencePredictor models the prev mechanism")
+        self.config = config
+        self._table: dict = {}
+
+    def _key(self, pc: int, gtid: int, ltid: int, sm: int):
+        cfg = self.config
+        if cfg.pc_index == "none":
+            pc_part = 0
+        elif cfg.pc_index == "full":
+            pc_part = pc
+        elif cfg.pc_index == "mod":
+            pc_part = pc % (1 << cfg.pc_bits)
+        else:  # xor fold
+            pc_part, v, m = 0, pc, (1 << cfg.pc_bits) - 1
+            while v:
+                pc_part ^= v & m
+                v >>= cfg.pc_bits
+        thread_part = {"": 0, "gtid": gtid, "ltid": ltid}[cfg.thread_key]
+        sm_part = sm if cfg.sm_scoped else 0
+        return (pc_part, thread_part, sm_part)
+
+    def predict_row(self, pc: int, gtid: int, ltid: int, sm: int,
+                    n_preds: int) -> np.ndarray:
+        entry = self._table.get(self._key(pc, gtid, ltid, sm))
+        bits = np.zeros(MAX_PREDICTIONS, dtype=np.uint8)
+        if entry is not None:
+            bits[:] = entry
+        return bits[:n_preds]
+
+    def update_row(self, pc: int, gtid: int, ltid: int, sm: int,
+                   carries: np.ndarray) -> None:
+        """Store a row's true slice carries (bits it produced only)."""
+        key = self._key(pc, gtid, ltid, sm)
+        entry = self._table.setdefault(
+            key, np.zeros(MAX_PREDICTIONS, dtype=np.uint8))
+        entry[:len(carries)] = carries
+
+    def predict_trace(self, trace) -> np.ndarray:
+        """Group-at-a-time predictions over a trace.
+
+        All lanes of one warp instruction (same ``seq`` and ``warp``)
+        read the table before any of them writes back, matching the
+        hardware register-read / write-back staging.
+        """
+        n_preds = trace_n_predictions(trace)
+        carries = slice_carries(trace)
+        groups = (trace.seq.astype(np.int64) << 24) \
+            + trace.warp.astype(np.int64)
+        out = np.zeros((len(trace), MAX_PREDICTIONS), dtype=np.uint8)
+        i = 0
+        n = len(trace)
+        while i < n:
+            j = i
+            while j < n and groups[j] == groups[i]:
+                j += 1
+            for r in range(i, j):
+                kk = int(n_preds[r])
+                out[r, :kk] = self.predict_row(
+                    int(trace.pc[r]), int(trace.gtid[r]),
+                    int(trace.ltid[r]), int(trace.sm[r]), kk)
+            for r in range(i, j):
+                kk = int(n_preds[r])
+                self.update_row(int(trace.pc[r]), int(trace.gtid[r]),
+                                int(trace.ltid[r]), int(trace.sm[r]),
+                                carries[r, 1:kk + 1])
+            i = j
+        if self.config.peek:
+            known, value = peek(trace)
+            out = np.where(known, value, out)
+        return out
 
 
 def previous(keys: np.ndarray, groups: np.ndarray,

@@ -3,7 +3,7 @@
 Every function in :mod:`repro.core.batch` must be bit-identical to the
 per-width / per-row formulation in ``tests/core/reference_speculation.py``
 (built on :mod:`repro.core.bitops`, :class:`~repro.core.adder.ST2Adder`
-and :class:`~repro.core.history.ReferencePredictor`); these tests
+and its dict-based ``ReferencePredictor``); these tests
 assert it on synthetic traces that sweep odd widths (1, 7, 9, 23, 33,
 63 ...) alongside the canonical 23/32/52/64-bit geometries.
 """
@@ -54,6 +54,12 @@ def trace(request):
     return odd_width_trace(request.param)
 
 
+@pytest.fixture(scope="module")
+def pack(trace):
+    """The trace's one pack, shared by every kernel call on it."""
+    return build_pack(trace)
+
+
 class TestPackBuilders:
     def test_slice_carries_match_reference(self, trace):
         np.testing.assert_array_equal(_slice_carries_all(trace),
@@ -90,8 +96,7 @@ class TestPackBuilders:
                 assert gen[r, j] == g, (r, j, w)
                 assert prop[r, j] == (c1 & ~g & 1), (r, j, w)
 
-    def test_pack_rows_subset(self, trace):
-        pack = build_pack(trace)
+    def test_pack_rows_subset(self, trace, pack):
         idx = np.array([0, 5, 17, len(trace) - 1])
         sub = pack.rows(idx)
         assert sub.n_rows == len(idx)
@@ -114,8 +119,7 @@ def rows_sample(trace, per_width: int = 6):
 class TestPredictEvaluateParity:
     @pytest.mark.parametrize("config", CONFIGS,
                              ids=[c.name for c in CONFIGS])
-    def test_predict_matches_reference(self, trace, config):
-        pack = build_pack(trace)
+    def test_predict_matches_reference(self, trace, pack, config):
         bits, has_prev = ref_spec.predict(trace, config)
         vec = predict_trace_batch(trace, config, pack)
         # a history table answers only for boundaries a row has
@@ -128,8 +132,7 @@ class TestPredictEvaluateParity:
 
     @pytest.mark.parametrize("config", CONFIGS,
                              ids=[c.name for c in CONFIGS])
-    def test_evaluate_matches_reference(self, trace, config):
-        pack = build_pack(trace)
+    def test_evaluate_matches_reference(self, trace, pack, config):
         bits = predict_trace_batch(trace, config, pack).bits
         mis, rec, wrong = evaluate_trace_batch(pack, bits)
         ref_mis, ref_rec, ref_wrong = ref_spec.evaluate(trace, bits)
@@ -137,11 +140,10 @@ class TestPredictEvaluateParity:
         np.testing.assert_array_equal(rec, ref_rec)
         np.testing.assert_array_equal(wrong, ref_wrong)
 
-    def test_evaluate_arbitrary_bits(self, trace):
+    def test_evaluate_arbitrary_bits(self, trace, pack):
         """Parity must hold for *any* prediction overlay, not just ones
         a mechanism produces (the static-fact path feeds synthetic
         bits)."""
-        pack = build_pack(trace)
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, (len(trace), MAX_PREDICTIONS),
                             dtype=np.uint8)

@@ -1,69 +1,11 @@
-"""Carry Register File model and write-port arbitration."""
+"""The sequential history-table reference the batched ``prev``
+predictions are checked against."""
 
 import numpy as np
 import pytest
 
-from repro.core.history import CarryRegisterFile, ReferencePredictor
 from repro.core.predictors import SpeculationConfig
-
-
-class TestCRFGeometry:
-    def test_paper_dimensions(self):
-        crf = CarryRegisterFile()
-        assert crf.entry_bits == 224        # 32 lanes x 7 bits
-        assert crf.storage_bytes() == 448   # 16 entries
-
-    def test_read_indexes_by_low_pc_bits(self):
-        crf = CarryRegisterFile()
-        bits = np.ones((3, 7), dtype=np.uint8)
-        crf.writeback(pc=5, lanes=np.array([0, 1, 2]), bits=bits)
-        # pc 21 aliases pc 5 (mod 16)
-        assert np.array_equal(crf.read(21)[0:3, :], bits)
-        assert not crf.read(6).any()
-
-    def test_writeback_touches_only_given_lanes(self):
-        crf = CarryRegisterFile()
-        crf.writeback(pc=0, lanes=np.array([3]),
-                      bits=np.ones((1, 7), np.uint8))
-        entry = crf.read(0)
-        assert entry[3].all()
-        assert not entry[[0, 1, 2, 4]].any()
-
-    def test_narrow_update_leaves_high_bits(self):
-        crf = CarryRegisterFile()
-        crf.writeback(0, np.array([0]), np.ones((1, 7), np.uint8))
-        crf.writeback(0, np.array([0]), np.zeros((1, 2), np.uint8))
-        entry = crf.read(0)
-        assert list(entry[0]) == [0, 0, 1, 1, 1, 1, 1]
-
-
-class TestArbitration:
-    def test_distinct_entries_all_proceed(self):
-        crf = CarryRegisterFile()
-        updates = [(0, np.array([0]), np.ones((1, 7), np.uint8)),
-                   (1, np.array([0]), np.ones((1, 7), np.uint8))]
-        crf.writeback_cycle(updates)
-        assert crf.conflicts_dropped == 0
-        assert crf.read(0)[0].all() and crf.read(1)[0].all()
-
-    def test_same_entry_conflict_drops_losers(self):
-        crf = CarryRegisterFile(seed=4)
-        updates = [(0, np.array([0]), np.ones((1, 7), np.uint8)),
-                   (16, np.array([1]), np.ones((1, 7), np.uint8))]
-        crf.writeback_cycle(updates)       # pc 0 and 16 share entry 0
-        assert crf.conflicts_dropped == 1
-        entry = crf.read(0)
-        # exactly one of the two lanes was written
-        assert entry[0].all() != entry[1].all()
-
-    def test_dropped_updates_counted_across_cycles(self):
-        crf = CarryRegisterFile(seed=0)
-        for _ in range(10):
-            crf.writeback_cycle(
-                [(0, np.array([0]), np.ones((1, 7), np.uint8)),
-                 (0, np.array([1]), np.ones((1, 7), np.uint8)),
-                 (0, np.array([2]), np.ones((1, 7), np.uint8))])
-        assert crf.conflicts_dropped == 20
+from tests.core.reference_speculation import ReferencePredictor
 
 
 class TestReferencePredictor:

@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 
 from repro.core import bitops
-from repro.core.batch import previous_same_key_batch
-from repro.core.history import ReferencePredictor
-from repro.core.predictors import (MAX_PREDICTIONS, Prediction,
-                                   SpeculationConfig, carry_match_rate,
-                                   evaluate_trace, history_keys,
-                                   predict_trace, run_speculation,
-                                   trace_n_predictions, trace_peek,
-                                   trace_slice_carries)
+from repro.core.batch import (build_pack, carry_match_rate_batch,
+                              evaluate_trace_batch, predict_trace_batch,
+                              previous_same_key_batch)
+from repro.core.predictors import (MAX_PREDICTIONS, SpeculationConfig,
+                                   history_keys, run_speculation,
+                                   trace_n_predictions)
 from tests.conftest import make_trace, random_trace
+from tests.core.reference_speculation import ReferencePredictor
+
+
+def predict(trace, config):
+    """``config``'s prediction over ``trace``, on the trace's pack."""
+    return predict_trace_batch(trace, config, build_pack(trace))
+
+
+def carry_match_rate(trace, config):
+    """The Figure 3 metric of ``config`` over ``trace``."""
+    return carry_match_rate_batch(trace, config, build_pack(trace))
 
 
 class TestConfigValidation:
@@ -68,7 +77,7 @@ class TestTraceDerived:
 
     def test_slice_carries_padded(self):
         t = make_trace([0], [0], [0], [0xFF], [0x01], width=[32])
-        carries = trace_slice_carries(t)
+        carries = build_pack(t).carries
         assert carries.shape == (1, 8)
         assert list(carries[0]) == [0, 1, 0, 0, 0, 0, 0, 0]
 
@@ -76,7 +85,8 @@ class TestTraceDerived:
         # slice0 MSB (bit 7) both zero -> carry into slice 1 known 0
         t = make_trace([0, 0, 0], [0, 0, 0], [0, 0, 0],
                        [0x00, 0x80, 0x80], [0x00, 0x80, 0x00], width=16)
-        known, value = trace_peek(t)
+        pack = build_pack(t)
+        known, value = pack.peek_known, pack.peek_value
         assert known[0, 0] and value[0, 0] == 0      # both MSbs 0
         assert known[1, 0] and value[1, 0] == 1      # both MSbs 1
         assert not known[2, 0]                       # mixed -> dynamic
@@ -84,8 +94,9 @@ class TestTraceDerived:
     def test_peek_is_always_correct(self, rng):
         """The Peek static rule must never contradict the true carry."""
         t = random_trace(rng, n=2000)
-        known, value = trace_peek(t)
-        carries = trace_slice_carries(t)[:, 1:]
+        pack = build_pack(t)
+        known, value = pack.peek_known, pack.peek_value
+        carries = pack.carries[:, 1:]
         n_preds = trace_n_predictions(t)
         in_range = np.arange(MAX_PREDICTIONS)[None, :] < n_preds[:, None]
         sel = known & in_range
@@ -138,8 +149,9 @@ class TestPrevMechanism:
         a = [0xFF, 0x01]
         b = [0x01, 0x01]
         t = make_trace([0, 0], [0, 0], [0, 0], a, b, width=16)
-        pred = predict_trace(t, SpeculationConfig("p", "prev"))
-        carries0 = trace_slice_carries(t)[0]
+        pack = build_pack(t)
+        pred = predict_trace_batch(t, SpeculationConfig("p", "prev"), pack)
+        carries0 = pack.carries[0]
         assert pred.bits[0, 0] == 0            # cold table predicts 0
         assert pred.bits[1, 0] == carries0[1]  # 0xFF+0x01 generated carry
         assert pred.has_prev[1, 0] and not pred.has_prev[0, 0]
@@ -163,7 +175,7 @@ class TestPrevMechanism:
         ops = np.array([a64, 0, a64], dtype=np.uint64)
         t = make_trace([0, 0, 0], [0, 0, 0], [0, 0, 0],
                        ops, [1, 0, 1], width=[64, 23, 64])
-        pred = predict_trace(t, SpeculationConfig("p", "prev"))
+        pred = predict(t, SpeculationConfig("p", "prev"))
         # third op's low 2 prediction bits were updated by the 23-bit op
         # (carry-free), its high 5 still come from op 0 (all carries)
         assert list(pred.bits[2]) == [0, 0, 1, 1, 1, 1, 1]
@@ -186,7 +198,7 @@ class TestOracleCrossCheck:
     ])
     def test_matches_reference(self, cfg, rng):
         t = random_trace(rng, n=400, n_pcs=20, n_threads=96)
-        fast = predict_trace(t, cfg).bits
+        fast = predict(t, cfg).bits
         slow = ReferencePredictor(cfg).predict_trace(t)
         n_preds = trace_n_predictions(t)
         in_range = np.arange(MAX_PREDICTIONS)[None, :] < n_preds[:, None]
@@ -196,9 +208,9 @@ class TestOracleCrossCheck:
 class TestEvaluate:
     def test_wrong_bits_counts_raw_errors(self, rng):
         t = random_trace(rng, n=200)
-        pred = predict_trace(t, SpeculationConfig("z", "static0"))
-        res = evaluate_trace(t, pred)
-        carries = trace_slice_carries(t)[:, 1:]
+        pack = build_pack(t)
+        res = run_speculation(t, SpeculationConfig("z", "static0"), pack)
+        carries = pack.carries[:, 1:]
         n_preds = trace_n_predictions(t)
         in_range = np.arange(MAX_PREDICTIONS)[None, :] < n_preds[:, None]
         expect = (carries != 0)[in_range].sum()
@@ -212,13 +224,9 @@ class TestEvaluate:
 
     def test_misprediction_rate_zero_with_oracle_predictions(self, rng):
         t = random_trace(rng, n=300)
-        carries = trace_slice_carries(t)
-        pred = Prediction(
-            config=SpeculationConfig("oracle", "prev"),
-            bits=carries[:, 1:], has_prev=np.ones((300, 7), bool),
-            peek_known=np.zeros((300, 7), bool))
-        res = evaluate_trace(t, pred)
-        assert res.thread_misprediction_rate == 0.0
+        pack = build_pack(t)
+        mispredicted, _, _ = evaluate_trace_batch(pack, pack.carries[:, 1:])
+        assert mispredicted.mean() == 0.0
 
 
 class TestCarryMatchRate:

@@ -6,12 +6,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.history import ReferencePredictor
+from repro.core.batch import (build_pack, evaluate_trace_batch,
+                              predict_trace_batch)
 from repro.core.predictors import (MAX_PREDICTIONS, SpeculationConfig,
-                                   predict_trace, run_speculation,
-                                   trace_n_predictions, trace_peek,
-                                   trace_slice_carries)
+                                   run_speculation, trace_n_predictions)
 from tests.conftest import make_trace
+from tests.core.reference_speculation import ReferencePredictor
 
 
 @st.composite
@@ -59,8 +59,9 @@ class TestOracleEquivalence:
     @given(trace=traces())
     @settings(max_examples=40, deadline=None)
     def test_vectorised_matches_sequential(self, trace):
+        pack = build_pack(trace)
         for cfg in CONFIGS:
-            fast = predict_trace(trace, cfg).bits
+            fast = predict_trace_batch(trace, cfg, pack).bits
             slow = ReferencePredictor(cfg).predict_trace(trace)
             n_preds = trace_n_predictions(trace)
             in_range = (np.arange(MAX_PREDICTIONS)[None, :]
@@ -73,8 +74,9 @@ class TestUniversalInvariants:
     @given(trace=traces())
     @settings(max_examples=40, deadline=None)
     def test_peek_bits_always_correct(self, trace):
-        known, value = trace_peek(trace)
-        carries = trace_slice_carries(trace)[:, 1:]
+        pack = build_pack(trace)
+        known, value = pack.peek_known, pack.peek_value
+        carries = pack.carries[:, 1:]
         n_preds = trace_n_predictions(trace)
         in_range = (np.arange(MAX_PREDICTIONS)[None, :]
                     < n_preds[:, None])
@@ -94,8 +96,10 @@ class TestUniversalInvariants:
     @given(trace=traces())
     @settings(max_examples=30, deadline=None)
     def test_static_zero_misses_exactly_on_carries(self, trace):
-        res = run_speculation(trace, SpeculationConfig("z", "static0"))
-        carries = trace_slice_carries(trace)[:, 1:]
+        pack = build_pack(trace)
+        res = run_speculation(trace, SpeculationConfig("z", "static0"),
+                              pack)
+        carries = pack.carries[:, 1:]
         n_preds = trace_n_predictions(trace)
         in_range = (np.arange(MAX_PREDICTIONS)[None, :]
                     < n_preds[:, None])
@@ -107,11 +111,6 @@ class TestUniversalInvariants:
     @given(trace=traces())
     @settings(max_examples=30, deadline=None)
     def test_oracle_predictions_never_stall(self, trace):
-        from repro.core.predictors import Prediction, evaluate_trace
-        carries = trace_slice_carries(trace)
-        pred = Prediction(
-            config=CONFIGS[0], bits=carries[:, 1:],
-            has_prev=np.ones((len(trace), MAX_PREDICTIONS), bool),
-            peek_known=np.zeros((len(trace), MAX_PREDICTIONS), bool))
-        res = evaluate_trace(trace, pred)
-        assert not res.mispredicted.any()
+        pack = build_pack(trace)
+        mispredicted, _, _ = evaluate_trace_batch(pack, pack.carries[:, 1:])
+        assert not mispredicted.any()

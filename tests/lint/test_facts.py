@@ -7,10 +7,9 @@ kernel.
 import numpy as np
 import pytest
 
-from repro.core.predictors import (Prediction, evaluate_trace,
-                                   predict_trace, trace_n_predictions,
-                                   trace_slice_carries,
-                                   trace_static_peek)
+from repro.core.batch import (build_pack, evaluate_trace_batch,
+                              predict_trace_batch)
+from repro.core.predictors import trace_n_predictions, trace_static_peek
 from repro.core.speculation import PREV, ST2_DESIGN
 from repro.kernels.suite import run_kernel
 from repro.lint.absint import AdderSite, FunctionSummary
@@ -136,7 +135,7 @@ class TestStaticPeekSoundness:
     def test_static_values_equal_true_carries(self, qrng_run):
         facts = facts_for_kernel("qrng_K1")
         known, value = trace_static_peek(qrng_run.trace, facts)
-        true = trace_slice_carries(qrng_run.trace)[:, 1:]
+        true = build_pack(qrng_run.trace).carries[:, 1:]
         assert np.array_equal(value[known], true[known])
 
     def test_dict_facts_match_object_facts(self, qrng_run):
@@ -151,24 +150,24 @@ class TestStaticPeekSoundness:
         # overlaying true carries can only flip wrong bits right
         facts = facts_for_kernel("qrng_K1")
         trace = qrng_run.trace
-        base = predict_trace(trace, ST2_DESIGN)
+        pack = build_pack(trace)
+        base = predict_trace_batch(trace, ST2_DESIGN, pack)
         sk, sv = trace_static_peek(trace, facts)
         static = np.where(sk, sv, base.bits)
-        true = trace_slice_carries(trace)[:, 1:]
+        true = pack.carries[:, 1:]
         assert np.array_equal(static[~sk], base.bits[~sk])
         assert np.array_equal(static[sk], true[sk])
 
     def test_misprediction_rate_never_increases(self, qrng_run):
         facts = facts_for_kernel("qrng_K1")
         trace = qrng_run.trace
-        dyn_pred = predict_trace(trace, ST2_DESIGN)
+        pack = build_pack(trace)
+        dyn_pred = predict_trace_batch(trace, ST2_DESIGN, pack)
         sk, sv = trace_static_peek(trace, facts)
-        static = evaluate_trace(trace, Prediction(
-            config=ST2_DESIGN, bits=np.where(sk, sv, dyn_pred.bits),
-            has_prev=dyn_pred.has_prev, peek_known=dyn_pred.peek_known))
-        dyn = evaluate_trace(trace, dyn_pred)
-        assert static.thread_misprediction_rate <= \
-            dyn.thread_misprediction_rate
+        static, _, _ = evaluate_trace_batch(
+            pack, np.where(sk, sv, dyn_pred.bits))
+        dyn, _, _ = evaluate_trace_batch(pack, dyn_pred.bits)
+        assert static.mean() <= dyn.mean()
 
     def test_speculation_events_reduced_vs_prev(self, qrng_run):
         # Prev has no runtime Peek, so every statically pinned slice
@@ -177,7 +176,7 @@ class TestStaticPeekSoundness:
         trace = qrng_run.trace
         valid = (np.arange(7)[None, :]
                  < trace_n_predictions(trace)[:, None])
-        base = predict_trace(trace, PREV)
+        base = predict_trace_batch(trace, PREV, build_pack(trace))
         sk, _ = trace_static_peek(trace, facts)
         events_base = (valid & ~base.peek_known).sum()
         events_static = (valid & ~(base.peek_known | sk)).sum()

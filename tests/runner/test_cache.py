@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.core.speculation import PREV_PEEK, ST2_DESIGN
 from repro.runner import (ResultCache, RunOptions, UnitSpec, build_units,
                           run_units, unit_key)
@@ -93,6 +94,37 @@ def test_truncated_result_payload_is_a_miss(cache):
     (again,) = run_units([spec], RunOptions(cache=cache))
     assert again.cached is False
     assert results_equal(cold, again)
+
+
+def non_object_entries(key, result):
+    """Valid JSON that is not a cache entry: a non-object payload, and
+    an entry whose ``result`` is not an object but still contains every
+    result field name (a list of them, or the result as a string)."""
+    return {
+        "list": [1, 2],
+        "string": "x",
+        "list result": {"key": key, "result": sorted(result)},
+        "string result": {"key": key, "result": json.dumps(result)},
+    }
+
+
+@pytest.mark.parametrize("kind", ["list", "string", "list result",
+                                  "string result"])
+def test_non_object_entry_is_a_counted_miss(cache, kind):
+    spec = unit()
+    (cold,) = run_units([spec], RunOptions(cache=cache))
+    path = cache.path(cold.key)
+    result = json.loads(path.read_text())["result"]
+    path.write_text(json.dumps(non_object_entries(cold.key,
+                                                  result)[kind]))
+    with obs.scoped() as registry:
+        assert cache.load(cold.key) is None
+    assert registry.counter("result_cache.misses") == 1
+    assert registry.counter("result_cache.hits") == 0
+    (again,) = run_units([spec], RunOptions(cache=cache))
+    assert again.cached is False            # recomputed, not crashed
+    assert results_equal(cold, again)
+    assert cache.load(cold.key) is not None     # healed
 
 
 def test_two_stage_results_survive_the_cache(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.core.predictors import trace_n_predictions
 from repro.isa.opcodes import MixCategory, Opcode
 from repro.sim.trace import TraceBuilder, _block_phase
 
@@ -88,4 +89,4 @@ class TestInstStream:
         b = TraceBuilder()
         _record(b, block=0, seq=0, n=1)
         trace, _ = b.build()
-        assert list(trace.n_predictions) == [3]   # 32-bit -> 4 slices
+        assert list(trace_n_predictions(trace)) == [3]   # 32-bit -> 4 slices

@@ -4,8 +4,8 @@ The engine (:mod:`repro.sim.vec`) is the only evaluation path, so its
 ground truth is a deliberately slow re-assembly of the same unit from
 references that share none of its batched kernels:
 
-* predictions from :class:`~repro.core.history.ReferencePredictor` and
-  the per-width / per-row formulations of
+* predictions from the dict-based ``ReferencePredictor`` and the
+  per-width / per-row formulations of
   ``tests/core/reference_speculation.py``;
 * the ST2-adder outcome from one :class:`~repro.core.adder.ST2Adder`
   per adder width;

@@ -6,8 +6,8 @@ import numpy as np
 from repro.core.correlation import (intra_pc_value_spread,
                                     slice_carry_correlation,
                                     value_evolution)
-from repro.core.predictors import (SpeculationConfig, carry_match_rate,
-                                   run_speculation)
+from repro.core.batch import build_pack, carry_match_rate_batch
+from repro.core.predictors import SpeculationConfig, run_speculation
 from repro.core.speculation import DESIGN_LADDER, ST2_DESIGN, explore
 from tests.conftest import make_trace
 
@@ -24,7 +24,8 @@ class TestDegenerateTraces:
         res = _spec_ok(t)
         assert res.n_ops == 0
         assert res.recomputed_per_misprediction == 0.0
-        assert np.isnan(carry_match_rate(t, ST2_DESIGN))
+        assert np.isnan(carry_match_rate_batch(t, ST2_DESIGN,
+                                               build_pack(t)))
 
     def test_single_row(self):
         t = make_trace([0], [0], [0], [1], [1])
@@ -43,7 +44,7 @@ class TestDegenerateTraces:
                        [1] * 20, [1] * 20)
         cfg = SpeculationConfig("x", "prev", pc_index="full",
                                 thread_key="gtid")
-        rate = carry_match_rate(t, cfg)
+        rate = carry_match_rate_batch(t, cfg, build_pack(t))
         assert 0.0 <= rate <= 1.0
 
     def test_all_ones_operands(self):

@@ -11,8 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.predictors import (run_speculation, trace_n_predictions,
-                                   trace_slice_carries)
+from repro.core.batch import build_pack
+from repro.core.predictors import run_speculation, trace_n_predictions
 from repro.core.speculation import ST2_DESIGN
 from repro.sim.config import LaunchConfig
 from repro.sim.functional import GridLauncher
@@ -99,11 +99,12 @@ class TestFuzzedKernels:
             assert (trace.op_b[sel] <= lim).all()
 
         # the carry ground truth is internally consistent
-        carries = trace_slice_carries(trace)
+        pack = build_pack(trace)
+        carries = pack.carries
         assert np.array_equal(carries[:, 0].astype(np.uint8), trace.cin)
 
         # speculation invariants
-        res = run_speculation(trace, ST2_DESIGN)
+        res = run_speculation(trace, ST2_DESIGN, pack)
         assert 0.0 <= res.thread_misprediction_rate <= 1.0
         assert (res.recomputed <= 7).all()
         assert (res.recomputed[~res.mispredicted] == 0).all()
