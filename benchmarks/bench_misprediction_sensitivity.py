@@ -13,7 +13,7 @@ import numpy as np
 from _bench_utils import save_artifact
 from repro.analysis.ascii_charts import table
 from repro.core.batch import (build_pack, evaluate_trace_batch,
-                              predict_trace_batch)
+                              pack_bits, predict_trace_batch, unpack_bits)
 from repro.core.predictors import SpeculationResult
 from repro.core.speculation import ST2_DESIGN
 from repro.sim.pipeline import compare_baseline_st2
@@ -25,7 +25,8 @@ INJECT_RATES = (0.0, 0.05, 0.1, 0.2, 0.4, 0.8)
 def _sweep(run, adder_model):
     trace = run.trace
     pack = build_pack(trace)
-    carries_pred = predict_trace_batch(trace, ST2_DESIGN, pack).bits
+    carries_pred = unpack_bits(
+        predict_trace_batch(trace, ST2_DESIGN, pack).bits)
     rng = np.random.default_rng(0)
     rows = []
     for rate in INJECT_RATES:
@@ -33,7 +34,7 @@ def _sweep(run, adder_model):
         flip = rng.random(bits.shape) < rate
         bits = np.where(flip, 1 - bits, bits)
         mispredicted, recomputed, wrong_bits = evaluate_trace_batch(
-            pack, bits)
+            pack, pack_bits(bits))
         res = SpeculationResult(config=ST2_DESIGN, n_ops=pack.n_rows,
                                 mispredicted=mispredicted,
                                 recomputed=recomputed,

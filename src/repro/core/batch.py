@@ -1,19 +1,37 @@
 """Batched carry-speculation kernels: the one evaluation path.
 
 Every prediction and ST2-adder evaluation in the repository runs here,
-over a *whole trace* in padded ``(N, 8)`` / ``(N, 7)`` arrays:
+over a *whole trace*, on one byte per row and array.
 
-* :class:`TracePack` — every config-independent derived array of one
-  trace: true slice carries, per-slice generate/propagate summaries
+**Bit layout.**  The widest adder (64 bits) has 8 slices of 8 bits and
+7 speculated slice boundaries, so every per-row slice quantity fits in
+one ``uint8``: bit ``j`` is slice ``j`` (``gen``, ``prop``) or the
+boundary into slice ``j + 1`` (``carries``, the Peek facts and every
+prediction).  A row of ``n_preds`` boundaries uses bits
+``0 .. n_preds - 1``; its *valid mask* is ``valid = (1 << n_preds) - 1``
+and every consumer ANDs with it, so bits past a row's last boundary
+never reach an output.  :func:`unpack_bits` / :func:`pack_bits`
+convert to and from ``(N, k)`` 0/1 columns (``np.unpackbits`` /
+``np.packbits`` with ``bitorder="little"``) for readers that want one
+column per boundary.
+
+* :class:`TracePack` — every config-independent derived byte of one
+  trace: true boundary carries, per-slice generate/propagate summaries
   (the ``cout = G | (P & cin)`` identity of
   :meth:`~repro.core.adder.ST2Adder._slice_carry_outs`), runtime Peek
-  facts and the slice-validity masks.
-* :func:`previous_same_key_batch` — the history-table predecessor for
-  all 7 slice boundaries from **one** stable argsort (the per-boundary
-  valid sets are subsequences of the same time order, and a stable
-  sort of a subsequence is the subsequence of the stable sort).
-* :func:`predict_trace_batch` / :func:`evaluate_trace_batch` — padded
-  whole-trace prediction and ST2-adder evaluation.
+  facts, the architectural carry-in, ``n_preds`` and ``valid``.
+* :func:`predict_trace_batch` — a whole-trace prediction.  The ``prev``
+  mechanism sorts the history keys once and computes one predecessor
+  array per *distinct* valid set (one per distinct ``n_preds``, since
+  validity is a per-row prefix), each followed by one byte gather
+  ``carries[prev] & group_mask``.
+* :func:`evaluate_trace_batch` — the ST2-adder outcome from byte ops
+  only: ``assumed = cin | bits << 1``, ``couts = gen | (prop &
+  assumed)``, ``errors = (bits ^ couts) & valid``, every slice from the
+  lowest error up is suspect, and the counts come from a 256-entry
+  popcount table.
+* :func:`previous_same_key_batch` — per-column history predecessors
+  for callers with their own column layouts (the ablation studies).
 
 Every caller builds one pack per trace and passes it to every kernel
 call on that trace: the evaluation engine through its cached plan,
@@ -30,6 +48,7 @@ instrumentation happens at this level; callers count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -40,11 +59,59 @@ from repro.core.predictors import (MAX_PREDICTIONS, Prediction,
 #: widest supported adder: 64 bits = 8 slices of 8 bits
 N_SLICES_MAX = MAX_PREDICTIONS + 1
 
+#: every boundary bit of a packed row
+BOUNDARY_MASK = (1 << MAX_PREDICTIONS) - 1
+
+#: set bits of every byte value (numpy < 2.0 has no ``bitwise_count``)
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)],
+                    dtype=np.int64)
+
+#: ``valid`` mask of a row with ``k`` boundaries, indexed by ``k``
+_VALID = np.array([(1 << k) - 1 for k in range(N_SLICES_MAX + 1)],
+                  dtype=np.uint8)
+
+#: the history-table identity of a ``prev`` config: every field
+#: :func:`~repro.core.predictors.history_keys` reads
+HistoryKey = Tuple[str, int, str, bool]
+
 _U64 = np.uint64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+_BYTE_LSBS = np.uint64(0x0101010101010101)
+_BYTE_LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
+_BYTE_MSBS = np.uint64(0x8080808080808080)
+# multiplying bits 8j (j = 0..7) by this lands bit 8j on bit 56 + j,
+# with no two partial products on the same bit
+_GATHER = np.uint64(0x0102040810204080)
 
 
-def _operands_u64(trace) -> tuple:
+def pack_bits(cols: np.ndarray) -> np.ndarray:
+    """``(N, k)`` 0/1 columns (``k <= 8``) as one byte per row, bit
+    ``j`` = column ``j``."""
+    return np.packbits(np.asarray(cols, dtype=bool), axis=1,
+                       bitorder="little")[:, 0]
+
+
+def unpack_bits(packed: np.ndarray,
+                k: int = MAX_PREDICTIONS) -> np.ndarray:
+    """One byte per row as ``(N, k)`` uint8 columns, column ``j`` = bit
+    ``j`` — the inverse of :func:`pack_bits`."""
+    return np.unpackbits(np.asarray(packed, dtype=np.uint8)[:, None],
+                         axis=1, count=k, bitorder="little")
+
+
+def count_bits(packed: np.ndarray) -> int:
+    """Total set bits over an array of bytes."""
+    return int(np.count_nonzero(np.unpackbits(packed)))
+
+
+def _byte_lsbs(word: np.ndarray) -> np.ndarray:
+    """Bit ``8j`` of every uint64 ``word`` gathered into bit ``j`` of
+    one byte."""
+    return (((word & _BYTE_LSBS) * _GATHER) >> _U64(56)).astype(np.uint8)
+
+
+def _operands_u64(trace: Any) -> Tuple[np.ndarray, np.ndarray,
+                                       np.ndarray, np.ndarray]:
     """``(a, b, width, mask)`` with both operands reinterpreted as
     unsigned and masked to each row's width — the vectorised-over-rows
     form of :func:`~repro.core.bitops.to_unsigned`."""
@@ -55,57 +122,70 @@ def _operands_u64(trace) -> tuple:
     return a, b, width, m
 
 
-def _slice_carries_all(trace) -> np.ndarray:
-    """``(N, 8)`` true slice carry-ins, one pass over every width.
+def _slice_carries_all(trace: Any) -> np.ndarray:
+    """True carry into slices 1..7, bit ``j`` = slice ``j + 1``.
 
     Slice ``j`` always starts at bit ``8j``, and a row's carry word is
-    masked to its width, so shifting past it reads zero — the padding
-    for slices a narrow adder does not have.
+    masked to its width, so slices a narrow adder does not have read
+    zero.  (The carry into slice 0 is the trace's ``cin``.)
     """
-    a, b, width, m = _operands_u64(trace)
+    a, b, _width, m = _operands_u64(trace)
     cin = np.asarray(trace.cin, dtype=_U64)
-    with np.errstate(over="ignore"):    # uint64 wrap-around intended
-        s = (a + b + cin) & m
-    carries = a ^ b ^ s                 # < 2**width by construction
-    out = np.empty((len(width), N_SLICES_MAX), dtype=np.uint8)
-    for j in range(N_SLICES_MAX):
-        out[:, j] = (carries >> _U64(8 * j)) & _U64(1)
-    return out
+    s = (a + b + cin) & m               # uint64 wrap-around intended
+    return _byte_lsbs((a ^ b ^ s) >> _U64(8))
 
 
-def _peek_all(trace, pred_valid: np.ndarray) -> tuple:
-    """``(known, value)`` of the runtime Peek rule, one pass over every
-    width.
+def _peek_all(trace: Any, valid: np.ndarray) -> Tuple[np.ndarray,
+                                                      np.ndarray]:
+    """``(known, value)`` bytes of the runtime Peek rule.
 
-    The MSB of slice ``j`` sits at ``min(8j + 8, width) - 1``; columns
-    past a row's last boundary are masked off with ``pred_valid``.
-    ``value`` (both MSbs one) is also the CASA-style ``operand``
-    prediction: the generate bit of the previous slice's MSB.
+    A valid boundary ``j`` ends a full slice, so the MSB it peeks at is
+    bit ``8j + 7``; boundaries past a row's last are masked off with
+    ``valid``.  ``value`` (both MSbs one) is also the CASA-style
+    ``operand`` prediction: the generate bit of the previous slice's
+    MSB.
     """
-    width = np.asarray(trace.width).astype(_U64)
     # only bits below each row's width are read, so the raw uint64
     # reinterpretation needs no mask
     a = np.asarray(trace.op_a).astype(np.int64).view(_U64)
     b = np.asarray(trace.op_b).astype(np.int64).view(_U64)
-    known = np.empty((len(width), MAX_PREDICTIONS), dtype=bool)
-    value = np.empty((len(width), MAX_PREDICTIONS), dtype=np.uint8)
-    one = _U64(1)
-    for j in range(MAX_PREDICTIONS):
-        pos = np.minimum(_U64(8 * j + 8), width) - one
-        a_bit = (a >> pos) & one
-        b_bit = (b >> pos) & one
-        both_one = (a_bit & b_bit) == one
-        both_zero = (a_bit | b_bit) == 0
-        known[:, j] = both_one | both_zero
-        value[:, j] = both_one
-    known &= pred_valid
-    value &= pred_valid
+    known = _byte_lsbs(~(a ^ b) >> _U64(7)) & valid
+    value = _byte_lsbs((a & b) >> _U64(7)) & valid
     return known, value
+
+
+def _gen_prop_all(trace: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-slice generate/propagate bytes: bit ``j`` of ``gen`` is
+    slice ``j``'s carry-out under carry-in 0, bit ``j`` of ``prop``
+    marks carry-in 1 flipping it.  Slices past a row's last are zero.
+
+    Both come from byte-isolated sums (no carry crosses a byte): the
+    carry out of every bit under slice carry-in 0 and 1, read at each
+    slice's MSB — bit ``8j + 7`` for full slices, ``width - 1`` for a
+    row's last slice.
+    """
+    a, b, width, _m = _operands_u64(trace)
+    x = a ^ b
+    g = a & b
+    low = (a & _BYTE_LOW7) + (b & _BYTE_LOW7)     # < 0xff per byte
+    cout0 = g | (x & (x ^ low ^ (x & _BYTE_MSBS)))
+    cout1 = g | (x & (x ^ (low + _BYTE_LSBS) ^ (x & _BYTE_MSBS)))
+    msb = width - _U64(1)
+    last = (msb >> _U64(3)).astype(np.uint8)      # the row's last slice
+    below = _VALID[last]
+    one = _U64(1)
+    gen = (_byte_lsbs(cout0 >> _U64(7)) & below) \
+        | (((cout0 >> msb) & one).astype(np.uint8) << last)
+    c1 = (_byte_lsbs(cout1 >> _U64(7)) & below) \
+        | (((cout1 >> msb) & one).astype(np.uint8) << last)
+    return gen, c1 & ~gen
 
 
 @dataclass
 class TracePack:
-    """Config-independent derived arrays of one :class:`AddTrace`.
+    """Config-independent derived bytes of one :class:`AddTrace`, one
+    ``uint8`` per row and field (see the module docstring for the bit
+    layout).
 
     Built once per trace (a few vectorised passes over the memmapped
     columns) and shared by every SpeculationConfig evaluated against
@@ -114,67 +194,34 @@ class TracePack:
     """
 
     n_rows: int
-    n_preds: np.ndarray         # (N,)  int64 — speculated carries/row
-    carries: np.ndarray         # (N, 8) uint8 — true slice carry-ins
-    gen: np.ndarray             # (N, 8) uint8 — slice generate bits
-    prop: np.ndarray            # (N, 8) uint8 — slice propagate bits
-    pred_valid: np.ndarray      # (N, 7) bool — boundary j < n_preds
-    peek_known: np.ndarray      # (N, 7) bool — runtime Peek facts
-    peek_value: np.ndarray      # (N, 7) uint8
-    cin: np.ndarray             # (N,)  uint8 — architectural carry-in
+    n_preds: np.ndarray         # speculated boundaries per row, 0..7
+    valid: np.ndarray           # (1 << n_preds) - 1
+    carries: np.ndarray         # true carry into slice j + 1
+    gen: np.ndarray             # slice j generates a carry-out
+    prop: np.ndarray            # slice j propagates its carry-in
+    peek_known: np.ndarray      # runtime Peek resolved boundary j
+    peek_value: np.ndarray      # ... to this carry
+    cin: np.ndarray             # architectural carry-in (0/1)
 
     @property
     def history_lookups(self) -> int:
         """Total (row, boundary) pairs a history table would look up —
         ``core.predict.history_lookups`` per prediction."""
-        return int(self.pred_valid.sum())
+        return int(self.n_preds.sum())
 
     def rows(self, idx: np.ndarray) -> "TracePack":
         """The pack restricted to ``idx`` — a row-subset view used to
         re-evaluate only the rows a prediction overlay changed."""
         return TracePack(
             n_rows=len(idx), n_preds=self.n_preds[idx],
-            carries=self.carries[idx], gen=self.gen[idx],
-            prop=self.prop[idx], pred_valid=self.pred_valid[idx],
+            valid=self.valid[idx], carries=self.carries[idx],
+            gen=self.gen[idx], prop=self.prop[idx],
             peek_known=self.peek_known[idx],
             peek_value=self.peek_value[idx], cin=self.cin[idx])
 
 
-def _gen_prop_all(trace) -> tuple:
-    """Per-slice generate/propagate summaries, one pass over every
-    width: ``g`` is the slice's carry-out under carry-in 0, ``p`` marks
-    carry-in 1 flipping it.  Columns past a row's last slice are zero.
-    """
-    a, b, width, _m = _operands_u64(trace)
-    n = len(width)
-    gen = np.zeros((n, N_SLICES_MAX), dtype=np.uint8)
-    prop = np.zeros((n, N_SLICES_MAX), dtype=np.uint8)
-    one = _U64(1)
-    for j in range(N_SLICES_MAX):
-        lo = _U64(8 * j)
-        exists = width > lo
-        if not exists.any():
-            break                       # slices are a prefix per row
-        hi = np.minimum(lo + _U64(8), width)
-        sw = np.where(exists, hi - lo, one)     # clamp dead rows' shifts
-        smask = _ALL_ONES >> (_U64(64) - sw)
-        sa = (a >> lo) & smask
-        sb = (b >> lo) & smask
-        msb = sw - one
-        with np.errstate(over="ignore"):
-            s0 = (sa + sb) & smask
-            s1 = (sa + sb + one) & smask
-        g0 = (sa & sb) >> msb & one
-        p0 = (sa ^ sb) >> msb & one
-        g = g0 | (p0 & ((sa ^ sb ^ s0) >> msb & one))
-        cout1 = g0 | (p0 & ((sa ^ sb ^ s1) >> msb & one))
-        gen[:, j] = np.where(exists, g, 0)
-        prop[:, j] = np.where(exists, (cout1 & ~g) & one, 0)
-    return gen, prop
-
-
-def build_pack(trace) -> TracePack:
-    """Derive every config-independent array of ``trace``.
+def build_pack(trace: Any) -> TracePack:
+    """Derive every config-independent byte of ``trace``.
 
     Raises :class:`ValueError` naming the ``width`` field when a row's
     adder width is outside the 1–64-bit range the packed uint64
@@ -187,21 +234,44 @@ def build_pack(trace) -> TracePack:
             else int(width.max())
         raise ValueError(f"trace field 'width': adder width {bad} "
                          f"outside [1, 64]")
-    n_preds = trace_n_predictions(trace)
-    pred_valid = (np.arange(MAX_PREDICTIONS)[None, :]
-                  < n_preds[:, None])
-    peek_known, peek_value = _peek_all(trace, pred_valid)
+    n_preds = trace_n_predictions(trace).astype(np.uint8)
+    valid = _VALID[n_preds]
+    peek_known, peek_value = _peek_all(trace, valid)
     gen, prop = _gen_prop_all(trace)
     return TracePack(
-        n_rows=n, n_preds=n_preds, carries=_slice_carries_all(trace),
-        gen=gen, prop=prop, pred_valid=pred_valid,
+        n_rows=n, n_preds=n_preds, valid=valid,
+        carries=_slice_carries_all(trace), gen=gen, prop=prop,
         peek_known=peek_known, peek_value=peek_value,
         cin=np.asarray(trace.cin, dtype=np.uint8))
 
 
+def _run_predecessors(si: np.ndarray, sk: np.ndarray,
+                      sg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, sources)``: the rows of ``si`` that have a history
+    predecessor, and that predecessor.
+
+    ``si`` are row indices in stable key order (keys ``sk``, groups
+    ``sg``).  A row's predecessor is the last row of the previous run
+    of its key, where a run is the rows of one key and one group.
+    """
+    m = len(si)
+    if m < 2:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    new_key = np.empty(m, dtype=bool)
+    new_key[0] = True
+    np.not_equal(sk[1:], sk[:-1], out=new_key[1:])
+    run_start = new_key.copy()
+    run_start[1:] |= sg[1:] != sg[:-1]
+    start = np.maximum.accumulate(np.where(run_start, np.arange(m), 0))
+    # a run that does not open its key has the previous run's last row
+    ok = ~new_key[start]
+    return si[ok], si[start[ok] - 1]
+
+
 def previous_same_key_batch(keys: np.ndarray, groups: np.ndarray,
                             valid_cols: np.ndarray) -> np.ndarray:
-    """Per-boundary history predecessors from one stable argsort.
+    """Per-column history predecessors from one stable argsort.
 
     For each column ``j`` of ``valid_cols`` (shape ``(N, k)``), the
     index of the previous valid row with the same key, or -1.  Rows
@@ -211,8 +281,7 @@ def previous_same_key_batch(keys: np.ndarray, groups: np.ndarray,
     stable sort of a subsequence equals the subsequence of the stable
     sort of the whole array.  A column whose valid set equals the
     previous column's copies its predecessors instead of recomputing
-    them: validity is a per-row prefix of ``n_preds`` boundaries, so a
-    trace with few distinct adder widths has few distinct columns.
+    them.
 
     ``groups`` marks rows that execute *simultaneously* (the lanes of
     one warp instruction): a row never takes its prediction from
@@ -232,27 +301,51 @@ def previous_same_key_batch(keys: np.ndarray, groups: np.ndarray,
     for j in range(k):
         sel = sel_full[:, j]
         if j and np.array_equal(sel, sel_full[:, j - 1]):
-            # same valid set as the previous boundary: same predecessors
+            # same valid set as the previous column: same predecessors
             prev[:, j] = prev[:, j - 1]
             continue
-        si = order[sel]
-        m = len(si)
-        if m < 2:
-            continue
-        sk = sk_full[sel]
-        sg = sg_full[sel]
-        pos = np.arange(m)
-        run_start = np.ones(m, dtype=bool)
-        run_start[1:] = (sk[1:] != sk[:-1]) | (sg[1:] != sg[:-1])
-        start_pos = np.maximum.accumulate(np.where(run_start, pos, 0))
-        source = start_pos - 1
-        ok = (source >= 0) & (sk[np.maximum(source, 0)] == sk)
-        prev[si[ok], j] = si[source[ok]]
+        rows, sources = _run_predecessors(order[sel], sk_full[sel],
+                                          sg_full[sel])
+        prev[rows, j] = sources
     return prev
 
 
-def _valhalla_predictions(trace, carries: np.ndarray,
-                          n_preds: np.ndarray) -> np.ndarray:
+def _history_predictions(trace: Any, config: SpeculationConfig,
+                         pack: TracePack) -> Tuple[np.ndarray, np.ndarray]:
+    """``(bits, hits)`` of the ``prev`` mechanism without Peek.
+
+    Boundary ``j`` is looked up by the rows with ``n_preds > j``, so the
+    boundaries between two consecutive distinct ``n_preds`` values
+    share one valid set — and one predecessor array, gathered from
+    ``carries`` under that boundary group's mask.
+    """
+    n = pack.n_rows
+    bits = np.zeros(n, dtype=np.uint8)
+    hits = np.zeros(n, dtype=np.uint8)
+    counts = np.bincount(pack.n_preds, minlength=N_SLICES_MAX)
+    if n < 2 or not counts[1:].any():
+        return bits, hits
+    keys = history_keys(trace, config)
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    sg = trace_groups(trace)[order]
+    sn = pack.n_preds[order]
+    done = 0                                    # boundaries covered
+    for d in np.flatnonzero(counts[1:]) + 1:
+        group = np.uint8(_VALID[d] & ~_VALID[done])
+        if counts[:d].any():
+            sel = sn >= d
+            rows, sources = _run_predecessors(order[sel], sk[sel],
+                                              sg[sel])
+        else:                                   # every row is valid
+            rows, sources = _run_predecessors(order, sk, sg)
+        bits[rows] |= pack.carries[sources] & group
+        hits[rows] |= group
+        done = d
+    return bits, hits
+
+
+def _valhalla_predictions(trace: Any, pack: TracePack) -> np.ndarray:
     """Single history bit per adder, broadcast to every slice.
 
     Our VaLHALLA reconstruction: each (hardware) adder — identified by
@@ -261,90 +354,93 @@ def _valhalla_predictions(trace, carries: np.ndarray,
     carry) and broadcasts that single bit as the prediction for *all*
     slices of the next operation.
     """
-    n = len(trace)
-    keys = trace.gtid.astype(np.int64)
-    prev = previous_same_key_batch(keys, np.arange(n),
-                                   np.ones((n, 1), dtype=bool))[:, 0]
-    carry_sum = np.zeros(n, dtype=np.int64)
-    for j in range(MAX_PREDICTIONS):
-        carry_sum += carries[:, j + 1] * (n_preds > j)
-    broadcast = np.zeros(n, dtype=np.uint8)
-    has = prev >= 0
-    prev_sum = carry_sum[prev[has]]
-    prev_n = np.maximum(n_preds[prev[has]], 1)
-    broadcast[has] = (2 * prev_sum > prev_n).astype(np.uint8)
-    return np.repeat(broadcast[:, None], MAX_PREDICTIONS, axis=1)
+    n = pack.n_rows
+    bits = np.zeros(n, dtype=np.uint8)
+    order = np.argsort(trace.gtid.astype(np.int64), kind="stable")
+    rows, sources = _run_predecessors(
+        order, trace.gtid.astype(np.int64)[order], order)
+    carry_sum = _POPCOUNT[pack.carries[sources] & pack.valid[sources]]
+    heavy = 2 * carry_sum > np.maximum(pack.n_preds[sources], 1)
+    bits[rows] = np.where(heavy, BOUNDARY_MASK, 0)
+    return bits
 
 
-def predict_trace_batch(trace, config: SpeculationConfig,
-                        pack: TracePack) -> Prediction:
+def predict_trace_batch(trace: Any, config: SpeculationConfig,
+                        pack: TracePack,
+                        history: Optional[Dict[HistoryKey, Tuple[
+                            np.ndarray, np.ndarray]]] = None
+                        ) -> Prediction:
     """Every carry prediction ``config`` makes over a whole trace.
 
     ``bits`` are the predicted carries, ``has_prev`` marks history
     hits (``prev`` mechanism) and ``peek_known`` the boundaries the
-    runtime Peek rule resolved.
+    runtime Peek rule resolved — one byte per row each.
+
+    ``history`` memoises the ``prev`` mechanism's ``(bits, hits)`` per
+    history index (``pc_index``, ``pc_bits``, ``thread_key``,
+    ``sm_scoped``) for this trace, so configs that differ only in
+    ``peek`` share one sort.  A prediction's arrays may be shared with
+    the pack or the memo (the memoised ones are read-only): callers
+    never write to them.
     """
     n = pack.n_rows
-    has_prev = np.zeros((n, MAX_PREDICTIONS), dtype=bool)
+    has_prev = np.zeros(n, dtype=np.uint8)
     if config.mechanism == "static0":
-        bits = np.zeros((n, MAX_PREDICTIONS), dtype=np.uint8)
+        bits = np.zeros(n, dtype=np.uint8)
     elif config.mechanism == "static1":
-        bits = np.ones((n, MAX_PREDICTIONS), dtype=np.uint8)
+        bits = np.full(n, BOUNDARY_MASK, dtype=np.uint8)
     elif config.mechanism == "operand":
         bits = pack.peek_value.copy()
     elif config.mechanism == "valhalla":
-        bits = _valhalla_predictions(trace, pack.carries, pack.n_preds)
+        bits = _valhalla_predictions(trace, pack)
     else:  # prev
-        keys = history_keys(trace, config)
-        groups = trace_groups(trace)
-        prev = previous_same_key_batch(keys, groups, pack.pred_valid)
-        has_prev = prev >= 0
-        idx = np.where(has_prev, prev, 0)
-        # bits[r, j] = carries[prev[r, j], j + 1] in one gather
-        vals = np.take_along_axis(pack.carries[:, 1:], idx, axis=0)
-        bits = np.where(has_prev, vals, np.uint8(0))
-    peek_known = np.zeros((n, MAX_PREDICTIONS), dtype=bool)
+        key = (config.pc_index, config.pc_bits, config.thread_key,
+               config.sm_scoped)
+        memo = history.get(key) if history is not None else None
+        if memo is None:
+            memo = _history_predictions(trace, config, pack)
+            for arr in memo:
+                arr.flags.writeable = False
+            if history is not None:
+                history[key] = memo
+        bits, has_prev = memo
+    peek_known = np.zeros(n, dtype=np.uint8)
     if config.peek:
         peek_known = pack.peek_known
-        bits = np.where(peek_known, pack.peek_value, bits)
+        bits = (bits & ~peek_known) | pack.peek_value
     return Prediction(config=config, bits=bits, has_prev=has_prev,
                       peek_known=peek_known)
 
 
-def evaluate_trace_batch(pack: TracePack, bits: np.ndarray) -> tuple:
-    """ST2-adder outcome of a whole trace against prediction ``bits``.
+def evaluate_trace_batch(pack: TracePack, bits: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ST2-adder outcome of a whole trace against prediction ``bits``
+    (one byte per row).
 
-    Returns ``(mispredicted, recomputed, wrong_bits)`` per row, from
-    the padded generate/propagate tables.  Boundary ``j`` of a row only
-    participates while ``j < n_preds`` (rows with a single slice never
-    mispredict).
+    Returns ``(mispredicted, recomputed, wrong_bits)`` per row.
+    Boundary ``j`` of a row only participates while ``j < n_preds``
+    (rows with a single slice never mispredict).
     """
-    n = pack.n_rows
-    assumed = np.empty((n, N_SLICES_MAX), dtype=np.uint8)
-    assumed[:, 0] = pack.cin
-    assumed[:, 1:] = bits
+    valid = pack.valid
     # cycle-1 carry-out of each slice under its *assumed* carry-in
-    couts = pack.gen | (pack.prop & assumed)
-    # E[i]: prediction for slice i vs predecessor's cycle-1 carry-out
-    errors = (bits != couts[:, :MAX_PREDICTIONS]) & pack.pred_valid
-    # S[i] = OR of E[1..i]: suspicion propagates to every higher slice
-    suspect = np.cumsum(errors, axis=1) > 0
-    mispredicted = errors.any(axis=1)
-    recomputed = (suspect & pack.pred_valid).sum(axis=1) \
-        .astype(np.int64)
-    wrong_bits = ((bits != pack.carries[:, 1:]) & pack.pred_valid) \
-        .sum(axis=1).astype(np.int64)
-    return mispredicted, recomputed, wrong_bits
+    couts = pack.gen | (pack.prop & (pack.cin | (bits << 1)))
+    # E[j]: prediction into slice j + 1 vs slice j's cycle-1 carry-out
+    errors = (bits ^ couts) & valid
+    # S[j] = OR of E[0..j]: every slice from the lowest error upward
+    suspect = ~((errors & -errors) - 1) & valid
+    return (errors != 0, _POPCOUNT[suspect],
+            _POPCOUNT[(bits ^ pack.carries) & valid])
 
 
-def carry_match_rate_batch(trace, config: SpeculationConfig,
+def carry_match_rate_batch(trace: Any, config: SpeculationConfig,
                            pack: TracePack) -> float:
     """Figure 3 metric over a pack: the fraction of slice carry-ins
     equal to the history predecessor's under ``config``'s index, over
     the (row, slice) pairs that have a predecessor (NaN if none)."""
     pred = predict_trace_batch(
         trace, replace(config, mechanism="prev", peek=False), pack)
-    if not pred.has_prev.any():
+    lookups = count_bits(pred.has_prev)
+    if not lookups:
         return float("nan")
-    return float((pred.bits == pack.carries[:, 1:])[pred.has_prev]
-                 .mean())
+    return count_bits(~(pred.bits ^ pack.carries) & pred.has_prev) \
+        / lookups

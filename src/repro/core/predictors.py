@@ -134,12 +134,14 @@ def history_keys(trace, config: SpeculationConfig) -> np.ndarray:
 
 @dataclass
 class Prediction:
-    """Predictions for a whole trace, padded to 7 columns."""
+    """Predictions for a whole trace, one byte per row: bit ``j`` is
+    the boundary into slice ``j + 1`` (the layout of
+    :class:`~repro.core.batch.TracePack`)."""
 
     config: SpeculationConfig
-    bits: np.ndarray            # (N, 7) uint8
-    has_prev: np.ndarray        # (N, 7) bool — history hit (prev mechanisms)
-    peek_known: np.ndarray      # (N, 7) bool — statically determined bits
+    bits: np.ndarray            # (N,) uint8 — predicted carries
+    has_prev: np.ndarray        # (N,) uint8 — history hits (prev mechanism)
+    peek_known: np.ndarray      # (N,) uint8 — boundaries Peek resolved
 
 
 @dataclass
@@ -176,13 +178,14 @@ def count_speculation(n: int, prediction: Optional[Prediction] = None,
     the ``core.predict.*`` / ``core.adder.*`` counters — the one
     emitter behind :func:`run_speculation` and the evaluation
     engine."""
+    from repro.core.batch import count_bits
     if prediction is not None:
         obs.add("core.predict.ops", n)
         obs.add("core.predict.history_lookups", history_lookups)
         obs.add("core.predict.history_hits",
-                int(prediction.has_prev.sum()))
+                count_bits(prediction.has_prev))
         obs.add("core.predict.peek_static",
-                int(prediction.peek_known.sum()))
+                count_bits(prediction.peek_known))
     if result is not None:
         obs.add("core.adder.ops", n)
         obs.add("core.adder.mispredicts", int(result.mispredicted.sum()))
@@ -244,10 +247,11 @@ def trace_static_peek(trace, facts) -> tuple:
     :class:`repro.isa.pc.PcTable` stores) to proven slice-boundary
     carries — the output of ``st2-lint facts`` /
     :func:`repro.lint.facts.facts_for_kernel`.  Returns ``(known,
-    value)`` of shape ``(N, 7)`` in the same convention as the runtime
-    Peek arrays of :class:`~repro.core.batch.TracePack`: ``known[r, j]``
-    means the carry into slice ``j+1`` of row ``r`` is statically
-    proven to be ``value[r, j]``.
+    value)`` of shape ``(N, 7)``, one column per boundary:
+    ``known[r, j]`` means the carry into slice ``j+1`` of row ``r`` is
+    statically proven to be ``value[r, j]``.  Column ``j`` is bit ``j``
+    of the runtime Peek bytes of :class:`~repro.core.batch.TracePack`
+    (:func:`~repro.core.batch.pack_bits` converts).
 
     Rows match a fact only on exact label *and* width: labels are not
     unique across op classes (an FP add can share a source line with

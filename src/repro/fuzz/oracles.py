@@ -110,7 +110,7 @@ def check_static_facts(run: Any, facts: Dict[str, Any],
                        verdict: KernelVerdict) -> None:
     """Every proven carry bit must match the observed dynamic carry of
     every trace row its label covers; bails must claim nothing."""
-    from repro.core.batch import build_pack
+    from repro.core.batch import build_pack, unpack_bits
     from repro.core.predictors import trace_static_peek
 
     trace = run.trace
@@ -123,7 +123,7 @@ def check_static_facts(run: Any, facts: Dict[str, Any],
             "facts JSON export disagrees with in-memory CarryFacts",
             {"labels": sorted(facts_json)}))
     verdict.checks["static_bits"] = int(known.sum())
-    truth = build_pack(trace).carries[:, 1:]
+    truth = unpack_bits(build_pack(trace).carries)
     bad = known & (value != truth[:, :known.shape[1]])
     if bad.any():
         rows, bounds = np.nonzero(bad)
@@ -300,7 +300,7 @@ def check_adder(run: Any, configs: Sequence[Any],
     """Reference-check the speculative adder row by row, per config."""
     from repro.core.adder import ST2Adder
     from repro.core.batch import (build_pack, evaluate_trace_batch,
-                                  predict_trace_batch)
+                                  predict_trace_batch, unpack_bits)
     from repro.core.slices import geometry_for
 
     trace = run.trace
@@ -310,19 +310,21 @@ def check_adder(run: Any, configs: Sequence[Any],
         return
     rows = sample_rows(n, limit, seed)
     pack = build_pack(trace)
-    carries = pack.carries
+    # every slice's carry-in, slice 0's being the architectural one
+    carries = np.column_stack([pack.cin, unpack_bits(pack.carries)])
     checked = 0
     for config in configs:
         pred = predict_trace_batch(trace, config, pack)
         mispredicted, recomputed, wrong_bits = evaluate_trace_batch(
             pack, pred.bits)
+        pred_bits = unpack_bits(pred.bits)
         for r in rows.tolist():
             a = int(trace.op_a[r])
             b = int(trace.op_b[r])
             cin = int(trace.cin[r])
             width = int(trace.width[r])
             geo = geometry_for(width)
-            bits = pred.bits[r, :geo.n_predictions]
+            bits = pred_bits[r, :geo.n_predictions]
             ref = reference_outcome(a, b, cin, width, bits.tolist())
             checked += 1
             problems: List[str] = []

@@ -17,7 +17,9 @@ observability dump next to it (``st2_manifest.metrics.json``) that
 
 Exit codes follow the shared contract (:mod:`repro.cli_common`):
 0 success, 1 a unit lost its worker process twice
-(:class:`~repro.runner.pool.WorkerLost`), 2 usage/input errors.
+(:class:`~repro.runner.pool.WorkerLost`) or read a damaged trace-store
+entry (:class:`~repro.sim.trace_store.TraceStoreCorrupt`), 2
+usage/input errors.
 """
 
 from __future__ import annotations
@@ -153,7 +155,11 @@ def main(argv=None) -> int:
 
     try:
         results = run_units(units, options)
-    except WorkerLost as exc:
+    except Exception as exc:
+        # imported here: st2-run's start-up does not load the store
+        from repro.sim.trace_store import TraceStoreCorrupt
+        if not isinstance(exc, (WorkerLost, TraceStoreCorrupt)):
+            raise
         return cli_common.fail("st2-run", str(exc),
                                code=cli_common.EXIT_PROBLEMS)
 

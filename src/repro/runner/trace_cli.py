@@ -25,7 +25,7 @@ import sys
 from repro import cli_common
 from repro.api import valid_scale
 from repro.runner.cache import code_version
-from repro.sim.trace_store import TraceStore
+from repro.sim.trace_store import TraceStore, TraceStoreCorrupt
 
 
 def build_parser():
@@ -127,6 +127,8 @@ def _cmd_capture(store: TraceStore, args) -> int:
     try:
         for key, created, snap in capture_traces(store, items, workers):
             header = store.header(key)
+            if not created:
+                store.check(key, header)
             if created:
                 captured += 1
                 wall_s = snap["timers"]["runner.trace.capture"]["total_s"]
@@ -137,7 +139,7 @@ def _cmd_capture(store: TraceStore, args) -> int:
                 skipped += 1
                 print(f"warm     {header['kernel']:<14} "
                       f"{header['n_rows']:>10,} rows  {key[:12]}")
-    except WorkerLost as exc:
+    except (WorkerLost, TraceStoreCorrupt) as exc:
         return cli_common.fail("st2-trace", str(exc),
                                code=cli_common.EXIT_PROBLEMS)
     print(f"{captured} captured, {skipped} already warm, "

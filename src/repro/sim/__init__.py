@@ -18,6 +18,7 @@ _LAZY_EXPORTS = {
     "TITAN_V": ("repro.sim.config", "TITAN_V"),
     "TimingResult": ("repro.sim.pipeline", "TimingResult"),
     "TraceStore": ("repro.sim.trace_store", "TraceStore"),
+    "TraceStoreCorrupt": ("repro.sim.trace_store", "TraceStoreCorrupt"),
     "compare_baseline_st2": ("repro.sim.pipeline",
                              "compare_baseline_st2"),
     "run_kernel": ("repro.sim.functional", "run_kernel"),

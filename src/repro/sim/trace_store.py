@@ -133,6 +133,24 @@ def trace_key(kernel: str, scale: float, seed: int,
     return hashlib.sha256(blob).hexdigest()[:40]
 
 
+class TraceStoreCorrupt(RuntimeError):
+    """A published entry whose column file disagrees with the geometry
+    its header records (truncated, empty, missing or oversized), found
+    when the entry is opened.  A same-size bit flip is not caught here:
+    that is what the digests of ``st2-trace verify`` are for."""
+
+    def __init__(self, key: str, column: str, reason: str):
+        super().__init__(key, column, reason)
+        self.key = key
+        self.column = column
+        self.reason = reason
+
+    def __str__(self) -> str:
+        return (f"trace-store entry {self.key} is damaged: column "
+                f"{self.column} {self.reason}; remove the entry and "
+                f"re-capture")
+
+
 def _array_digest(arr: np.ndarray) -> str:
     return hashlib.sha256(
         np.ascontiguousarray(arr).tobytes()).hexdigest()
@@ -282,6 +300,30 @@ class TraceStore:
                 f"{header.get('format_version')!r} in {self.path(key)}")
         return header
 
+    def check(self, key: str, header: dict = None) -> None:
+        """Raise :class:`TraceStoreCorrupt` unless every column file of
+        ``key`` exists with exactly the size its recorded geometry
+        implies — one ``stat`` per column, no data read.  ``header`` is
+        the entry's header when the caller has read it already."""
+        if header is None:
+            header = self.header(key)
+        geometry = header.get("columns", {})
+        for name in [f"add_{c}" for c in _ADD_COLUMNS] \
+                + [f"inst_{c}" for c in _INST_COLUMNS]:
+            try:
+                size = (self.path(key) / f"{name}.npy").stat().st_size
+            except FileNotFoundError:
+                raise TraceStoreCorrupt(key, name, "is missing") from None
+            geo = geometry.get(name)
+            if geo is None:
+                continue            # entry predates recorded geometry
+            expected = int(geo["offset"]) + np.dtype(geo["dtype"]) \
+                .itemsize * int(np.prod(geo["shape"], dtype=np.int64))
+            if size != expected:
+                raise TraceStoreCorrupt(
+                    key, name, f"holds {size} bytes, its header "
+                    f"records {expected}")
+
     def get(self, key: str) -> StoredRun:
         """Open one entry read-only; every column is a memmap.
 
@@ -293,6 +335,9 @@ class TraceStore:
         ``trace_store.get`` span, the ``trace_store.open`` and
         ``bytes_mapped`` counters), so run metrics stay independent of
         how evaluation units are scheduled over pool workers.
+
+        A fresh open first runs :meth:`check` on the entry, so a
+        damaged column raises :class:`TraceStoreCorrupt` naming it.
         """
         memo = self._get_memo.get(key)
         if memo is not None:
@@ -305,6 +350,7 @@ class TraceStore:
         mapped = 0
         with obs.span("trace_store.get"):
             header = self.header(key)
+            self.check(key, header)
             entry = self.path(key)
             geometry = header.get("columns", {})
 

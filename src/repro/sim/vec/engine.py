@@ -4,11 +4,11 @@
 :class:`~repro.st2.architecture.KernelEvaluation` and its static-peek
 ablation row from one batched pass:
 
-* the prediction is computed **once** per (trace, config), and the
-  static carry-fact overlay is a masked copy re-evaluated only on the
-  rows it changes;
-* the ST2-adder outcome comes from the padded generate/propagate
-  tables of the trace plan;
+* the prediction is computed **once** per (trace, config), reusing
+  the plan's history memo, and the static carry-fact overlay is a byte
+  select re-evaluated only on the rows it changes;
+* the ST2-adder outcome comes from the generate/propagate bytes of the
+  trace plan;
 * the timing pair replays a pre-resolved schedule
   (:mod:`repro.sim.vec.timing`).
 
@@ -25,7 +25,8 @@ from typing import Any, Dict, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.batch import (evaluate_trace_batch, predict_trace_batch)
+from repro.core.batch import (count_bits, evaluate_trace_batch,
+                              predict_trace_batch)
 from repro.core.predictors import (SpeculationConfig, SpeculationResult,
                                    count_speculation)
 from repro.sim.vec.plan import TracePlan, plan_for
@@ -52,7 +53,7 @@ def evaluate_unit(run: Any, config: SpeculationConfig, facts: Any,
     trace = run.trace
 
     with obs.span("core.predict"):
-        pred = predict_trace_batch(trace, config, pack)
+        pred = predict_trace_batch(trace, config, pack, plan.history)
     static_known, static_value = plan.static_peek(trace, facts)
 
     with obs.span("core.evaluate"):
@@ -60,16 +61,15 @@ def evaluate_unit(run: Any, config: SpeculationConfig, facts: Any,
         # the static pass re-evaluates only rows the fact overlay
         # actually changes on a *valid* boundary: a bit that differs
         # only past a row's last boundary cannot reach any output
-        # (every consumer is masked with pred_valid, and validity is a
-        # per-row prefix, so assumed carries feeding valid slices are
-        # themselves valid)
-        changed = (static_known & (static_value != pred.bits)
-                   & pack.pred_valid).any(axis=1)
-        rows = np.nonzero(changed)[0]
+        # (every consumer is masked with the valid bits, and validity
+        # is a per-row prefix, so assumed carries feeding valid slices
+        # are themselves valid)
+        rows = np.flatnonzero(static_known & (static_value ^ pred.bits)
+                              & pack.valid)
         mis_s = mis
         if rows.size:
-            static_bits = np.where(static_known[rows],
-                                   static_value[rows], pred.bits[rows])
+            static_bits = (pred.bits[rows] & ~static_known[rows]) \
+                | static_value[rows]
             mis_s = mis.copy()
             mis_s[rows] = evaluate_trace_batch(pack.rows(rows),
                                                static_bits)[0]
@@ -80,7 +80,7 @@ def evaluate_unit(run: Any, config: SpeculationConfig, facts: Any,
     count_speculation(n, prediction=pred,
                       history_lookups=pack.history_lookups,
                       result=speculation)
-    obs.add("predictor.static_peek_hits", int(static_known.sum()))
+    obs.add("predictor.static_peek_hits", count_bits(static_known))
 
     base_t, st2_t = replay_pair(plan.timing, mis)
 
@@ -112,14 +112,14 @@ def _static_peek_row(pack: Any, dyn_resolved: np.ndarray,
     true carries, so functional results are unchanged and the
     misprediction rate can only go down.
     """
-    valid = pack.pred_valid
-    events_base = int((valid & ~dyn_resolved).sum())
-    events_static = int((valid & ~(dyn_resolved | static_known)).sum())
+    valid = pack.valid
+    events_base = count_bits(valid & ~dyn_resolved)
+    events_static = count_bits(valid & ~(dyn_resolved | static_known))
     return {
         "fact_labels": len(facts or {}),
         "fact_bits": fact_bits(facts),
-        "static_bits": int(static_known.sum()),
-        "new_static_bits": int((static_known & ~pack.peek_known).sum()),
+        "static_bits": count_bits(static_known),
+        "new_static_bits": count_bits(static_known & ~pack.peek_known),
         "dynamic_events_base": events_base,
         "dynamic_events_static": events_static,
         "events_reduced": events_base - events_static,

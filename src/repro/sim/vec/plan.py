@@ -4,16 +4,20 @@ A *plan* bundles everything about one captured run that does not depend
 on the :class:`~repro.core.predictors.SpeculationConfig` being
 evaluated: the :class:`~repro.core.batch.TracePack` of derived adder
 arrays and the :class:`~repro.sim.vec.timing.TimingPlan` of resolved
-scheduling decisions, plus memos of the static carry-fact overlay and
-of the auxiliary (VaLHALLA + Figure 3) measurements.
+scheduling decisions, plus memos of the static carry-fact overlay
+(packed once into the pack's byte layout), of the ``prev`` mechanism's
+history predictions per history key (so configs that differ only in
+``peek`` share one sort) and of the auxiliary (VaLHALLA + Figure 3)
+measurements.
 
 The runner evaluates all configs of one trace in one process, so plans
 are cached under the run's trace-store key
 (:attr:`~repro.sim.trace_store.StoredRun.key`, a content hash of
 kernel, scale, seed, code version and store format) with a small
 bounded LRU: grids iterate configs per trace, so only a handful of
-traces are ever hot at once, and a pack is a few padded copies of the
-trace columns that should not accumulate for a whole suite.
+traces are ever hot at once, and a pack (8 bytes per row) plus its
+history memo (2 bytes per row and history key) should not accumulate
+for a whole suite.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batch import TracePack, build_pack
+from repro.core.batch import HistoryKey, TracePack, build_pack, pack_bits
 from repro.core.predictors import trace_static_peek
 from repro.sim.vec.timing import TimingPlan, build_timing_plan
 
@@ -47,13 +51,20 @@ class TracePlan:
     _static_overlay: Optional[Tuple[np.ndarray, np.ndarray]] = \
         field(default=None, repr=False)
     _aux: Optional[Dict[str, Any]] = field(default=None, repr=False)
+    #: ``prev`` predictions ``(bits, hits)`` per history key, filled by
+    #: :func:`~repro.core.batch.predict_trace_batch`
+    history: Dict[HistoryKey, Tuple[np.ndarray, np.ndarray]] = \
+        field(default_factory=dict, repr=False)
 
     def static_peek(self, trace: Any,
                     facts: Any) -> Tuple[np.ndarray, np.ndarray]:
-        """``(known, value)`` of the compile-time facts over ``trace``."""
+        """``(known, value)`` bytes of the compile-time facts over
+        ``trace``, in the pack's bit layout."""
+        facts = facts or None       # every empty table pins nothing
         if self._static_overlay is None or self._static_facts is not facts:
+            known, value = trace_static_peek(trace, facts)
             self._static_facts = facts
-            self._static_overlay = trace_static_peek(trace, facts)
+            self._static_overlay = pack_bits(known), pack_bits(value)
         return self._static_overlay
 
     def aux(self, measure: Callable[[], Dict[str, Any]]) -> Dict[str, Any]:

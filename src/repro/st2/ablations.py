@@ -27,7 +27,8 @@ import numpy as np
 
 from repro.core import bitops
 from repro.core.batch import (TracePack, build_pack, evaluate_trace_batch,
-                              previous_same_key_batch)
+                              pack_bits, previous_same_key_batch,
+                              unpack_bits)
 from repro.core.predictors import (MAX_PREDICTIONS, SpeculationConfig,
                                    history_keys, run_speculation,
                                    trace_groups)
@@ -52,9 +53,10 @@ def _depth_predictions(pack: TracePack, prevs: np.ndarray, depth: int,
     index.  Depth-1 is the paper's Prev. For deeper history the
     prediction is the majority vote of the stored vectors (ties
     resolved toward the most recent) — the natural hardware
-    generalisation (a small shift register per entry).
+    generalisation (a small shift register per entry).  Returns one
+    byte per row, like every prediction.
     """
-    carries = pack.carries
+    carries = unpack_bits(pack.carries)
     n = pack.n_rows
     bits = np.zeros((n, MAX_PREDICTIONS), dtype=np.uint8)
     for j in range(MAX_PREDICTIONS):
@@ -71,19 +73,20 @@ def _depth_predictions(pack: TracePack, prevs: np.ndarray, depth: int,
         counts = np.zeros(n, dtype=np.int64)
         for anc in ancestors:
             has = anc >= 0
-            votes[has] += carries[anc[has], j + 1]
+            votes[has] += carries[anc[has], j]
             counts[has] += 1
         # majority, most-recent-wins on ties
         recent = np.zeros(n, dtype=np.uint8)
         has0 = ancestors[0] >= 0
-        recent[has0] = carries[ancestors[0][has0], j + 1]
+        recent[has0] = carries[ancestors[0][has0], j]
         with np.errstate(invalid="ignore"):
             maj = np.where(2 * votes > counts, 1,
                            np.where(2 * votes < counts, 0, recent))
         bits[:, j] = maj.astype(np.uint8)
+    packed = pack_bits(bits)
     if peek:
-        bits = np.where(pack.peek_known, pack.peek_value, bits)
-    return bits
+        packed = (packed & ~pack.peek_known) | pack.peek_value
+    return packed
 
 
 @dataclass
@@ -96,8 +99,9 @@ def history_depth_sweep(trace, depths=(1, 2, 3, 4),
                         config: SpeculationConfig = ST2_DESIGN) -> list:
     """Misprediction rate vs history depth at the ST2 index."""
     pack = build_pack(trace)
-    prevs = previous_same_key_batch(history_keys(trace, config),
-                                    trace_groups(trace), pack.pred_valid)
+    prevs = previous_same_key_batch(
+        history_keys(trace, config), trace_groups(trace),
+        unpack_bits(pack.valid).astype(bool))
     points = []
     for depth in depths:
         bits = _depth_predictions(pack, prevs, depth, config.peek)
@@ -140,8 +144,8 @@ def contention_sweep(trace, config: SpeculationConfig = ST2_DESIGN,
     ideal = run_speculation(trace, config, pack)
 
     rng = np.random.default_rng(seed)
-    carries = pack.carries
-    n_preds = pack.n_preds
+    carries = unpack_bits(pack.carries)
+    n_preds = pack.n_preds.astype(np.int64)
     keys = history_keys(trace, config)
     groups = trace_groups(trace)
     n = len(trace)
@@ -187,7 +191,7 @@ def contention_sweep(trace, config: SpeculationConfig = ST2_DESIGN,
             if stored is not None:
                 bits[r, :n_preds[r]] = stored[:n_preds[r]]
         # write-back stage: one atomic entry write per warp instruction
-        warp_write = [(int(keys[r]), carries[r, 1:], int(n_preds[r]))
+        warp_write = [(int(keys[r]), carries[r], int(n_preds[r]))
                       for r in rows]
         total_updates += 1
         cycle_updates.setdefault(int(entry_ids[start]), []).append(
@@ -197,11 +201,12 @@ def contention_sweep(trace, config: SpeculationConfig = ST2_DESIGN,
             flush_cycle()
     flush_cycle()
 
+    packed = pack_bits(bits)
     if config.peek:
-        bits = np.where(pack.peek_known, pack.peek_value, bits)
+        packed = (packed & ~pack.peek_known) | pack.peek_value
     return ContentionResult(
         ideal_rate=ideal.thread_misprediction_rate,
-        contended_rate=_rate(evaluate_trace_batch(pack, bits)[0]),
+        contended_rate=_rate(evaluate_trace_batch(pack, packed)[0]),
         updates_dropped_fraction=dropped / max(total_updates, 1))
 
 

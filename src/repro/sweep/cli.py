@@ -119,6 +119,7 @@ def _cmd_run(args) -> int:
     import json
 
     from repro.runner.pool import WorkerLost
+    from repro.sim.trace_store import TraceStoreCorrupt
     from repro.sweep.engine import (ResumeMismatch, SweepError,
                                     SweepOptions, run_sweep)
 
@@ -148,7 +149,7 @@ def _cmd_run(args) -> int:
         return cli_common.fail(PROG, str(exc))
     except KeyError as exc:
         return cli_common.fail(PROG, exc.args[0])
-    except SweepError as exc:
+    except (SweepError, TraceStoreCorrupt) as exc:
         return cli_common.fail(PROG, str(exc),
                                code=cli_common.EXIT_PROBLEMS)
     except WorkerLost as exc:

@@ -21,6 +21,20 @@ from repro.core.predictors import (MAX_PREDICTIONS, history_keys,
 from repro.core.slices import geometry_for
 
 
+def columns(packed, k: int = MAX_PREDICTIONS) -> np.ndarray:
+    """One byte per row as ``(N, k)`` 0/1 columns, column ``j`` = bit
+    ``j`` — how the tests read the production kernels' packed bytes."""
+    return np.unpackbits(np.asarray(packed, dtype=np.uint8)[:, None],
+                         axis=1, count=k, bitorder="little")
+
+
+def packed(cols) -> np.ndarray:
+    """``(N, k)`` 0/1 columns as one byte per row (inverse of
+    :func:`columns`)."""
+    return np.packbits(np.asarray(cols, dtype=bool), axis=1,
+                       bitorder="little")[:, 0]
+
+
 def slice_carries(trace) -> np.ndarray:
     """True carry-in of every slice, padded to 8 columns."""
     out = np.zeros((len(trace), MAX_PREDICTIONS + 1), dtype=np.uint8)

@@ -11,7 +11,7 @@ from repro.core.predictors import (MAX_PREDICTIONS, SpeculationConfig,
                                    history_keys, run_speculation,
                                    trace_n_predictions)
 from tests.conftest import make_trace, random_trace
-from tests.core.reference_speculation import ReferencePredictor
+from tests.core.reference_speculation import ReferencePredictor, columns
 
 
 def predict(trace, config):
@@ -77,7 +77,8 @@ class TestTraceDerived:
 
     def test_slice_carries_padded(self):
         t = make_trace([0], [0], [0], [0xFF], [0x01], width=[32])
-        carries = build_pack(t).carries
+        pack = build_pack(t)
+        carries = np.column_stack([pack.cin, columns(pack.carries)])
         assert carries.shape == (1, 8)
         assert list(carries[0]) == [0, 1, 0, 0, 0, 0, 0, 0]
 
@@ -86,7 +87,7 @@ class TestTraceDerived:
         t = make_trace([0, 0, 0], [0, 0, 0], [0, 0, 0],
                        [0x00, 0x80, 0x80], [0x00, 0x80, 0x00], width=16)
         pack = build_pack(t)
-        known, value = pack.peek_known, pack.peek_value
+        known, value = columns(pack.peek_known), columns(pack.peek_value)
         assert known[0, 0] and value[0, 0] == 0      # both MSbs 0
         assert known[1, 0] and value[1, 0] == 1      # both MSbs 1
         assert not known[2, 0]                       # mixed -> dynamic
@@ -95,8 +96,9 @@ class TestTraceDerived:
         """The Peek static rule must never contradict the true carry."""
         t = random_trace(rng, n=2000)
         pack = build_pack(t)
-        known, value = pack.peek_known, pack.peek_value
-        carries = pack.carries[:, 1:]
+        known, value = columns(pack.peek_known), columns(pack.peek_value)
+        known = known.astype(bool)
+        carries = columns(pack.carries)
         n_preds = trace_n_predictions(t)
         in_range = np.arange(MAX_PREDICTIONS)[None, :] < n_preds[:, None]
         sel = known & in_range
@@ -151,10 +153,12 @@ class TestPrevMechanism:
         t = make_trace([0, 0], [0, 0], [0, 0], a, b, width=16)
         pack = build_pack(t)
         pred = predict_trace_batch(t, SpeculationConfig("p", "prev"), pack)
-        carries0 = pack.carries[0]
-        assert pred.bits[0, 0] == 0            # cold table predicts 0
-        assert pred.bits[1, 0] == carries0[1]  # 0xFF+0x01 generated carry
-        assert pred.has_prev[1, 0] and not pred.has_prev[0, 0]
+        carries0 = np.concatenate([pack.cin[:1],
+                                   columns(pack.carries)[0]])
+        bits, has_prev = columns(pred.bits), columns(pred.has_prev)
+        assert bits[0, 0] == 0                 # cold table predicts 0
+        assert bits[1, 0] == carries0[1]       # 0xFF+0x01 generated carry
+        assert has_prev[1, 0] and not has_prev[0, 0]
 
     def test_pc_disambiguation_prevents_aliasing(self):
         # alternating PCs with opposite carry behaviour
@@ -178,7 +182,7 @@ class TestPrevMechanism:
         pred = predict(t, SpeculationConfig("p", "prev"))
         # third op's low 2 prediction bits were updated by the 23-bit op
         # (carry-free), its high 5 still come from op 0 (all carries)
-        assert list(pred.bits[2]) == [0, 0, 1, 1, 1, 1, 1]
+        assert list(columns(pred.bits)[2]) == [0, 0, 1, 1, 1, 1, 1]
 
 
 class TestOracleCrossCheck:
@@ -198,7 +202,7 @@ class TestOracleCrossCheck:
     ])
     def test_matches_reference(self, cfg, rng):
         t = random_trace(rng, n=400, n_pcs=20, n_threads=96)
-        fast = predict(t, cfg).bits
+        fast = columns(predict(t, cfg).bits)
         slow = ReferencePredictor(cfg).predict_trace(t)
         n_preds = trace_n_predictions(t)
         in_range = np.arange(MAX_PREDICTIONS)[None, :] < n_preds[:, None]
@@ -210,7 +214,7 @@ class TestEvaluate:
         t = random_trace(rng, n=200)
         pack = build_pack(t)
         res = run_speculation(t, SpeculationConfig("z", "static0"), pack)
-        carries = pack.carries[:, 1:]
+        carries = columns(pack.carries)
         n_preds = trace_n_predictions(t)
         in_range = np.arange(MAX_PREDICTIONS)[None, :] < n_preds[:, None]
         expect = (carries != 0)[in_range].sum()
@@ -225,7 +229,7 @@ class TestEvaluate:
     def test_misprediction_rate_zero_with_oracle_predictions(self, rng):
         t = random_trace(rng, n=300)
         pack = build_pack(t)
-        mispredicted, _, _ = evaluate_trace_batch(pack, pack.carries[:, 1:])
+        mispredicted, _, _ = evaluate_trace_batch(pack, pack.carries)
         assert mispredicted.mean() == 0.0
 
 

@@ -11,7 +11,7 @@ from repro.core.batch import (build_pack, evaluate_trace_batch,
 from repro.core.predictors import (MAX_PREDICTIONS, SpeculationConfig,
                                    run_speculation, trace_n_predictions)
 from tests.conftest import make_trace
-from tests.core.reference_speculation import ReferencePredictor
+from tests.core.reference_speculation import ReferencePredictor, columns
 
 
 @st.composite
@@ -61,7 +61,7 @@ class TestOracleEquivalence:
     def test_vectorised_matches_sequential(self, trace):
         pack = build_pack(trace)
         for cfg in CONFIGS:
-            fast = predict_trace_batch(trace, cfg, pack).bits
+            fast = columns(predict_trace_batch(trace, cfg, pack).bits)
             slow = ReferencePredictor(cfg).predict_trace(trace)
             n_preds = trace_n_predictions(trace)
             in_range = (np.arange(MAX_PREDICTIONS)[None, :]
@@ -75,8 +75,9 @@ class TestUniversalInvariants:
     @settings(max_examples=40, deadline=None)
     def test_peek_bits_always_correct(self, trace):
         pack = build_pack(trace)
-        known, value = pack.peek_known, pack.peek_value
-        carries = pack.carries[:, 1:]
+        known = columns(pack.peek_known).astype(bool)
+        value = columns(pack.peek_value)
+        carries = columns(pack.carries)
         n_preds = trace_n_predictions(trace)
         in_range = (np.arange(MAX_PREDICTIONS)[None, :]
                     < n_preds[:, None])
@@ -99,7 +100,7 @@ class TestUniversalInvariants:
         pack = build_pack(trace)
         res = run_speculation(trace, SpeculationConfig("z", "static0"),
                               pack)
-        carries = pack.carries[:, 1:]
+        carries = columns(pack.carries)
         n_preds = trace_n_predictions(trace)
         in_range = (np.arange(MAX_PREDICTIONS)[None, :]
                     < n_preds[:, None])
@@ -112,5 +113,5 @@ class TestUniversalInvariants:
     @settings(max_examples=30, deadline=None)
     def test_oracle_predictions_never_stall(self, trace):
         pack = build_pack(trace)
-        mispredicted, _, _ = evaluate_trace_batch(pack, pack.carries[:, 1:])
+        mispredicted, _, _ = evaluate_trace_batch(pack, pack.carries)
         assert not mispredicted.any()

@@ -17,6 +17,7 @@ from repro.lint.domains import AbsVal, Interval, KnownBits
 from repro.lint.facts import (N_BOUNDARIES, facts_for_kernel,
                               facts_to_json, function_facts,
                               site_carries, site_label)
+from tests.core.reference_speculation import columns, packed
 
 SCALE = 0.25
 
@@ -135,7 +136,7 @@ class TestStaticPeekSoundness:
     def test_static_values_equal_true_carries(self, qrng_run):
         facts = facts_for_kernel("qrng_K1")
         known, value = trace_static_peek(qrng_run.trace, facts)
-        true = build_pack(qrng_run.trace).carries[:, 1:]
+        true = columns(build_pack(qrng_run.trace).carries)
         assert np.array_equal(value[known], true[known])
 
     def test_dict_facts_match_object_facts(self, qrng_run):
@@ -152,10 +153,11 @@ class TestStaticPeekSoundness:
         trace = qrng_run.trace
         pack = build_pack(trace)
         base = predict_trace_batch(trace, ST2_DESIGN, pack)
+        base_bits = columns(base.bits)
         sk, sv = trace_static_peek(trace, facts)
-        static = np.where(sk, sv, base.bits)
-        true = pack.carries[:, 1:]
-        assert np.array_equal(static[~sk], base.bits[~sk])
+        static = np.where(sk, sv, base_bits)
+        true = columns(pack.carries)
+        assert np.array_equal(static[~sk], base_bits[~sk])
         assert np.array_equal(static[sk], true[sk])
 
     def test_misprediction_rate_never_increases(self, qrng_run):
@@ -165,7 +167,7 @@ class TestStaticPeekSoundness:
         dyn_pred = predict_trace_batch(trace, ST2_DESIGN, pack)
         sk, sv = trace_static_peek(trace, facts)
         static, _, _ = evaluate_trace_batch(
-            pack, np.where(sk, sv, dyn_pred.bits))
+            pack, packed(np.where(sk, sv, columns(dyn_pred.bits))))
         dyn, _, _ = evaluate_trace_batch(pack, dyn_pred.bits)
         assert static.mean() <= dyn.mean()
 
@@ -178,8 +180,9 @@ class TestStaticPeekSoundness:
                  < trace_n_predictions(trace)[:, None])
         base = predict_trace_batch(trace, PREV, build_pack(trace))
         sk, _ = trace_static_peek(trace, facts)
-        events_base = (valid & ~base.peek_known).sum()
-        events_static = (valid & ~(base.peek_known | sk)).sum()
+        base_known = columns(base.peek_known).astype(bool)
+        events_base = (valid & ~base_known).sum()
+        events_static = (valid & ~(base_known | sk)).sum()
         assert events_static < events_base
 
     def test_ablation_row_is_non_negative(self, qrng_run):

@@ -17,6 +17,7 @@ from repro.core.speculation import ST2_DESIGN
 from repro.sim.config import LaunchConfig
 from repro.sim.functional import GridLauncher
 from repro.sim.pipeline import compare_baseline_st2
+from tests.core.reference_speculation import columns
 
 
 def _build_kernel(ops, loop_body, loop_trips):
@@ -100,8 +101,10 @@ class TestFuzzedKernels:
 
         # the carry ground truth is internally consistent
         pack = build_pack(trace)
-        carries = pack.carries
+        carries = np.column_stack([pack.cin, columns(pack.carries)])
         assert np.array_equal(carries[:, 0].astype(np.uint8), trace.cin)
+        # no carry enters a slice past a row's last boundary
+        assert not (pack.carries & ~pack.valid).any()
 
         # speculation invariants
         res = run_speculation(trace, ST2_DESIGN, pack)
