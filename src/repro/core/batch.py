@@ -311,8 +311,10 @@ def previous_same_key_batch(keys: np.ndarray, groups: np.ndarray,
 
 
 def _history_predictions(trace: Any, config: SpeculationConfig,
-                         pack: TracePack) -> Tuple[np.ndarray, np.ndarray]:
-    """``(bits, hits)`` of the ``prev`` mechanism without Peek.
+                         pack: TracePack, groups: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(bits, hits)`` of the ``prev`` mechanism without Peek, for the
+    trace's :func:`~repro.core.predictors.trace_groups` ``groups``.
 
     Boundary ``j`` is looked up by the rows with ``n_preds > j``, so the
     boundaries between two consecutive distinct ``n_preds`` values
@@ -328,7 +330,7 @@ def _history_predictions(trace: Any, config: SpeculationConfig,
     keys = history_keys(trace, config)
     order = np.argsort(keys, kind="stable")
     sk = keys[order]
-    sg = trace_groups(trace)[order]
+    sg = groups[order]
     sn = pack.n_preds[order]
     done = 0                                    # boundaries covered
     for d in np.flatnonzero(counts[1:]) + 1:
@@ -365,10 +367,31 @@ def _valhalla_predictions(trace: Any, pack: TracePack) -> np.ndarray:
     return bits
 
 
+class HistoryMemo:
+    """One trace's memo of the ``prev`` mechanism: its
+    :func:`~repro.core.predictors.trace_groups` column, computed on
+    first use, and the ``(bits, hits)`` predictions per history key.
+    ``len()`` is the number of keys predicted."""
+
+    def __init__(self) -> None:
+        self._groups: Optional[np.ndarray] = None
+        self.predictions: Dict[HistoryKey,
+                               Tuple[np.ndarray, np.ndarray]] = {}
+
+    def __len__(self) -> int:
+        return len(self.predictions)
+
+    def groups(self, trace: Any) -> np.ndarray:
+        """The trace's simultaneity groups (read-only)."""
+        if self._groups is None:
+            self._groups = trace_groups(trace)
+            self._groups.flags.writeable = False
+        return self._groups
+
+
 def predict_trace_batch(trace: Any, config: SpeculationConfig,
                         pack: TracePack,
-                        history: Optional[Dict[HistoryKey, Tuple[
-                            np.ndarray, np.ndarray]]] = None
+                        history: Optional[HistoryMemo] = None
                         ) -> Prediction:
     """Every carry prediction ``config`` makes over a whole trace.
 
@@ -376,12 +399,13 @@ def predict_trace_batch(trace: Any, config: SpeculationConfig,
     hits (``prev`` mechanism) and ``peek_known`` the boundaries the
     runtime Peek rule resolved — one byte per row each.
 
-    ``history`` memoises the ``prev`` mechanism's ``(bits, hits)`` per
-    history index (``pc_index``, ``pc_bits``, ``thread_key``,
-    ``sm_scoped``) for this trace, so configs that differ only in
-    ``peek`` share one sort.  A prediction's arrays may be shared with
-    the pack or the memo (the memoised ones are read-only): callers
-    never write to them.
+    ``history`` memoises, for this trace, the ``prev`` mechanism's
+    simultaneity groups (config-independent) and its ``(bits, hits)``
+    per history index (``pc_index``, ``pc_bits``, ``thread_key``,
+    ``sm_scoped``), so configs that differ only in ``peek`` share one
+    sort.  A prediction's arrays may be shared with the pack or the
+    memo (the memoised ones are read-only): callers never write to
+    them.
     """
     n = pack.n_rows
     has_prev = np.zeros(n, dtype=np.uint8)
@@ -396,13 +420,15 @@ def predict_trace_batch(trace: Any, config: SpeculationConfig,
     else:  # prev
         key = (config.pc_index, config.pc_bits, config.thread_key,
                config.sm_scoped)
-        memo = history.get(key) if history is not None else None
+        if history is None:
+            history = HistoryMemo()
+        memo = history.predictions.get(key)
         if memo is None:
-            memo = _history_predictions(trace, config, pack)
+            memo = _history_predictions(trace, config, pack,
+                                        history.groups(trace))
             for arr in memo:
                 arr.flags.writeable = False
-            if history is not None:
-                history[key] = memo
+            history.predictions[key] = memo
         bits, has_prev = memo
     peek_known = np.zeros(n, dtype=np.uint8)
     if config.peek:

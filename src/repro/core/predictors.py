@@ -90,8 +90,23 @@ def trace_n_predictions(trace) -> np.ndarray:
 
 
 def trace_groups(trace) -> np.ndarray:
-    """Simultaneity groups: one id per dynamic warp instruction."""
-    return (trace.seq.astype(np.int64) << 24) + trace.warp.astype(np.int64)
+    """Simultaneity groups: one id per dynamic warp instruction
+    ``(seq, warp)``.
+
+    Only equality of ids is meaningful.  They are ``seq * n_warps +
+    (warp - min warp)``, stored as int32 whenever every id fits, since
+    a plan keeps this column for the trace's lifetime in its cache.
+    """
+    seq = trace.seq.astype(np.int64)
+    if not len(seq):
+        return np.zeros(0, dtype=np.int32)
+    warp = trace.warp.astype(np.int64)
+    warp -= warp.min()
+    groups = seq * (int(warp.max()) + 1) + warp
+    info = np.iinfo(np.int32)
+    if info.min <= groups.min() and groups.max() <= info.max:
+        return groups.astype(np.int32)
+    return groups
 
 
 def _xor_fold(pc: np.ndarray, bits: int) -> np.ndarray:

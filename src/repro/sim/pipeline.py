@@ -58,9 +58,10 @@ def _pool_width(gpu: GPUConfig, unit: FunctionalUnit) -> int:
     }[unit]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimingResult:
-    """Outcome of one SM-level timing simulation."""
+    """Outcome of one SM-level timing simulation (frozen: memoised
+    replays share result objects)."""
 
     cycles: int                 # SM makespan for its resident blocks
     waves: int                  # block waves over the whole chip

@@ -4,11 +4,12 @@ A *plan* bundles everything about one captured run that does not depend
 on the :class:`~repro.core.predictors.SpeculationConfig` being
 evaluated: the :class:`~repro.core.batch.TracePack` of derived adder
 arrays and the :class:`~repro.sim.vec.timing.TimingPlan` of resolved
-scheduling decisions, plus memos of the static carry-fact overlay
+scheduling decisions (which also memoises the timing pair per
+miss-fraction vector), plus memos of the static carry-fact overlay
 (packed once into the pack's byte layout), of the ``prev`` mechanism's
-history predictions per history key (so configs that differ only in
-``peek`` share one sort) and of the auxiliary (VaLHALLA + Figure 3)
-measurements.
+simultaneity groups and history predictions per history key (so
+configs that differ only in ``peek`` share one sort) and of the
+auxiliary (VaLHALLA + Figure 3) measurements.
 
 The runner evaluates all configs of one trace in one process, so plans
 are cached under the run's trace-store key
@@ -16,8 +17,8 @@ are cached under the run's trace-store key
 kernel, scale, seed, code version and store format) with a small
 bounded LRU: grids iterate configs per trace, so only a handful of
 traces are ever hot at once, and a pack (8 bytes per row) plus its
-history memo (2 bytes per row and history key) should not accumulate
-for a whole suite.
+history memo (8 bytes per row of groups, 2 per row and history key)
+should not accumulate for a whole suite.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batch import HistoryKey, TracePack, build_pack, pack_bits
+from repro.core.batch import HistoryMemo, TracePack, build_pack, pack_bits
 from repro.core.predictors import trace_static_peek
 from repro.sim.vec.timing import TimingPlan, build_timing_plan
 
@@ -51,10 +52,9 @@ class TracePlan:
     _static_overlay: Optional[Tuple[np.ndarray, np.ndarray]] = \
         field(default=None, repr=False)
     _aux: Optional[Dict[str, Any]] = field(default=None, repr=False)
-    #: ``prev`` predictions ``(bits, hits)`` per history key, filled by
-    #: :func:`~repro.core.batch.predict_trace_batch`
-    history: Dict[HistoryKey, Tuple[np.ndarray, np.ndarray]] = \
-        field(default_factory=dict, repr=False)
+    #: the ``prev`` mechanism's groups and per-key predictions, filled
+    #: by :func:`~repro.core.batch.predict_trace_batch`
+    history: HistoryMemo = field(default_factory=HistoryMemo, repr=False)
 
     def static_peek(self, trace: Any,
                     facts: Any) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 """Speculation-mechanism semantics, incl. oracle cross-checks."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro.core.batch import (build_pack, carry_match_rate_batch,
                               previous_same_key_batch)
 from repro.core.predictors import (MAX_PREDICTIONS, SpeculationConfig,
                                    history_keys, run_speculation,
-                                   trace_n_predictions)
+                                   trace_groups, trace_n_predictions)
 from tests.conftest import make_trace, random_trace
 from tests.core.reference_speculation import ReferencePredictor, columns
 
@@ -103,6 +105,39 @@ class TestTraceDerived:
         in_range = np.arange(MAX_PREDICTIONS)[None, :] < n_preds[:, None]
         sel = known & in_range
         assert np.array_equal(value[sel], carries[sel])
+
+
+class TestTraceGroups:
+    """One id per ``(seq, warp)``: equal ids exactly for equal pairs."""
+
+    @staticmethod
+    def assert_partition(seq, warp, dtype):
+        seq = np.asarray(seq, dtype=np.int64)
+        warp = np.asarray(warp, dtype=np.int32)
+        groups = trace_groups(SimpleNamespace(seq=seq, warp=warp))
+        assert groups.dtype == dtype
+        _, by_pair = np.unique(np.stack([seq, warp], axis=1), axis=0,
+                               return_inverse=True)
+        _, by_group = np.unique(groups, return_inverse=True)
+        labels = set(zip(by_pair.ravel().tolist(), by_group.tolist()))
+        assert len(labels) == by_pair.max() + 1 == by_group.max() + 1
+
+    def test_small_ids_are_int32(self, rng):
+        self.assert_partition(rng.integers(0, 3000, 5000),
+                              rng.integers(0, 64, 5000), np.int32)
+
+    def test_negative_warps(self, rng):
+        self.assert_partition(rng.integers(0, 50, 2000),
+                              rng.integers(-8, 8, 2000), np.int32)
+
+    def test_ids_past_int32_stay_int64(self, rng):
+        self.assert_partition(rng.integers(0, 1 << 24, 5000),
+                              rng.integers(0, 1 << 10, 5000), np.int64)
+
+    def test_empty(self):
+        empty = SimpleNamespace(seq=np.zeros(0, dtype=np.int64),
+                                warp=np.zeros(0, dtype=np.int32))
+        assert trace_groups(empty).shape == (0,)
 
 
 class TestHistoryKeys:

@@ -1,13 +1,16 @@
 """The plan's ``prev`` history memo: keyed by every field the history
-index reads, shared by configs that differ only in ``peek``."""
+index reads, shared by configs that differ only in ``peek``, with the
+trace's simultaneity groups computed once per plan."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core import batch
 from repro.core.batch import build_pack, predict_trace_batch
 from repro.core.predictors import SpeculationConfig
+from repro.core.speculation import DESIGN_LADDER
 from repro.sim.vec.plan import TracePlan
 from tests.conftest import random_trace
 
@@ -85,3 +88,26 @@ class TestHistoryMemo:
         pred = predict_trace_batch(trace, cfg, plan.pack, plan.history)
         with pytest.raises(ValueError):
             pred.bits[0] = 1
+
+    def test_groups_computed_once_per_plan(self, trace, monkeypatch):
+        """Over the ladder's ``prev`` configs, ``trace_groups`` runs
+        once per plan, and every prediction equals the unmemoised one."""
+        configs = [c for c in DESIGN_LADDER if c.mechanism == "prev"]
+        assert len(configs) > 1
+        expect = [predict_trace_batch(trace, cfg, build_pack(trace))
+                  for cfg in configs]
+        calls = []
+        real = batch.trace_groups
+
+        def spy(t):
+            calls.append(1)
+            return real(t)
+
+        monkeypatch.setattr(batch, "trace_groups", spy)
+        for n_plans in (1, 2):
+            plan = plan_of(trace)
+            got = [predict_trace_batch(trace, cfg, plan.pack, plan.history)
+                   for cfg in configs]
+            assert len(calls) == n_plans
+            for a, b in zip(got, expect):
+                assert_same(a, b)
