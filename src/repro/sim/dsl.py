@@ -12,10 +12,18 @@ Kernels are written as Python functions receiving a :class:`BlockContext`
   does, FP ops record aligned mantissas (see :mod:`repro.core.floating`).
 
 Divergence is expressed with ``with k.where(cond): ...`` blocks which
-mask recording (and should guard stores).  Loops are plain Python
-``for i in k.range(n)`` — the iterator increment is a real, recorded
-IADD at a fixed PC, which is precisely the "PC1"-style highly-correlated
-addition of the paper's Figure 2.
+mask recording (and should guard stores).  Each ``where()`` pushes one
+mask-stack entry that computes, once, everything recording reads of
+the mask: ``mask.any()``, the warps with active lanes and their active
+counts, and the masked ``gtid``/``ltid``/``warp``; the entry is dropped
+when the block exits.  Ops record through the top entry, so per op only
+the operands, carry-in and value are gathered, and the op's scalars
+(PC, seq, width, opcode) go to the :class:`~repro.sim.trace.TraceBuilder`
+as plain values.
+
+Loops are plain Python ``for i in k.range(n)`` — the iterator increment
+is a real, recorded IADD at a fixed PC, which is precisely the
+"PC1"-style highly-correlated addition of the paper's Figure 2.
 
 Example
 -------
@@ -58,6 +66,24 @@ def _fvec(x, n: int, dtype) -> np.ndarray:
     return arr.astype(dtype, copy=False)
 
 
+class _Lanes:
+    """One mask-stack entry: a mask and every per-lane column recording
+    reads of it, computed once when the entry is pushed."""
+
+    __slots__ = ("mask", "any", "warps", "active", "gtid", "ltid", "warp")
+
+    def __init__(self, ctx: "BlockContext", mask: np.ndarray):
+        active = np.bincount(ctx.warp_in_block[mask], minlength=ctx.n_warps)
+        keep = active > 0
+        self.mask = mask
+        self.any = bool(mask.any())
+        self.warps = ctx.warp_ids[keep]          # warps with active lanes
+        self.active = active[keep].astype(np.int32)
+        self.gtid = ctx.gtid[mask]
+        self.ltid = ctx.ltid[mask]
+        self.warp = ctx.warp[mask]
+
+
 class BlockContext:
     """Execution context of one thread block (all DSL state lives here)."""
 
@@ -75,13 +101,15 @@ class BlockContext:
         self.n_warps = n // gpu.warp_size
         warp_base = block_id * self.n_warps
         self.warp = (warp_base + self.warp_in_block).astype(np.int32)
+        self.warp_ids = np.arange(warp_base, warp_base + self.n_warps,
+                                  dtype=np.int32)
         self.gtid = (block_id * n + self.tid).astype(np.int64)
 
         self._builder = builder
         self._pcs = pcs
         self._gpu = gpu
         self._mem = mem_stats
-        self._mask_stack = [np.ones(n, dtype=bool)]
+        self._lanes = [_Lanes(self, np.ones(n, dtype=bool))]
         self._seq = 0
         self._shared_next = SHARED_BASE
         self._san = sanitizer
@@ -101,7 +129,7 @@ class BlockContext:
 
     @property
     def mask(self) -> np.ndarray:
-        return self._mask_stack[-1]
+        return self._lanes[-1].mask
 
     # ------------------------------------------------------------------
     # recording plumbing
@@ -112,33 +140,27 @@ class BlockContext:
         self._seq += 1
         return s
 
-    def _active_per_warp(self, mask: np.ndarray) -> np.ndarray:
-        return np.bincount(self.warp_in_block[mask],
-                           minlength=self.n_warps)
-
-    def _emit_inst(self, opcode: Opcode, mask=None) -> int:
-        mask = self.mask if mask is None else mask
+    def _emit_inst(self, opcode: Opcode, lanes: _Lanes = None) -> int:
+        lanes = self._lanes[-1] if lanes is None else lanes
         seq = self._next_seq()
         self._builder.record_inst(
-            seq=seq, block=self.block_id,
-            warps=np.arange(self.n_warps) + self.block_id * self.n_warps,
-            sm=self.sm, opcode=opcode,
-            active_per_warp=self._active_per_warp(mask))
+            seq=seq, block=self.block_id, warps=lanes.warps, sm=self.sm,
+            opcode=opcode, active=lanes.active)
         return seq
 
     def _emit_add(self, opcode: Opcode, op_a, op_b, cin, width: int,
                   value, pc: int) -> None:
-        mask = self.mask
-        seq = self._emit_inst(opcode)
-        if not mask.any():
+        lanes = self._lanes[-1]
+        seq = self._emit_inst(opcode, lanes)
+        if not lanes.any:
             return
+        mask = lanes.mask
         self._builder.record_add(
-            pc=pc, gtid=self.gtid[mask], ltid=self.ltid[mask],
-            warp=self.warp[mask], sm=self.sm, block=self.block_id, seq=seq,
+            pc=pc, gtid=lanes.gtid, ltid=lanes.ltid, warp=lanes.warp,
+            sm=self.sm, block=self.block_id, seq=seq,
             op_a=np.asarray(op_a)[mask], op_b=np.asarray(op_b)[mask],
-            cin=(cin[mask] if np.ndim(cin) else cin),
-            width=width, opcode=opcode,
-            value=np.asarray(value, dtype=np.float64)[mask])
+            cin=(cin[mask] if isinstance(cin, np.ndarray) else cin),
+            width=width, opcode=opcode, value=np.asarray(value)[mask])
 
     def _ret(self, value):
         """Return path of every value-producing DSL op: in sanitize mode
@@ -574,11 +596,11 @@ class BlockContext:
         """Divergent region: ops inside record only where ``cond`` holds."""
         cond = np.asarray(cond, dtype=bool)
         self._emit_inst(Opcode.BRA)
-        self._mask_stack.append(self.mask & cond)
+        self._lanes.append(_Lanes(self, self.mask & cond))
         try:
             yield
         finally:
-            self._mask_stack.pop()
+            self._lanes.pop()
 
     def range(self, *args):
         """Loop over ``range(*args)``; the iterator increment is a real,
@@ -604,7 +626,7 @@ class BlockContext:
         """Barrier (a no-op functionally — blocks run warp-synchronously)."""
         if self._san is not None:
             self._san.on_barrier(self.mask)
-        self._emit_inst(Opcode.BAR, mask=np.ones(self.n_threads, bool))
+        self._emit_inst(Opcode.BAR, self._lanes[0])
 
     @contextmanager
     def inline(self, scope: str):

@@ -117,14 +117,17 @@ class TestPackBuilders:
 
 def assert_gen_prop(trace, gen, prop, rows) -> None:
     """``gen`` / ``prop`` bytes vs :func:`bitops.carry_out` per row and
-    slice."""
+    slice below each speculated boundary ``0 .. n_preds - 1``; the last
+    slice's bit and every bit past it are zero."""
     gen, prop = columns(gen, 8), columns(prop, 8)
+    n_preds = trace_n_predictions(trace)
     for r in rows:
         w = int(trace.width[r])
         bounds = bitops.slice_bounds(w, 8)
+        assert len(bounds) == n_preds[r] + 1
         for j in range(8):
-            if j >= len(bounds):
-                assert gen[r, j] == 0 and prop[r, j] == 0
+            if j >= n_preds[r]:
+                assert gen[r, j] == 0 and prop[r, j] == 0, (r, j, w)
                 continue
             lo, hi = bounds[j]
             sw = hi - lo

@@ -135,6 +135,23 @@ class TestDivergence:
         assert len(run.trace) == 10
         assert run.trace.gtid.min() == 10
 
+    def test_zero_active_warps_dropped(self):
+        """A where() that empties a warp records no row for it."""
+        def kernel(k):
+            i = k.thread_id()
+            with k.where(k.lt(i, 32)):
+                k.iadd(i, 1)
+
+        __, run = run_one_block(kernel, threads=64)
+        insts = run.insts
+        iadd = np.array([opcode_from_id(int(o)) is Opcode.IADD
+                         for o in insts.opcode])
+        assert list(insts.warp[iadd]) == [0]
+        assert list(insts.active[iadd]) == [32]
+        assert len(insts) == 5          # SETP and BRA on both warps
+        assert insts.thread_instructions() == 64 + 64 + 32
+        assert set(run.trace.warp) == {0}
+
     def test_masked_store_only_writes_active_lanes(self):
         def kernel(k, out):
             i = k.thread_id()
