@@ -135,7 +135,8 @@ _SEED0_P_IDLE_SM_W = float.fromhex("0x1.30df0511e8a4fp-1")
 @functools.lru_cache(maxsize=None)
 def calibrated_model() -> GPUPowerModel:
     """The calibrated model every simulation uses: the seed-0 fit, from
-    the committed coefficients (memoised)."""
+    the committed coefficients (memoised: every call returns the same
+    instance)."""
     return GPUPowerModel(scales=dict(_SEED0_SCALES),
                          p_const_w=_SEED0_P_CONST_W,
                          p_idle_sm_w=_SEED0_P_IDLE_SM_W)

@@ -11,40 +11,49 @@ plus its cache key and whether this run served it from disk.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 MANIFEST_VERSION = 1
 
 
 class ManifestWriter:
-    """Incremental manifest writer: header first, then one flushed
-    unit line per :meth:`add`.
+    """Incremental manifest writer: header and ``units`` first, then
+    one flushed unit line per :meth:`add`.
 
-    Built for long-running, killable invocations (``st2-sweep``): a
-    process killed mid-write loses at most its final partial line,
-    which :func:`read_manifest_tolerant` skips on the next start — so
-    every fully-written unit survives and is never re-executed.
+    Built for long-running, killable invocations (``st2-sweep``): the
+    header and ``units`` (a resumed run's finished units) go to a
+    sibling temporary file that then replaces ``path`` whole, so a kill
+    at any point leaves either the old manifest or the new one.  A
+    process killed mid-:meth:`add` loses at most its final partial
+    line, which :func:`read_manifest_tolerant` skips on the next start
+    — so every fully-written unit survives and is never re-executed.
     """
 
-    def __init__(self, path, meta: dict = None, n_units: int = 0):
+    def __init__(self, path, meta: dict = None, n_units: int = 0,
+                 units=()):
         self.path = Path(path)
         if self.path.parent != Path(""):
             self.path.parent.mkdir(parents=True, exist_ok=True)
         header = {"type": "run", "manifest_version": MANIFEST_VERSION,
                   "n_units": n_units}
         header.update(meta or {})
-        self._fh = open(self.path, "w")
-        self._fh.write(json.dumps(header) + "\n")
-        self._fh.flush()
-        self.n_written = 0
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(json.dumps(header) + "\n")
+                for unit in units:
+                    fh.write(_unit_line(unit))
+            os.replace(tmp, self.path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        self._fh = open(self.path, "a")
 
     def add(self, result) -> None:
         """Append one unit result (dict or RunResult), flushed."""
-        if hasattr(result, "to_dict"):
-            result = result.to_dict()
-        self._fh.write(json.dumps({"type": "unit", **result}) + "\n")
+        self._fh.write(_unit_line(result))
         self._fh.flush()
-        self.n_written += 1
 
     def close(self) -> None:
         if self._fh is not None:
@@ -56,6 +65,12 @@ class ManifestWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _unit_line(result) -> str:
+    if hasattr(result, "to_dict"):
+        result = result.to_dict()
+    return json.dumps({"type": "unit", **result}) + "\n"
 
 
 def run_accounting(snapshot: dict) -> dict:
@@ -99,9 +114,7 @@ def write_manifest(path, results, meta: dict = None) -> Path:
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
         for result in results:
-            if hasattr(result, "to_dict"):
-                result = result.to_dict()
-            fh.write(json.dumps({"type": "unit", **result}) + "\n")
+            fh.write(_unit_line(result))
     return path
 
 

@@ -68,8 +68,8 @@ def build_parser():
                           "bound and the frontier point that "
                           "dominated it")
     run.add_argument("--workers", type=int, default=None,
-                     help="worker processes; also the per-wave unit "
-                          "count pruning checks at "
+                     help="worker processes; also the units per "
+                          "wave, between which pruning checks run "
                           "(default: min(4, cores))")
     run.add_argument("--max-units", type=int, default=None,
                      help="stop after executing this many units "

@@ -1,34 +1,36 @@
 """The sweep engine: resumable execution of a design-space grid with
 incremental Pareto tracking and provably-sound early pruning.
 
-Execution is config-major over the plan's equivalence classes
-(:mod:`repro.sweep.grid`): each scheduled config evaluates its kernels
-in waves, updating the Pareto frontier as configs complete.  One
-evaluation pool lives for the whole sweep, so each trace stays pinned
-to the worker holding its plan.
+Execution is config-major over one schedule: each group's
+representative when pruning, every member of every group under
+``--no-prune`` (exhaustive mode, the same loop with the checks below
+switched off).  Each scheduled config evaluates its kernels in waves
+of ``prune_chunk`` units (default: the worker count), updating the
+Pareto frontier as configs complete.  One evaluation pool lives for
+the whole sweep, so each trace stays pinned to the worker holding its
+plan.
 
-**Lookahead** (pruned mode): one capture stage before the first wave
-stores the traces of the first config's pending units, which run
-whatever the checks say (the frontier is empty until that config
-completes); in a cold sweep that is every trace.  Then the sweep runs
-one wave ahead of its commit point, as ST2 runs ahead of the carry
-chain: while wave *m* runs, the units of the wave the loop would run
-next if nothing were pruned go to the pool, one task per unit
-(:class:`_Lookahead`).  Wave *m* commits in work-list order — obs
-merge, result cache, manifest line, frontier state — through the same
-per-unit bookkeeping as :func:`repro.runner.pool.run_units`, and only
-then do the between-wave checks below run, unchanged.  A speculated
-unit those checks go on to run is committed
-(``sweep.speculative.committed``); any other is discarded
-(``sweep.speculative.discarded``, with its seconds in the timer of
-that name) and never reaches the manifest, the counters or the cache.
-So the manifest, the frontier, every prune decision and every other
-counter equal those of the inline (``workers <= 1``) run, which
-speculates on nothing.  ``runner.stage.capture`` / ``init`` are one
-span each per cold sweep, and ``runner.stage.eval`` runs from the
-first evaluation submit to the last commit.  Exhaustive mode
-(``--no-prune``) runs :data:`WAVE_UNITS`-unit waves through
-``run_units``.
+**Lookahead**: one capture stage before the first wave stores the
+traces of the first config's pending units, which run whatever the
+checks say (the frontier is empty until that config completes); in a
+cold sweep that is every trace.  Then the sweep runs one wave ahead
+of its commit point, as ST2 runs ahead of the carry chain: while wave
+*m* runs, the units of the wave the loop would run next if nothing
+were pruned go to the pool, one task per unit (:class:`_Lookahead`).
+Wave *m* commits in work-list order — obs merge, result cache,
+manifest line, frontier state — through the same per-unit bookkeeping
+as :func:`repro.runner.pool.run_units`, and only then do the
+between-wave checks below run, unchanged.  A speculated unit those
+checks go on to run is committed (``sweep.speculative.committed``);
+any other is discarded (``sweep.speculative.discarded``, with its
+seconds in the timer of that name) and never reaches the manifest,
+the counters or the cache.  So the manifest, the frontier, every
+prune decision and every other counter equal those of the inline
+(``workers <= 1``) run, which speculates on nothing.  In exhaustive
+mode no check can drop a guess, so every guess is issued at once.
+``runner.stage.capture`` / ``init`` are one span each per cold sweep,
+and ``runner.stage.eval`` runs from the first evaluation submit to
+the last commit.
 
 **Pruning** (default on; ``--no-prune`` for exhaustive mode) has two
 tiers, both logged to obs counters and both frontier-preserving:
@@ -66,7 +68,9 @@ manifest stamped with the spec digest.  A restarted sweep replays
 those units — tolerating a torn final line from a mid-write kill —
 and executes only what is missing (``sweep.units.reused`` vs
 ``sweep.units.executed``; the kill/resume CI job pins re-executions
-at zero).  A unit whose worker dies twice ends the sweep in
+at zero).  It rewrites the replayed units through a temporary file
+that replaces the manifest whole, so a kill during the rewrite loses
+none of them.  A unit whose worker dies twice ends the sweep in
 :class:`~repro.runner.pool.WorkerLost` at its wave; every wave
 committed before that one is in the manifest, so a rerun resumes from
 there.
@@ -79,7 +83,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (Any, ContextManager, Dict, Iterable, List, Mapping,
-                    Optional, Set, Tuple)
+                    Optional, Sequence, Set, Tuple)
 
 from repro import obs
 from repro.api import SweepSpec
@@ -189,9 +193,6 @@ class StaticBoundsIndex:
 #: Version of the ``sweep.json`` result document.
 SWEEP_RESULT_VERSION = 1
 
-#: Units per exhaustive-mode wave.
-WAVE_UNITS = 256
-
 #: A sweep unit's ``(config name, kernel)``.
 Cell = Tuple[str, str]
 
@@ -226,24 +227,29 @@ def aggregate_objectives(
             for name in OBJECTIVES}
 
 
-def optimistic_bound(per_kernel: Mapping[str, Mapping[str, float]],
-                     kernels: Iterable[str],
-                     saved_max: Mapping[str, float]
+def optimistic_bound(done: Sequence[Mapping[str, float]],
+                     remaining: Iterable[Optional[Tuple[float, float]]]
                      ) -> Optional[Dict[str, float]]:
     """Best final objectives a partially-evaluated config can reach.
 
-    ``None`` when no sound bound exists yet (some remaining kernel has
-    never been evaluated, so its ALU+FPU share is unknown).
+    ``done`` holds the objectives of the kernels evaluated so far and
+    ``remaining`` one ``(saving ceiling, misprediction floor)`` per
+    kernel still to run, both in kernel order; ``None`` when no sound
+    bound exists yet (some remaining kernel is ``None``: nothing is
+    known about it).  Both pruning tiers bound through here, so the
+    same inputs give bit-identical floats.
     """
-    kernels = list(kernels)
-    remaining = [k for k in kernels if k not in per_kernel]
-    if any(k not in saved_max for k in remaining):
-        return None
-    n = len(kernels)
-    done = [per_kernel[k] for k in kernels if k in per_kernel]
-    saved = (sum(p["energy_saved"] for p in done)
-             + sum(saved_max[k] for k in remaining)) / n
-    mis = sum(p["misprediction_rate"] for p in done) / n
+    n = len(done)
+    saved_sum = 0.0
+    mis_floor = 0.0
+    for ceiling in remaining:
+        if ceiling is None:
+            return None
+        saved_sum += ceiling[0]
+        mis_floor += ceiling[1]
+        n += 1
+    saved = (sum(p["energy_saved"] for p in done) + saved_sum) / n
+    mis = (sum(p["misprediction_rate"] for p in done) + mis_floor) / n
     over = sum(p["perf_overhead"] for p in done) / n
     return {
         "energy_saved": saved + BOUND_SLACK,
@@ -263,7 +269,7 @@ class SweepOptions:
     cache_dir: Optional[str] = None
     trace_store: Optional[str] = None
     max_units: Optional[int] = None  # execution budget (resume later)
-    prune_chunk: Optional[int] = None  # kernels per wave when pruning
+    prune_chunk: Optional[int] = None  # units per wave, both modes
     progress: Any = None            # callable(message: str) or None
     registry: Any = None            # repro.obs.Obs (fresh if None)
 
@@ -462,29 +468,10 @@ class _SweepRun:
             "prune": self.options.prune,
         }
         self.writer = ManifestWriter(self.manifest_path, meta=meta,
-                                     n_units=planned)
-        for unit in self.done.values():     # compact replay of resume
-            self.writer.add(unit)
+                                     n_units=planned,
+                                     units=self.done.values())
 
     # -- execution -----------------------------------------------------
-
-    def execute(self, units: List[Any], pool: Any) -> None:
-        """Run one wave on the sweep's evaluation ``pool`` (``None``:
-        inline), then manifest its results."""
-        from repro.runner.pool import run_units
-
-        t0 = time.perf_counter()
-        results = [r.to_dict() for r in run_units(units,
-                                                  self.run_options,
-                                                  pool=pool)]
-        self.registry.record_timer("sweep.wave.wall",
-                                   time.perf_counter() - t0)
-        for unit in results:
-            assert self.writer is not None
-            self.writer.add(unit)
-            self.record_unit(unit)
-        self.executed += len(results)
-        self.count("sweep.units.executed", len(results))
 
     def pending_units(self, config: Any) -> List[Any]:
         from repro.runner.units import UnitSpec
@@ -537,65 +524,49 @@ class _SweepRun:
             self.count("sweep.prune.units_skipped",
                        len(self.plan.kernels))
 
-    def static_bound(self, config: Any
-                     ) -> Optional[Dict[str, float]]:
-        """The optimistic completion bound intersected with the
-        static bounds tier: every remaining kernel's saving ceiling
-        shrinks by this config class's statically proven recompute
-        floor, and its statically proven misprediction floor joins
-        the bound.  Works *pre-execution* — a kernel with a
-        non-trivial static report needs no completed unit to bound.
+    def static_ceiling(self, kernel: str, config: Any
+                       ) -> Optional[Tuple[float, float]]:
+        """A remaining kernel's saving ceiling and misprediction floor
+        under the static bounds tier: the saving ceiling shrinks by
+        this config class's statically proven recompute floor, and its
+        statically proven misprediction floor joins the bound.  Works
+        *pre-execution* — a kernel with a non-trivial static report
+        needs no completed unit to bound.
         """
-        per_kernel = self.config_per_kernel(config)
-        kernels = list(self.plan.kernels)
-        remaining = [k for k in kernels if k not in per_kernel]
         index = self.static_index()
         consts = index.constants
-        saved_sum = 0.0
-        mis_floor = 0.0
-        for kernel in remaining:
-            cls = index.class_bounds(kernel, config)
-            share = self.saved_max.get(kernel)
-            if cls is None:
-                if share is None:
-                    return None     # nothing sound to say yet
-                saved_sum += share
-                continue
-            mrec_lo = cls.mrec.lo if cls.mrec.lo is not None else 0.0
-            # the report's own absolute ceiling
-            # (frac_max * max(0, s_max - mrec_lo * delta); 0 when the
-            # kernel provably emits no adder rows)
-            ceil = cls.saved.hi if cls.saved.hi is not None else 1.0
-            if share is not None and consts.s_max > 0:
-                # dynamic share ceiling, shrunk by the static
-                # recompute floor: achievable <= A_k * s(mrec_lo)
-                # = (A_k * s_max) * s(mrec_lo)/s_max <= share * ratio
-                ratio = max(0.0, consts.s_max
-                            - mrec_lo * consts.delta) / consts.s_max
-                ceil = min(ceil, share * ratio, share)
-            saved_sum += ceil
-            mis_floor += cls.mis.lo if cls.mis.lo is not None else 0.0
-        n = len(kernels)
-        done = [per_kernel[k] for k in kernels if k in per_kernel]
-        saved = (sum(p["energy_saved"] for p in done) + saved_sum) / n
-        mis = (sum(p["misprediction_rate"] for p in done)
-               + mis_floor) / n
-        over = sum(p["perf_overhead"] for p in done) / n
-        return {
-            "energy_saved": saved + BOUND_SLACK,
-            "misprediction_rate": max(0.0, mis - BOUND_SLACK),
-            "perf_overhead": max(0.0, over - BOUND_SLACK),
-        }
+        cls = index.class_bounds(kernel, config)
+        share = self.saved_max.get(kernel)
+        if cls is None:
+            return None if share is None else (share, 0.0)
+        mrec_lo = cls.mrec.lo if cls.mrec.lo is not None else 0.0
+        # the report's own absolute ceiling
+        # (frac_max * max(0, s_max - mrec_lo * delta); 0 when the
+        # kernel provably emits no adder rows)
+        ceil = cls.saved.hi if cls.saved.hi is not None else 1.0
+        if share is not None and consts.s_max > 0:
+            # dynamic share ceiling, shrunk by the static
+            # recompute floor: achievable <= A_k * s(mrec_lo)
+            # = (A_k * s_max) * s(mrec_lo)/s_max <= share * ratio
+            ratio = max(0.0, consts.s_max
+                        - mrec_lo * consts.delta) / consts.s_max
+            ceil = min(ceil, share * ratio, share)
+        return ceil, cls.mis.lo if cls.mis.lo is not None else 0.0
 
     def try_domination_prune(self, group: ConfigGroup, config: Any,
                              n_remaining: int) -> bool:
-        bound = optimistic_bound(self.config_per_kernel(config),
-                                 self.plan.kernels, self.saved_max)
+        per_kernel = self.config_per_kernel(config)
+        done = list(per_kernel.values())
+        remaining = [k for k in self.plan.kernels if k not in per_kernel]
+        bound = optimistic_bound(done, (
+            (self.saved_max[k], 0.0) if k in self.saved_max else None
+            for k in remaining))
         by = self.frontier.dominated_by(bound) \
             if bound is not None else None
         via = "completion"
         if by is None and self.options.static_bounds:
-            static = self.static_bound(config)
+            static = optimistic_bound(done, (
+                self.static_ceiling(k, config) for k in remaining))
             if static is not None:
                 by = self.frontier.dominated_by(static)
                 if by is not None:
@@ -640,11 +611,8 @@ def run_sweep(spec: SweepSpec, manifest_path: str,
     evaluation: ContextManager[Any] = WorkerPool(workers) \
         if workers > 1 else nullcontext()
     try:
-        with evaluation as pool:
-            if options.prune:
-                _run_pruned(run, pool)
-            else:
-                _run_exhaustive(run, pool)
+        with evaluation as pool, obs.scoped(run.registry):
+            _run_schedule(run, pool)
     finally:
         assert run.writer is not None
         run.writer.close()
@@ -670,86 +638,89 @@ def run_sweep(spec: SweepSpec, manifest_path: str,
 def _chunk_size(run: _SweepRun) -> int:
     if run.options.prune_chunk is not None:
         return max(1, run.options.prune_chunk)
-    if run.options.workers is not None:
-        return max(1, run.options.workers)
-    from repro.runner.pool import default_workers
-    return max(1, default_workers())
+    return max(1, run.run_options.workers)
 
 
-def _run_pruned(run: _SweepRun, pool: Any) -> None:
-    """Config-major execution: one representative per equivalence
-    class, domination-checked between waves.  Each wave runs through
-    :class:`_Lookahead`, which has the wave after it on the pool
-    already (see the module docstring)."""
-    budget = run.budget_left()
-    # the first group runs every pending unit: nothing can prune it
+def _run_schedule(run: _SweepRun, pool: Any) -> None:
+    """Config-major execution in waves of :func:`_chunk_size` units,
+    each run through :class:`_Lookahead`, which has the wave after it
+    on the pool already (see the module docstring).  The schedule holds
+    each group's runner when pruning, every member when not; when
+    pruning, equivalent members are skipped and each config is
+    domination-checked between its waves."""
+    prune = run.options.prune
+    schedule = [(group, config) for group in run.plan.groups
+                for config in ((group.runner,) if prune
+                               else group.members)]
+    chunk = _chunk_size(run)
+    evaluation = _Lookahead(run, pool)
+    # the first config runs every pending unit: nothing can prune it
     # while the frontier is empty.  In a cold sweep it holds every
     # kernel, so one stage captures every trace the sweep needs.
-    first = run.pending_units(run.plan.groups[0].runner)
-    with obs.scoped(run.registry):
-        evaluation = _Lookahead(run, pool)
-        evaluation.prepare(first if budget is None else first[:budget])
-        _pruned_waves(run, evaluation)
-        evaluation.close()
-
-
-def _pruned_waves(run: _SweepRun, evaluation: "_Lookahead") -> None:
-    chunk = _chunk_size(run)
-    for gi, group in enumerate(run.plan.groups):
-        run.prune_equivalents(group)
-        config = group.runner
+    budget = run.budget_left()
+    first = run.pending_units(schedule[0][1])
+    evaluation.prepare(first if budget is None else first[:budget])
+    for si, (group, config) in enumerate(schedule):
+        if prune:
+            run.prune_equivalents(group)
         pending = run.pending_units(config)
         while pending:
-            if run.try_domination_prune(group, config, len(pending)):
-                pending = []
+            if prune and run.try_domination_prune(group, config,
+                                                  len(pending)):
                 break
             budget = run.budget_left()
             if budget == 0:
                 run.complete = False
                 run.say("unit budget exhausted; stopping "
                         "(resume from the manifest)")
-                return
+                break
             take = len(pending) if budget is None \
                 else min(len(pending), budget)
             wave, pending = pending[:min(take, chunk)], \
                 pending[min(take, chunk):]
             # a config's first wave is dropped only if the config is
             # pruned before it runs, and no guess is dropped while the
-            # frontier is empty: issue those guesses whole
+            # frontier is empty or nothing is pruned: issue those
+            # guesses whole
             evaluation.run_wave(
-                wave, _next_wave(run, gi, pending, chunk,
+                wave, _next_wave(run, schedule[si + 1:], pending, chunk,
                                  None if budget is None
                                  else budget - len(wave)),
-                eager=not pending or not len(run.frontier))
+                eager=not prune or not pending or not len(run.frontier))
+        if not run.complete:
+            break
         if config.name not in run.pruned \
                 and not run.pending_units(config):
             run.finish_config(group, config)
+    evaluation.close()
 
 
-def _next_wave(run: _SweepRun, gi: int, rest: List[Any], chunk: int,
+def _next_wave(run: _SweepRun, later: Sequence[Tuple[ConfigGroup, Any]],
+               rest: List[Any], chunk: int,
                budget: Optional[int]) -> List[Any]:
-    """The wave :func:`_run_pruned` runs next if nothing is pruned:
+    """The wave :func:`_run_schedule` runs next if nothing is pruned:
     the next ``chunk`` of ``rest`` (the current config's units still to
-    run), else of the next group with pending units, cut to
-    ``budget``."""
+    run), else of the first ``later`` config with pending units, cut
+    to ``budget``."""
     if budget == 0:
         return []
     if not rest:
-        for group in run.plan.groups[gi + 1:]:
-            rest = run.pending_units(group.runner)
+        for _, config in later:
+            rest = run.pending_units(config)
             if rest:
                 break
     return rest[:chunk if budget is None else min(chunk, budget)]
 
 
 class _Lookahead:
-    """The pruned path's evaluation stage, one wave ahead.
+    """The sweep's evaluation stage, one wave ahead.
 
     :meth:`run_wave` issues the wave the loop runs now, each unit its
     own ``_run_trace`` task keyed by its trace, and speculates on the
     *guess*: the wave the loop runs next if nothing is pruned.  Where
     the checks after this wave rarely or never drop the guess (it
-    starts a config, or the frontier is still empty) it is issued at
+    starts a config, the frontier is still empty, or the sweep does
+    not prune) it is issued at
     once, behind the wave.  Otherwise its units go, one by one, to
     workers that fall idle while the wave runs, so a guess the checks
     drop costs only idle time.  The wave commits in work-list order.
@@ -963,39 +934,6 @@ class _Lookahead:
 
 def _cell(unit: Any) -> Cell:
     return unit.config.name, unit.kernel
-
-
-def _run_exhaustive(run: _SweepRun, pool: Any) -> None:
-    """Every grid member executes, in multi-config waves of up to
-    :data:`WAVE_UNITS` units.  Equivalent members must agree bit-for-bit
-    before merging into their class point (the soundness check that
-    backs the pruning rules)."""
-    wave: List[Any] = []
-    ordered = [(group, member) for group in run.plan.groups
-               for member in group.members]
-    for group, member in ordered:
-        for unit in run.pending_units(member):
-            budget = run.budget_left()
-            if budget is not None \
-                    and len(wave) + run.executed >= \
-                    run.options.max_units:
-                run.complete = False
-                break
-            wave.append(unit)
-            if len(wave) >= WAVE_UNITS:
-                run.execute(wave, pool)
-                wave = []
-        if not run.complete:
-            break
-    if wave:
-        run.execute(wave, pool)
-    if not run.complete:
-        run.say("unit budget exhausted; stopping "
-                "(resume from the manifest)")
-        return
-    for group, member in ordered:
-        if not run.pending_units(member):
-            run.finish_config(group, member)
 
 
 __all__ = ["BOUND_SLACK", "ResumeMismatch", "SavedCeiling",

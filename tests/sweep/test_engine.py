@@ -8,11 +8,13 @@ same grid hit the cache instead of re-simulating.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro import obs
 from repro.api import SweepSpec
+from repro.runner import manifest as manifest_module
 from repro.runner.manifest import read_manifest_tolerant
 from repro.sweep import (ResumeMismatch, SweepError, SweepOptions,
                          SweepResult, frontiers_equal, run_sweep)
@@ -114,6 +116,47 @@ class TestResume:
         counters = registry.snapshot()["counters"]
         assert counters["sweep.units.reused"] == 2
         assert counters["sweep.units.executed"] == 2
+
+    def test_interrupted_resume_keeps_every_unit(self, tmp_path,
+                                                 monkeypatch):
+        """A resumed sweep rewrites its manifest whole: a failure
+        while the finished units are being rewritten leaves the
+        manifest as the killed run wrote it, and a clean rerun reuses
+        every unit."""
+        manifest = tmp_path / "resume.jsonl"
+
+        def options(**overrides):
+            return SweepOptions(use_cache=False, workers=1, prune=False,
+                                registry=obs.Obs(), **overrides)
+
+        run_sweep(small_spec(), manifest, options(max_units=3))
+        _, killed, _ = read_manifest_tolerant(manifest)
+        assert len(killed) == 3
+
+        class Interrupted(Exception):
+            pass
+
+        rewritten = []
+
+        def dumps(obj, *args, **kwargs):
+            if obj.get("type") == "unit":
+                rewritten.append(obj)
+                if len(rewritten) == 2:
+                    raise Interrupted
+            return json.dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(manifest_module, "json", SimpleNamespace(
+            dumps=dumps, loads=json.loads))
+        with pytest.raises(Interrupted):
+            run_sweep(small_spec(), manifest, options())
+        monkeypatch.undo()
+        _, units, torn = read_manifest_tolerant(manifest)
+        assert (units, torn) == (killed, 0)
+        assert [p.name for p in tmp_path.iterdir()] == [manifest.name]
+
+        rerun = run_sweep(small_spec(), manifest, options())
+        assert rerun.complete
+        assert (rerun.reused_units, rerun.executed_units) == (3, 1)
 
     def test_resumed_frontier_matches_fresh(self, cache_dir,
                                             tmp_path):

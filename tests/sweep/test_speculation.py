@@ -1,7 +1,8 @@
-"""The pruned sweep runs one wave ahead of its commit point: a pooled
-sweep commits exactly what the inline sweep commits, in the same
-order, with the same counters — and a speculated unit that the
-between-wave checks discard leaves no trace, not even its exception.
+"""The sweep runs one wave ahead of its commit point: a pooled sweep,
+pruned or exhaustive, commits exactly what the inline sweep commits,
+in the same order, with the same counters — and a speculated unit that
+the between-wave checks discard leaves no trace, not even its
+exception.
 
 The faults are injected by patching ``repro.runner.pool.execute_unit``
 before the evaluation pool forks, so the workers inherit them; every
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -65,6 +67,25 @@ def inline(tmp_path_factory):
                  cache_dir=str(tmp / "cache"))
 
 
+@pytest.fixture(scope="module")
+def exhaustive(tmp_path_factory):
+    """The sequential ``--no-prune`` reference."""
+    return sweep(tmp_path_factory.mktemp("exhaustive"), "exhaustive",
+                 workers=1, prune=False)
+
+
+def own(counters) -> dict:
+    """The counters a sweep's results fix: all but those of
+    speculation and of capture stages."""
+    return {name: value for name, value in counters.items()
+            if not name.startswith(("sweep.speculative.",
+                                    "runner.traces."))}
+
+
+def wire(points) -> list:
+    return [p.to_wire() for p in points]
+
+
 def fail_where(predicate):
     """An ``execute_unit`` that raises on every unit whose
     ``(config, kernel)`` cell satisfies ``predicate``."""
@@ -94,8 +115,7 @@ class TestEquivalence:
             cache_dir=str(cache))
 
         assert comparable_units(units) == comparable_units(ref_units)
-        assert [p.to_wire() for p in result.frontier] \
-            == [p.to_wire() for p in ref.frontier]
+        assert wire(result.frontier) == wire(ref.frontier)
         assert result.pruned == ref.pruned
         assert any(v["reason"] == "dominated"
                    and 0 < v["units_skipped"] < len(ref.kernels)
@@ -103,18 +123,26 @@ class TestEquivalence:
             "no config was pruned part-way: nothing to discard"
         assert (result.executed_units, result.skipped_units) \
             == (ref.executed_units, ref.skipped_units)
-
-        def own(counters):
-            return {name: value for name, value in counters.items()
-                    if not name.startswith(("sweep.speculative.",
-                                            "runner.traces."))}
-
         assert own(counters) == own(ref_counters)
         assert "sweep.speculative.committed" not in ref_counters
         assert counters["sweep.speculative.committed"] >= 1
         assert counters["sweep.speculative.discarded"] >= 1
         assert {p.stem for p in ResultCache(cache).units_dir.glob(
             "*.json")} == {unit["key"] for unit in units}
+
+    def test_pooled_exhaustive_equals_inline(self, tmp_path, exhaustive):
+        """``--no-prune`` runs the same wave loop with its checks off:
+        every guess is issued at once and committed."""
+        ref, ref_units, ref_counters, _ = exhaustive
+        result, units, counters, _ = sweep(tmp_path, "pooled", workers=2,
+                                           prune=False)
+        assert result.complete and not result.pruned
+        assert comparable_units(units) == comparable_units(ref_units)
+        assert wire(result.points) == wire(ref.points)
+        assert wire(result.frontier) == wire(ref.frontier)
+        assert own(counters) == own(ref_counters)
+        assert "sweep.speculative.committed" not in ref_counters
+        assert counters["sweep.speculative.committed"] >= 1
 
 
 class TestResultCache:
@@ -186,4 +214,23 @@ class TestFaults:
         assert result.executed_units == 3
         assert comparable_units(units) == comparable_units(ref_units[:3])
         assert counters["sweep.units.executed"] == 3
+
+    def test_exhaustive_budget_reports_finished_configs(self, tmp_path,
+                                                       exhaustive):
+        """A budget-stopped ``--no-prune`` run leaves the sequential
+        run's first units and the points of the configs it finished."""
+        ref, ref_units, _, _ = exhaustive
+        budget = 2 * len(ref.kernels) + 3
+        result, units, _, _ = sweep(tmp_path, "budget", workers=2,
+                                    prune=False, max_units=budget)
+        assert not result.complete
+        assert comparable_units(units) \
+            == comparable_units(ref_units[:budget])
+        per_config = Counter(unit["config"] for unit in units)
+        finished = {config for config, n in per_config.items()
+                    if n == len(ref.kernels)}
+        assert len(finished) == 2
+        expected = [p for p in ref.points if finished & set(p.members)]
+        assert expected
+        assert wire(result.points) == wire(expected)
 
