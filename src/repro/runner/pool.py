@@ -11,16 +11,19 @@ grid executes each kernel functionally once, not once per config per
 worker.  **Stage 2** opens each stored trace read-only via ``mmap``,
 sharing the OS page cache.
 
-The evaluation fan-out schedules **one task per trace**: every pending
-unit of one (kernel, scale, seed) runs in the same process, so the
-trace's evaluation plan, static-peek overlay and auxiliary
+The evaluation stage schedules **one task per unit**, keyed by the
+unit's trace: the pool pins each trace key to one worker, so every
+pending unit of one (kernel, scale, seed) runs in the same process and
+the trace's evaluation plan, static-peek overlay and auxiliary
 measurements are built once per run, not once per config.
+:func:`run_units`, the sweep and ``st2-serve`` all submit
+:func:`run_unit`.
 
 With ``workers > 1`` both stages run on a :class:`WorkerPool`, driven
 by :meth:`~WorkerPool.submit` and :meth:`~WorkerPool.collect`.  Stage 1
 uses a pool that exits with the stage, so no capture memory lingers in
-an evaluation worker.  Stage 2 uses a pool that lives for the call, or
-the caller's: ``run_sweep`` holds one across all its waves and
+an evaluation worker.  :func:`run_units` evaluates on a pool that lives
+for the call; the sweep holds one across all its waves and
 ``st2-serve`` one for the daemon, so a trace pinned to a worker keeps
 its plan there from wave to wave.  ``workers <= 1`` runs both stages
 inline through the same worker entry points, which is what the
@@ -28,8 +31,9 @@ parallel-equals-serial guarantee rests on.
 
 Results always come back in work-list order; the parent alone writes
 result-cache entries.  :func:`cached_result` and :func:`commit_result`
-are the per-unit bookkeeping of :func:`run_units` and of the pruned
-sweep, which issues one task per unit and commits wave by wave.
+are the per-unit bookkeeping of all three callers, and
+:func:`prepare_stages` runs the capture and init stages of
+:func:`run_units` and the sweep.
 Trace-store entries are published by workers with an atomic directory
 rename, so concurrent captures cannot corrupt an entry (first writer
 wins; both wrote identical bytes).
@@ -37,7 +41,6 @@ wins; both wrote identical bytes).
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import signal
@@ -391,30 +394,26 @@ def task_value(ok: bool, value):
     raise exc from (_RemoteTraceback(remote) if remote else None)
 
 
-_TASK_IDS = itertools.count()
-
-
 def _fan_out(pool, fn, tasks):
-    """``fn`` over ``tasks`` (``(key, label, arg)`` triples) on
-    ``pool``, or inline when it is ``None``; yields results unordered.
-    Inline and pooled runs go through the same entry points, so their
-    results and metrics are the same."""
+    """``fn`` over ``tasks`` (``(key, label, arg)`` triples), started
+    in task order on ``pool``, or inline when it is ``None``; yields
+    ``(position in tasks, result)`` as each finishes.  Inline and
+    pooled runs go through the same entry points, so their results and
+    metrics are the same."""
     if pool is None:
-        return (fn(arg) for _, _, arg in tasks)
+        return ((n, fn(arg)) for n, (_, _, arg) in enumerate(tasks))
     return _pooled(pool, fn, tasks)
 
 
 def _pooled(pool, fn, tasks):
     """:func:`_fan_out` on a pool: submit every task, then collect."""
-    pending = set()
-    for key, label, arg in tasks:
-        task_id = next(_TASK_IDS)
-        pending.add(task_id)
-        pool.submit(task_id, fn, arg, key=key, label=label)
-    while pending:
-        for task_id, ok, value in pool.collect():
-            pending.discard(task_id)
-            yield task_value(ok, value)
+    for n, (key, label, arg) in enumerate(tasks):
+        pool.submit(n, fn, arg, key=key, label=label)
+    left = len(tasks)
+    while left:
+        for n, ok, value in pool.collect():
+            left -= 1
+            yield n, task_value(ok, value)
 
 
 # ----------------------------------------------------------------------
@@ -431,24 +430,19 @@ def _store(root: str):
     return _WORKER_STORE
 
 
-def _run_trace(task) -> list:
-    """Stage-2 task ``(store root, [(index, spec), ...])``: every
-    pending unit of one trace, in work-list order, so the units share
-    the process's plan of that trace.  Each unit runs under a fresh obs
-    scope whose snapshot travels home with the result (as the transient
-    ``"obs"`` key, popped and merged by the parent).  Returns
-    ``[(index, result), ...]``."""
-    root, items = task
-    store = _store(root)
-    done = []
-    for index, spec in items:
-        with obs.scoped() as reg:
-            with reg.span("runner.unit"):
-                result = execute_unit(spec, models=_WORKER_MODELS,
-                                      store=store)
-        result.data["obs"] = reg.snapshot()
-        done.append((index, result))
-    return done
+def run_unit(task):
+    """Stage-2 task ``(store root, spec)``: evaluate one unit against
+    its stored trace, under a fresh obs scope whose snapshot travels
+    home with the result (as the transient ``"obs"`` key, popped and
+    merged by :func:`commit_result`).  Returns the unit's
+    :class:`~repro.st2.results.RunResult`."""
+    root, spec = task
+    with obs.scoped() as reg:
+        with reg.span("runner.unit"):
+            result = execute_unit(spec, models=_WORKER_MODELS,
+                                  store=_store(root))
+    result.data["obs"] = reg.snapshot()
+    return result
 
 
 def _capture_one(task) -> tuple:
@@ -484,14 +478,15 @@ def capture_traces(store, items, workers: int):
     root = str(store.root)
     tasks = [(None, item[1], (root, item)) for item in items]
     with _stage_pool(workers, len(tasks)) as pool:
-        yield from _fan_out(pool, _capture_one, tasks)
+        for _, done in _fan_out(pool, _capture_one, tasks):
+            yield done
 
 
 # ----------------------------------------------------------------------
 # the runner
 # ----------------------------------------------------------------------
 
-def run_units(specs, options: RunOptions = None, pool=None) -> list:
+def run_units(specs, options: RunOptions = None) -> list:
     """Execute ``specs`` and return their results, in order.
 
     Each element is a typed :class:`~repro.st2.results.RunResult` —
@@ -513,10 +508,11 @@ def run_units(specs, options: RunOptions = None, pool=None) -> list:
     Traces come from ``options.trace_store``, or from the process-wide
     :func:`~repro.sim.trace_store.scratch_store` when it is ``None``.
 
-    Evaluation runs on ``pool`` when given (a :class:`WorkerPool` the
-    caller keeps across calls), else on a pool of ``options.workers``
-    that lives for this call, else inline for ``workers <= 1``.  A unit
-    whose worker dies twice raises :class:`WorkerLost`.
+    Evaluation runs one :func:`run_unit` task per pending unit, grouped
+    by trace in first-seen order, on a pool of ``options.workers`` that
+    lives for this call, or inline for ``workers <= 1``; each unit
+    commits as it finishes.  A unit whose worker dies twice raises
+    :class:`WorkerLost`.
     """
     options = options if options is not None else RunOptions()
     specs = list(specs)
@@ -530,34 +526,34 @@ def run_units(specs, options: RunOptions = None, pool=None) -> list:
         results = [None] * len(specs)
         obs.add("runner.units", len(specs))
 
-        pending = []
+        groups = {}             # trace key -> pending indices
         for i, (spec, key) in enumerate(zip(specs, keys)):
             hit = cached_result(options, key)
             if hit is not None:
                 results[i] = hit
                 options.notify(spec, hit)
             else:
-                pending.append((i, spec))
+                groups.setdefault(unit_trace_key(spec, version),
+                                  []).append(i)
 
-        if not pending:
+        if not groups:
             return results
         store = trace_store_of(options)
-        trace_keys = {i: unit_trace_key(spec, version)
-                      for i, spec in pending}
-        with reg.span("runner.stage.capture"):
-            warm = _populate_store(store, [spec for _, spec in pending],
-                                   options.workers, version)
-        with reg.span("runner.stage.init"):
-            _prepare_eval(spec for _, spec in pending)
-        tasks = _eval_tasks(pending, trace_keys, str(store.root))
+        order = [i for group in groups.values() for i in group]
+        warm = prepare_stages(store, [specs[i] for i in order],
+                              options.workers, version)
+        root = str(store.root)
+        tasks = [(key, specs[i].label, (root, specs[i]))
+                 for key, group in groups.items() for i in group]
         with reg.span("runner.stage.eval"):
-            with (nullcontext(pool) if pool is not None
-                  else _stage_pool(options.workers, len(tasks))) as live:
-                for done in _fan_out(live, _run_trace, tasks):
-                    for i, result in done:
-                        results[i] = commit_result(
-                            options, specs[i], keys[i], result,
-                            trace_hit=trace_keys[i] in warm)
+            # the pins keep a trace on one worker: one worker per trace
+            # at most
+            with _stage_pool(options.workers, len(groups)) as pool:
+                for n, result in _fan_out(pool, run_unit, tasks):
+                    i = order[n]
+                    results[i] = commit_result(
+                        options, specs[i], keys[i], result,
+                        trace_hit=tasks[n][0] in warm)
     return results
 
 
@@ -607,16 +603,16 @@ def commit_result(options: RunOptions, spec: UnitSpec, key: str,
     return result
 
 
-def _eval_tasks(pending, trace_keys, root: str) -> list:
-    """The evaluation fan-out's tasks, one per trace:
-    ``(trace key, unit labels, (root, [(index, spec), ...]))`` with
-    the trace's pending units in work-list order."""
-    groups = {}
-    for i, spec in pending:
-        groups.setdefault(trace_keys[i], []).append((i, spec))
-    return [(key, ", ".join(spec.label for _, spec in items),
-             (root, items))
-            for key, items in groups.items()]
+def prepare_stages(store, specs, workers: int,
+                   version: str) -> frozenset:
+    """Stage 1 (:func:`_populate_store`), then the init step
+    (:func:`_prepare_eval`, under the ``runner.stage.init`` span),
+    before evaluating ``specs``.  Returns the trace keys that were
+    already warm."""
+    warm = _populate_store(store, specs, workers, version)
+    with obs.span("runner.stage.init"):
+        _prepare_eval(specs)
+    return warm
 
 
 def _prepare_eval(specs) -> None:
@@ -644,23 +640,24 @@ def _prepare_eval(specs) -> None:
 
 def _populate_store(store, specs, workers: int,
                     version: str) -> frozenset:
-    """Stage 1: capture every distinct trace behind ``specs`` into the
-    store.
+    """Stage 1, under the ``runner.stage.capture`` span: capture every
+    distinct trace behind ``specs`` into the store.
 
     Fans out over (kernel, scale, seed) keys — never over configs —
     skipping entries that are already warm, whose keys it returns.
     A capture that loses the race to publish counts as neither
     captured nor warm, so ``runner.traces.total`` is its own counter.
     """
-    distinct = capture_items(specs, version)
-    warm = frozenset(k for k in distinct if store.has(k))
-    todo = [item for key, item in distinct.items() if key not in warm]
-
-    captured = 0
     registry = obs.get_obs()
-    for _, created, snap in capture_traces(store, todo, workers):
-        registry.merge(snap)
-        captured += created
+    with registry.span("runner.stage.capture"):
+        distinct = capture_items(specs, version)
+        warm = frozenset(k for k in distinct if store.has(k))
+        todo = [item for key, item in distinct.items()
+                if key not in warm]
+        captured = 0
+        for _, created, snap in capture_traces(store, todo, workers):
+            registry.merge(snap)
+            captured += created
     obs.add("runner.traces.total", len(distinct))
     obs.add("runner.traces.captured", captured)
     obs.add("runner.traces.warm", len(warm))

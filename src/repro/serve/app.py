@@ -80,17 +80,18 @@ class ServeApp:
                  host: str = "127.0.0.1", port: int = 0,
                  registry=None):
         from repro.runner.cache import ResultCache, code_version
-        from repro.runner.pool import WorkerPool
-        from repro.sim.trace_store import scratch_store
+        from repro.runner.options import RunOptions
+        from repro.runner.pool import WorkerPool, trace_store_of
 
         self.state = ServeState(client_quota=client_quota,
                                 max_queued_units=max_queued_units)
         self.shards = shards
-        # never `or`: an empty store is falsy
-        self.trace_store = trace_store if trace_store is not None \
-            else scratch_store()
-        self.cache = cache if cache is not None else ResultCache()
-        self.use_cache = use_cache
+        # the result cache and trace store, as the runner's bookkeeping
+        # (cached_result / commit_result) reads them
+        self.options = RunOptions(
+            cache=cache if cache is not None else ResultCache(),
+            use_cache=use_cache, trace_store=trace_store)
+        self.trace_store = trace_store_of(self.options)
         self.code_version = code_version()
         self.registry = registry if registry is not None else obs.Obs()
         self.pool = WorkerPool(shards)
@@ -165,7 +166,7 @@ class ServeApp:
         """Dispatch units while budget lasts.  Cache hits and
         coalesced units never consume budget, so a fully-warm job
         completes within the submitting request."""
-        from repro.runner.pool import _run_trace
+        from repro.runner.pool import cached_result, run_unit
         from repro.runner.units import unit_trace_key
 
         root = str(self.trace_store.root)
@@ -176,20 +177,18 @@ class ServeApp:
             index = self._cursors[job.job_id]
             self._cursors[job.job_id] += 1
             key = job.keys[index]
-            if self.use_cache:
-                hit = self.cache.load(key)
-                if hit is not None:
-                    hit.update(key=key, cached=True)
-                    self.state.resolve_cached(job, index, hit)
-                    self._notify_change()
-                    continue
+            hit = cached_result(self.options, key)
+            if hit is not None:
+                self.state.resolve_cached(job, index, hit.to_dict())
+                self._notify_change()
+                continue
             entry, created = self.state.attach(job, index)
             if not created:
                 continue
             spec = job.units[index]
             trace_key = unit_trace_key(spec, self.code_version)
             entry.trace_key = trace_key
-            self.pool.submit(key, _run_trace, (root, [(index, spec)]),
+            self.pool.submit(key, run_unit, (root, spec),
                              key=trace_key, label=spec.label)
             self._budget -= 1
 
@@ -222,23 +221,20 @@ class ServeApp:
 
     def _on_pool_result(self, key, ok: bool, payload) -> None:
         """Runs on the pool's drain thread: hop onto the loop.
-        ``payload`` is ``[(index, result)]``, or the error text."""
+        ``payload`` is the unit's result, or the error text."""
         self._loop.call_soon_threadsafe(self._finish_exec, key, ok,
                                         payload)
 
     def _finish_exec(self, key, ok: bool, payload) -> None:
+        from repro.runner.pool import commit_result
+
         with obs.scoped(self.registry):
             if ok:
-                ((_, result),) = payload
+                result = commit_result(
+                    self.options, self.state.inflight[key].spec, key,
+                    payload, trace_hit=payload.trace_cache_hit)
+                obs.record_timer("serve.unit.wall", result.wall_time_s)
                 payload = result.to_dict()
-                snap = payload.pop("obs", None)
-                if snap:
-                    self.registry.merge(snap)
-                payload.update(key=key, cached=False)
-                obs.record_timer("serve.unit.wall",
-                                 payload.get("wall_time_s", 0.0))
-                if self.use_cache:
-                    self.cache.store(key, payload)
             touched = self.state.resolve_exec(key, ok, payload)
             self._budget += 1
             if touched:

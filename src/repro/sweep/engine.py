@@ -716,7 +716,7 @@ class _Lookahead:
     """The sweep's evaluation stage, one wave ahead.
 
     :meth:`run_wave` issues the wave the loop runs now, each unit its
-    own ``_run_trace`` task keyed by its trace, and speculates on the
+    own ``run_unit`` task keyed by its trace, and speculates on the
     *guess*: the wave the loop runs next if nothing is pruned.  Where
     the checks after this wave rarely or never drop the guess (it
     starts a config, the frontier is still empty, or the sweep does
@@ -760,22 +760,21 @@ class _Lookahead:
         the sweep is sure to run, less those whose cache file exists.
         A wave that needs a trace no stage captured yet captures it
         before it runs (:meth:`run_wave`)."""
-        from repro.runner.pool import _prepare_eval
+        from repro.runner.pool import prepare_stages
 
         todo = [unit for unit in units if not self.cache_file(unit)]
         if todo:
-            self.capture(todo)
-            with self.run.registry.span("runner.stage.init"):
-                _prepare_eval(todo)
+            self.warm |= prepare_stages(self.store, todo,
+                                        self.options.workers,
+                                        self.version)
+            self.captured |= {self.trace_key(unit) for unit in todo}
 
     def capture(self, units: List[Any]) -> None:
         """A capture stage over the traces behind ``units``."""
         from repro.runner.pool import _populate_store
 
-        with self.run.registry.span("runner.stage.capture"):
-            self.warm |= _populate_store(self.store, units,
-                                         self.options.workers,
-                                         self.version)
+        self.warm |= _populate_store(self.store, units,
+                                     self.options.workers, self.version)
         self.captured |= {self.trace_key(unit) for unit in units}
 
     def close(self) -> None:
@@ -833,9 +832,7 @@ class _Lookahead:
         """``unit``'s result, or its exception raised."""
         from repro.runner.pool import task_value
 
-        ((_, result),) = task_value(
-            *self.finished[self.issued[_cell(unit)]])
-        return result
+        return task_value(*self.finished[self.issued[_cell(unit)]])
 
     def commit(self, wave: List[Any], keys: List[str],
                results: List[Any]) -> None:
@@ -869,19 +866,19 @@ class _Lookahead:
     # -- tasks ---------------------------------------------------------
 
     def issue(self, unit: Any, ahead: bool = False) -> None:
-        from repro.runner.pool import _run_trace
+        from repro.runner.pool import run_unit
 
         task_id = next(self.ids)
         self.issued[_cell(unit)] = task_id
-        arg = (str(self.store.root), [(task_id, unit)])
+        arg = (str(self.store.root), unit)
         if self.t_first is None:
             self.t_first = time.perf_counter()
         if self.pool is None:
-            self.finished[task_id] = (True, _run_trace(arg))
+            self.finished[task_id] = (True, run_unit(arg))
             return
         if ahead:
             self.ahead.add(_cell(unit))
-        self.pool.submit(task_id, _run_trace, arg,
+        self.pool.submit(task_id, run_unit, arg,
                          key=self.trace_key(unit), label=unit.label)
 
     def speculate(self, now: bool = False) -> None:
@@ -905,10 +902,7 @@ class _Lookahead:
 
     def drop(self, outcome: Tuple[bool, Any]) -> None:
         """Time a discarded unit: the seconds it ran, 0 if it failed."""
-        seconds = 0.0
-        if outcome[0]:
-            ((_, result),) = outcome[1]
-            seconds = result.wall_time_s
+        seconds = outcome[1].wall_time_s if outcome[0] else 0.0
         self.run.registry.record_timer("sweep.speculative.discarded",
                                        seconds)
 

@@ -75,28 +75,10 @@ def test_default_workers_bounded():
     assert 1 <= default_workers() <= 4
 
 
-def spy_eval_fan_outs(monkeypatch) -> list:
-    """Record ``(items, pool)`` of every evaluation fan-out: the
-    ``[(index, spec), ...]`` of each task, and the pool it ran on
-    (``None`` inline)."""
-    from repro.runner import pool
-
-    seen = []
-    real = pool._fan_out
-
-    def spy(live, fn, tasks):
-        if fn is pool._run_trace:
-            seen.append(([arg[1] for _, _, arg in tasks], live))
-        return real(live, fn, tasks)
-
-    monkeypatch.setattr(pool, "_fan_out", spy)
-    return seen
-
-
 class TestOncePerTrace:
-    """Config-independent work runs once per trace per run: the
-    evaluation fan-out has one item per trace, and the aux measurements
-    are memoised on the trace's plan."""
+    """Config-independent work runs once per trace per run: every unit
+    of a trace runs on one worker, and the aux measurements are
+    memoised on the trace's plan."""
 
     CONFIGS = (ST2_DESIGN, VALHALLA, PREV, CASA)
 
@@ -133,30 +115,55 @@ class TestOncePerTrace:
         for a, p in zip(again, pooled):
             assert a.aux and results_equal(a, p), a.label
 
-    def test_one_fan_out_item_per_trace(self, tmp_path, monkeypatch):
-        """Items hold exactly the pending units of one trace, in
-        work-list order, even when the work list interleaves traces and
-        some units are cache hits."""
-        # config-major, so each trace's units are not adjacent
+    def test_each_trace_runs_on_one_worker(self, tmp_path, monkeypatch):
+        """A config-major work list interleaves its traces and holds one
+        cache hit: inline, each trace's units run back to back; on two
+        workers every pending unit is sent exactly once, every unit of
+        a trace to the same worker, and the results equal the inline
+        run's, in work-list order."""
+        from repro.runner.pool import WorkerPool, run_unit
+        from repro.runner.units import unit_trace_key
+
         units = [u for cfg in self.CONFIGS
                  for u in build_units(KERNELS, configs=(cfg,),
                                       scale=0.1, aux=False)]
         cache = ResultCache(tmp_path)
         run_units([units[2]], RunOptions(workers=1, cache=cache))
-        seen = spy_eval_fan_outs(monkeypatch)
-        results = run_units(units, RunOptions(workers=1, cache=cache))
-        assert [r.cached for r in results].count(True) == 1
+        evaluated = []
+        inline = run_units(units, RunOptions(
+            workers=1, use_cache=False,
+            progress=lambda spec, _: evaluated.append(spec)))
+        # inline, one trace's units run back to back (the plan LRU)
+        assert evaluated == sorted(units,
+                                   key=lambda u: KERNELS.index(u.kernel))
 
-        ((items, _),) = seen
-        pending = [i for i in range(len(units)) if i != 2]
-        assert sorted(i for item in items for i, _ in item) == pending
-        for item in items:
-            indices = [i for i, _ in item]
-            assert indices == sorted(indices)
-            assert len({(s.kernel, s.scale, s.seed)
-                        for _, s in item}) == 1
-            assert all(units[i] == s for i, s in item)
-        assert len(items) == len(KERNELS)
+        sends = []                  # (unit, worker slot)
+        real = WorkerPool._send
+
+        def spy(pool, slot, task):
+            if task.fn is run_unit:
+                sends.append((task.arg[1], pool._slots.index(slot)))
+            return real(pool, slot, task)
+
+        monkeypatch.setattr(WorkerPool, "_send", spy)
+        results = run_units(units, RunOptions(workers=2, cache=cache))
+
+        assert [r.cached for r in results] \
+            == [i == 2 for i in range(len(units))]
+        pending = [u for i, u in enumerate(units) if i != 2]
+        by_trace = {}
+        for unit, slot in sends:
+            by_trace.setdefault(unit_trace_key(unit), []).append(
+                (unit, slot))
+        assert len(by_trace) == len(KERNELS)
+        for key, sent in by_trace.items():
+            # each pending unit once, in work-list order, on one worker
+            assert [u for u, _ in sent] \
+                == [u for u in pending if unit_trace_key(u) == key]
+            assert len({slot for _, slot in sent}) == 1, sent
+        assert len({slot for _, slot in sends}) == 2
+        for a, r in zip(inline, results):
+            assert results_equal(a, r), a.label
 
 
 class TestRunOptionsOnly:

@@ -24,6 +24,7 @@ from repro.runner import (RunOptions, WorkerLost, build_units,
 from repro.runner import pool as runner_pool
 from repro.runner.cache import ResultCache
 from repro.runner.manifest import read_manifest_tolerant
+from repro.runner.units import resolve_configs
 from repro.serve.app import ServeApp
 from repro.serve.client import ServeClient
 from repro.sim.trace_store import TraceStore
@@ -86,6 +87,18 @@ class TestRunner:
             run_units(units, options(tmp_path))
         assert "sortNets_K2" in lost.value.unit
         assert lost.value.exitcode == 9
+
+    def test_lost_unit_names_one_unit(self, tmp_path, monkeypatch):
+        """With two configs per kernel, a lost worker fails one unit,
+        not the trace's group: ``unit`` is that unit's label."""
+        monkeypatch.setattr(runner_pool, "execute_unit",
+                            kill_on("sortNets_K2"))
+        units = build_units(KERNELS, configs=resolve_configs(
+            ["st2", "valhalla"]), scale=0.1, aux=False)
+        with pytest.raises(WorkerLost) as lost:
+            run_units(units, options(tmp_path))
+        assert lost.value.unit in {u.label for u in units
+                                   if u.kernel == "sortNets_K2"}
 
     def test_kill_on_first_attempt_retries(self, tmp_path, monkeypatch):
         units = build_units(KERNELS, scale=0.1, aux=False)

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.runner.pool import WorkerPool, _fan_out, _run_trace, task_value
+from repro.runner.pool import WorkerPool, _fan_out, run_unit, task_value
 from repro.runner.units import build_units, resolve_configs, \
     unit_trace_key
 from repro.sim.trace_store import TraceStore
@@ -71,7 +71,8 @@ class TestShardOf:
         assert len(units) > 1
         tasks = [(unit_trace_key(u, "v0"), u.label, None) for u in units]
         with WorkerPool(4) as pool:
-            assert len(set(_fan_out(pool, worker_pid, tasks))) == 1
+            assert len({pid for _, pid in _fan_out(pool, worker_pid,
+                                                   tasks)}) == 1
 
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError):
@@ -92,16 +93,15 @@ class TestPoolRoundTrip:
                                 configs=resolve_configs(["st2"]),
                                 scale=0.25, aux=False)
             for i, unit in enumerate(units):
-                pool.submit(f"task-{i}", _run_trace,
-                            (str(tmp_path), [(i, unit)]),
+                pool.submit(f"task-{i}", run_unit,
+                            (str(tmp_path), unit),
                             key=unit_trace_key(unit, "v0"),
                             label=unit.label)
             seen = {}
             for _ in units:
                 tid, ok, payload = results.get(timeout=120)
                 assert ok, payload
-                ((_, result),) = payload
-                seen[tid] = result.to_dict()
+                seen[tid] = payload.to_dict()
         finally:
             pool.close()
         assert set(seen) == {f"task-{i}" for i in range(len(units))}

@@ -166,6 +166,51 @@ class TestServedEqualsOffline:
         assert len(everyone) >= len(mine)
 
 
+class TestSharedCommitPath:
+    def test_cache_entries_equal_run_units(self, tmp_path):
+        """st2-serve and ``run_units`` probe and commit a unit through
+        the same bookkeeping: their result-cache entries for it carry
+        the same fields and equal numbers, and the server counts the
+        runner's ``runner.units.{executed,cached}``."""
+        from repro import obs
+        from repro.runner import RunOptions, run_units
+        from repro.runner.cache import ResultCache
+        from repro.runner.units import results_equal
+        from repro.serve.app import ServeApp
+        from repro.sim.trace_store import TraceStore
+        from tests.serve.conftest import ServerHarness
+
+        spec = JobSpec(kernels=("qrng_K2",), configs=("st2",),
+                       scale=0.1, seed=0, aux=False)
+        served_cache = ResultCache(tmp_path / "served")
+        app = ServeApp(shards=1,
+                       trace_store=TraceStore(tmp_path / "served-traces"),
+                       cache=served_cache, registry=obs.Obs())
+        server = ServerHarness(app).start()
+        try:
+            with ServeClient(server.address) as sc:
+                for _ in range(2):      # cold, then from the cache
+                    job = sc.submit(spec)
+                    assert sc.wait(job.job_id, timeout=60).state == "done"
+                counters = _counters(sc)
+        finally:
+            server.stop()
+        assert counters["runner.units.executed"] == 1
+        assert counters["runner.units.cached"] == 1
+
+        run_cache = ResultCache(tmp_path / "run")
+        (offline,) = run_units(spec.units(), RunOptions(
+            workers=1, cache=run_cache,
+            trace_store=TraceStore(tmp_path / "run-traces")))
+        served = served_cache.load(offline.key)
+        stored = run_cache.load(offline.key)
+        assert served is not None and stored is not None
+        assert list(served) == list(stored)
+        assert results_equal(served, stored)
+        for field in ("key", "cached", "trace_cache_hit"):
+            assert served[field] == stored[field], field
+
+
 class TestCoalescing:
     def test_duplicate_inflight_submissions_coalesce(self, server):
         """5 identical uncached jobs submitted back-to-back: the 4

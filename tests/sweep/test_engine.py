@@ -251,13 +251,13 @@ class TestEvaluationPool:
     def test_one_pool_and_trace_locality(self, tmp_path, monkeypatch):
         """A 2-worker sweep starts one evaluation pool for all its
         waves, and every unit of one trace runs on the same worker."""
-        from repro.runner.pool import WorkerPool, _run_trace
+        from repro.runner.pool import WorkerPool, run_unit
 
         sends = []                  # (pool, trace key, worker slot)
         real = WorkerPool._send
 
         def spy(pool, slot, task):
-            if task.fn is _run_trace:
+            if task.fn is run_unit:
                 sends.append((pool, task.key, pool._slots.index(slot)))
             return real(pool, slot, task)
 
