@@ -65,10 +65,10 @@ def build_baseline(metrics: dict) -> dict:
         "pinned design-space sweep baseline: st2-sweep run "
         "benchmarks/sweep_ci.json --workers 2 --no-cache (8-combo "
         "grid -> 4 equivalence classes over qrng_K1 x affineChain; "
-        "the static1 classes are pruned pre-execution by "
-        "the static bounds stage); counters pin the functional "
-        "totals AND the prune/frontier decisions — including "
-        "sweep.prune.static.units_skipped >= 1 — regenerate with "
+        "the 4 dead-axis members are pruned as equivalent, and at "
+        "2-unit waves no class is pruned by domination); counters "
+        "pin the functional totals AND the prune/frontier "
+        "decisions — regenerate with "
         "benchmarks/regen_sweep_baseline.py")
     return baseline_from_metrics(metrics, rel_tol=0.05,
                                  time_factor=25.0,

@@ -4,11 +4,11 @@ Every integer add in the hot loop combines a `k.range` loop counter
 with small literal offsets, so the flow tier's interval analysis pins
 every slice carry of every site to zero (the counter never crosses a
 slice boundary).  That makes the kernel the deterministic fixture for
-`st2-lint bounds` and the sweep engine's static pruning gate: under
-``static0`` (or any mechanism with Peek) speculation is provably
-always correct, while under ``static1`` every pinned site is provably
-always wrong — a sound, pre-execution reason to discard the config
-class.  The XOR accumulation keeps the chain live without emitting
+`st2-lint bounds`: under ``static0`` (or any mechanism with Peek)
+speculation is provably always correct, while under ``static1`` every
+pinned site is provably always wrong, so the bounds tier proves a
+misprediction floor for that config class (`tests/lint/test_bounds.py`
+pins it).  The XOR accumulation keeps the chain live without emitting
 adder rows, mirroring the Sobol'/Niederreiter index storms the paper's
 QRNG kernels spend their ALU energy on.
 """

@@ -56,8 +56,8 @@ Soundness contract: bounds hold for the default evaluation path —
 and no static-peek fact overlay applied to the *headline* metrics
 (facts only feed the separate ``static_peek`` ablation row).  The
 ``st2-fuzz`` bounds oracle enforces containment on every generated
-kernel; the sweep engine's ``static_bounds`` pruning hook and the
-L9/L10 info rules consume the same reports.
+kernel; ``st2-lint bounds`` and the L9/L10 info rules consume the
+same reports.
 """
 
 from __future__ import annotations
@@ -985,7 +985,7 @@ def collect_bounds_payload(paths: Sequence[str]) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# kernel-suite resolution (for the sweep engine / fuzz oracle)
+# kernel-suite resolution: bounds by suite kernel name
 # ----------------------------------------------------------------------
 
 _MODULE_CACHE: Dict[str, Dict[str, KernelBoundsReport]] = {}

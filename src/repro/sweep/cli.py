@@ -58,11 +58,6 @@ def build_parser():
                           "(equivalence classes are verified "
                           "bit-for-bit instead of skipped; the "
                           "frontier is invariant either way)")
-    run.add_argument("--no-static-bounds", action="store_true",
-                     help="disable the static bounds pruning stage "
-                          "(repro.lint.bounds pre-execution "
-                          "intersection; the frontier is invariant "
-                          "either way)")
     run.add_argument("--explain-prunes", action="store_true",
                      help="print one line per pruned config with the "
                           "bound and the frontier point that "
@@ -135,7 +130,6 @@ def _cmd_run(args) -> int:
     quiet = args.quiet or args.json
     options = SweepOptions(
         prune=not args.no_prune,
-        static_bounds=not args.no_static_bounds,
         workers=args.workers,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
@@ -189,9 +183,7 @@ def _cmd_run(args) -> int:
           f"{result.skipped_units} pruned away "
           f"(counters: {snapshot.get('sweep.prune.equivalent', 0)} "
           f"equivalent, {snapshot.get('sweep.prune.dominated', 0)} "
-          f"dominated configs, "
-          f"{snapshot.get('sweep.prune.static', 0)} via static "
-          f"bounds)")
+          f"dominated configs)")
     if args.explain_prunes:
         for name in sorted(result.pruned):
             info = result.pruned[name]

@@ -25,9 +25,12 @@ checks go on to run is committed (``sweep.speculative.committed``);
 any other is discarded (``sweep.speculative.discarded``, with its
 seconds in the timer of that name) and never reaches the manifest,
 the counters or the cache.  So the manifest, the frontier, every
-prune decision and every other counter equal those of the inline
-(``workers <= 1``) run, which speculates on nothing.  In exhaustive
-mode no check can drop a guess, so every guess is issued at once.
+prune decision and every other counter equal those of an inline
+(``workers <= 1``) run with the same wave size, which speculates on
+nothing.  ``--workers`` sets the default wave size, so two worker
+counts can prune at different points; the frontier never differs.
+In exhaustive mode no check can drop a guess, so every guess is
+issued at once.
 ``runner.stage.capture`` / ``init`` are one span each per cold sweep,
 and ``runner.stage.eval`` runs from the first evaluation submit to
 the last commit.
@@ -47,21 +50,9 @@ tiers, both logged to obs counters and both frontier-preserving:
   share learned from the first completed evaluation of that kernel,
   the ceiling a pure circuit-characterisation constant.  If a
   frontier point dominates the bound it dominates every completion,
-  so the config is dropped (``sweep.prune.dominated``) without ever
-  appearing on the frontier — in pruned *or* exhaustive runs.
-
-When the plain completion bound fails, a second, *static* stage
-(default on; ``--no-static-bounds`` disables it) intersects it with
-the sound per-kernel speculation-outcome bounds of
-:mod:`repro.lint.bounds`: every remaining kernel's saving ceiling
-shrinks by the statically proven recompute floor of this config
-class, and its misprediction floor joins the bound — so a config
-class that provably mispredicts can be discarded *before its first
-unit executes*.  Static prunes are recorded with ``"via":
-"static_bounds"`` and the ``sweep.prune.static`` /
-``sweep.prune.static.units_skipped`` counters.  Kernels whose static
-report is trivial (bailed analysis) or unresolvable claim nothing
-and fall back to the dynamic ceiling alone.
+  so the config is dropped (``sweep.prune.dominated``, a prune record
+  with ``"via": "completion"`` and the bound) without ever appearing
+  on the frontier — in pruned *or* exhaustive runs.
 
 **Resume**: every finished unit is appended (flushed) to a JSONL
 manifest stamped with the spec digest.  A restarted sweep replays
@@ -163,33 +154,6 @@ class SavedCeiling:
         return min(bounds) if bounds else None
 
 
-class StaticBoundsIndex:
-    """Per-kernel static speculation-outcome bounds for pruning.
-
-    Wraps :func:`repro.lint.bounds.bounds_for_kernel` together with
-    the sweep's model bundle, so the energy constants in the static
-    intersection match the models the units actually evaluate under.
-    Kernels whose report is trivial (bailed analysis) or whose kernel
-    function cannot be resolved claim nothing (``None``).
-    """
-
-    def __init__(self) -> None:
-        from repro.lint.bounds import bound_constants
-        from repro.runner.units import ModelBundle
-
-        models = ModelBundle().ensure()
-        self.constants = bound_constants(models.power_model,
-                                         models.adder_model)
-
-    def class_bounds(self, kernel: str, config: Any) -> Optional[Any]:
-        from repro.lint.bounds import bounds_for_kernel
-
-        report = bounds_for_kernel(kernel)
-        if report is None or report.trivial:
-            return None
-        return report.bounds_for_config(config)
-
-
 #: Version of the ``sweep.json`` result document.
 SWEEP_RESULT_VERSION = 1
 
@@ -228,28 +192,25 @@ def aggregate_objectives(
 
 
 def optimistic_bound(done: Sequence[Mapping[str, float]],
-                     remaining: Iterable[Optional[Tuple[float, float]]]
+                     remaining: Iterable[Optional[float]]
                      ) -> Optional[Dict[str, float]]:
     """Best final objectives a partially-evaluated config can reach.
 
     ``done`` holds the objectives of the kernels evaluated so far and
-    ``remaining`` one ``(saving ceiling, misprediction floor)`` per
-    kernel still to run, both in kernel order; ``None`` when no sound
-    bound exists yet (some remaining kernel is ``None``: nothing is
-    known about it).  Both pruning tiers bound through here, so the
-    same inputs give bit-identical floats.
+    ``remaining`` one saving ceiling per kernel still to run, both in
+    kernel order; ``None`` when no sound bound exists yet (some
+    remaining kernel is ``None``: nothing is known about it).  A
+    remaining kernel adds 0 to the misprediction and overhead sums.
     """
     n = len(done)
     saved_sum = 0.0
-    mis_floor = 0.0
     for ceiling in remaining:
         if ceiling is None:
             return None
-        saved_sum += ceiling[0]
-        mis_floor += ceiling[1]
+        saved_sum += ceiling
         n += 1
     saved = (sum(p["energy_saved"] for p in done) + saved_sum) / n
-    mis = (sum(p["misprediction_rate"] for p in done) + mis_floor) / n
+    mis = sum(p["misprediction_rate"] for p in done) / n
     over = sum(p["perf_overhead"] for p in done) / n
     return {
         "energy_saved": saved + BOUND_SLACK,
@@ -263,7 +224,6 @@ class SweepOptions:
     """How a sweep executes (never what it computes)."""
 
     prune: bool = True
-    static_bounds: bool = True      # static pruning stage (if prune)
     workers: Optional[int] = None
     use_cache: bool = True
     cache_dir: Optional[str] = None
@@ -385,7 +345,6 @@ class _SweepRun:
         self.complete = True
         self.writer: Optional[ManifestWriter] = None
         self._ceiling: Optional[SavedCeiling] = None
-        self._static: Optional[StaticBoundsIndex] = None
 
     # -- helpers -------------------------------------------------------
 
@@ -405,11 +364,6 @@ class _SweepRun:
         if self._ceiling is None:
             self._ceiling = SavedCeiling()
         return self._ceiling
-
-    def static_index(self) -> "StaticBoundsIndex":
-        if self._static is None:
-            self._static = StaticBoundsIndex()
-        return self._static
 
     def record_unit(self, unit: Dict[str, Any]) -> None:
         cell = (unit["config"], unit["kernel"])
@@ -524,67 +478,26 @@ class _SweepRun:
             self.count("sweep.prune.units_skipped",
                        len(self.plan.kernels))
 
-    def static_ceiling(self, kernel: str, config: Any
-                       ) -> Optional[Tuple[float, float]]:
-        """A remaining kernel's saving ceiling and misprediction floor
-        under the static bounds tier: the saving ceiling shrinks by
-        this config class's statically proven recompute floor, and its
-        statically proven misprediction floor joins the bound.  Works
-        *pre-execution* — a kernel with a non-trivial static report
-        needs no completed unit to bound.
-        """
-        index = self.static_index()
-        consts = index.constants
-        cls = index.class_bounds(kernel, config)
-        share = self.saved_max.get(kernel)
-        if cls is None:
-            return None if share is None else (share, 0.0)
-        mrec_lo = cls.mrec.lo if cls.mrec.lo is not None else 0.0
-        # the report's own absolute ceiling
-        # (frac_max * max(0, s_max - mrec_lo * delta); 0 when the
-        # kernel provably emits no adder rows)
-        ceil = cls.saved.hi if cls.saved.hi is not None else 1.0
-        if share is not None and consts.s_max > 0:
-            # dynamic share ceiling, shrunk by the static
-            # recompute floor: achievable <= A_k * s(mrec_lo)
-            # = (A_k * s_max) * s(mrec_lo)/s_max <= share * ratio
-            ratio = max(0.0, consts.s_max
-                        - mrec_lo * consts.delta) / consts.s_max
-            ceil = min(ceil, share * ratio, share)
-        return ceil, cls.mis.lo if cls.mis.lo is not None else 0.0
-
     def try_domination_prune(self, group: ConfigGroup, config: Any,
                              n_remaining: int) -> bool:
         per_kernel = self.config_per_kernel(config)
         done = list(per_kernel.values())
         remaining = [k for k in self.plan.kernels if k not in per_kernel]
-        bound = optimistic_bound(done, (
-            (self.saved_max[k], 0.0) if k in self.saved_max else None
-            for k in remaining))
+        bound = optimistic_bound(done, (self.saved_max.get(k)
+                                        for k in remaining))
         by = self.frontier.dominated_by(bound) \
             if bound is not None else None
-        via = "completion"
-        if by is None and self.options.static_bounds:
-            static = optimistic_bound(done, (
-                self.static_ceiling(k, config) for k in remaining))
-            if static is not None:
-                by = self.frontier.dominated_by(static)
-                if by is not None:
-                    bound, via = static, "static_bounds"
-                    self.count("sweep.prune.static")
-                    self.count("sweep.prune.static.units_skipped",
-                               n_remaining)
         if by is None:
             return False
         self.pruned[config.name] = {
             "reason": "dominated", "canon": group.canon,
-            "dominated_by": by.key, "bound": bound, "via": via,
+            "dominated_by": by.key, "bound": bound, "via": "completion",
             "units_skipped": n_remaining}
         self.count("sweep.prune.dominated")
         self.count("sweep.prune.units_skipped", n_remaining)
         self.skipped += n_remaining
         self.say(f"pruned {config.name} "
-                 f"(dominated by {by.key}, {via} bound)")
+                 f"(dominated by {by.key}, completion bound)")
         return True
 
 
@@ -931,7 +844,6 @@ def _cell(unit: Any) -> Cell:
 
 
 __all__ = ["BOUND_SLACK", "ResumeMismatch", "SavedCeiling",
-           "StaticBoundsIndex", "SweepError", "SweepOptions",
-           "SweepResult",
+           "SweepError", "SweepOptions", "SweepResult",
            "aggregate_objectives", "optimistic_bound", "run_sweep",
            "unit_objectives"]

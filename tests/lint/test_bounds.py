@@ -79,7 +79,7 @@ class TestKernelReports:
         assert rep.rows == template.rows and not rep.sites
 
     def test_affine_chain_regression(self):
-        """Pinned numbers for the suite kernel the CI sweep prunes:
+        """Pinned numbers for the bounds tier's suite fixture:
         affineChain's carries are all provably zero, so static1
         mispredicts every pinned row (96 of 97; the LEA row is
         indeterminate)."""

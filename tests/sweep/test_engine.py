@@ -7,7 +7,9 @@ scale, with a module-shared result cache so repeated sweeps over the
 same grid hit the cache instead of re-simulating.
 """
 
+import dataclasses
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +20,7 @@ from repro.runner import manifest as manifest_module
 from repro.runner.manifest import read_manifest_tolerant
 from repro.sweep import (ResumeMismatch, SweepError, SweepOptions,
                          SweepResult, frontiers_equal, run_sweep)
+from repro.sweep.specio import load_spec
 
 
 def small_spec(name="engine-t", **overrides):
@@ -203,19 +206,38 @@ class TestResume:
         assert counters["sweep.resume.torn_lines"] == 1
 
 
+CI_SPEC = Path(__file__).resolve().parents[2] / "benchmarks" \
+    / "sweep_ci.json"
+
+
+def ci_spec(seed):
+    """The CI grid at ``seed``: thread_key is dead under both of its
+    mechanisms, so 8 combos collapse into 4 equivalence classes."""
+    return dataclasses.replace(load_spec(CI_SPEC), seed=seed)
+
+
 class TestPruneInvariant:
-    def test_pruned_equals_exhaustive(self, cache_dir, tmp_path):
-        """The tentpole invariant on a grid with real equivalence
-        classes and a real domination-prunable tail."""
-        spec = small_spec(
-            name="invariant",
-            axes=(("mechanism", ("static1", "operand", "prev")),
-                  ("peek", (False, True)),
-                  ("thread_key", ("", "ltid"))))
+    @pytest.mark.parametrize("spec, chunk, dominated", [
+        (small_spec(name="invariant",
+                    axes=(("mechanism", ("static1", "operand", "prev")),
+                          ("peek", (False, True)),
+                          ("thread_key", ("", "ltid")))), None, None),
+        (ci_spec(0), 1, [1]), (ci_spec(0), 2, []),
+        (ci_spec(1), 1, [1]), (ci_spec(1), 2, []),
+    ], ids=["invariant", "ci-seed0-chunk1", "ci-seed0-chunk2",
+            "ci-seed1-chunk1", "ci-seed1-chunk2"])
+    def test_pruned_equals_exhaustive(self, cache_dir, tmp_path, spec,
+                                      chunk, dominated):
+        """The tentpole invariant on grids with real equivalence
+        classes and a real domination-prunable tail, at two wave
+        sizes: on the CI grid, one-unit waves prune a config after
+        its first kernel and two-unit waves prune none."""
         pruned = run_sweep(spec, tmp_path / "p.jsonl",
-                           make_options(cache_dir, prune=True))
+                           make_options(cache_dir, prune=True,
+                                        prune_chunk=chunk))
         exhaustive = run_sweep(spec, tmp_path / "e.jsonl",
-                               make_options(cache_dir, prune=False))
+                               make_options(cache_dir, prune=False,
+                                            prune_chunk=chunk))
         assert pruned.complete and exhaustive.complete
         assert frontiers_equal(list(pruned.frontier),
                                list(exhaustive.frontier))
@@ -224,6 +246,10 @@ class TestPruneInvariant:
         assert exhaustive.skipped_units == 0
         assert pruned.executed_units + pruned.reused_units \
             < exhaustive.executed_units + exhaustive.reused_units
+        if dominated is not None:
+            assert [info["units_skipped"]
+                    for info in pruned.pruned.values()
+                    if info["reason"] == "dominated"] == dominated
 
     def test_exhaustive_verifies_equivalence(self, cache_dir,
                                              tmp_path):

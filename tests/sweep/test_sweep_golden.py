@@ -10,7 +10,8 @@ counter but ``sweep.speculative.*`` and ``runner.traces.*`` (which
 count speculation and capture stages, not results).
 
 * ``ci`` — ``benchmarks/sweep_ci.json``, whose skipped units are all
-  skipped by the static-bounds stage;
+  equivalent members of a class (no config is pruned by domination at
+  two-unit waves);
 * ``perf`` — the perf sweep at scale 0.1, with equivalence and
   completion-bound prunes part-way through configs.
 
