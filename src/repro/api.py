@@ -312,7 +312,7 @@ class SweepSpec:
         """Every axis combination as a full SpeculationConfig field
         dict (omitted axes pinned to their defaults), in deterministic
         row-major order.  Includes combinations the config model will
-        reject — expansion filters those."""
+        reject — :func:`repro.sweep.grid.expand_plan` filters those."""
         import itertools
 
         axes = self.axes_dict
@@ -323,32 +323,6 @@ class SweepSpec:
             fields.update(dict(zip(names, combo)))
             rows.append(fields)
         return rows
-
-    def configs(self) -> "List[Any]":
-        """The grid as canonically-named
-        :class:`~repro.core.predictors.SpeculationConfig` objects:
-        field combinations the config model rejects are dropped, dead
-        ``pc_bits`` (under ``none``/``full`` PC indexing) is pinned to
-        0, and combinations that collapse to the same design point are
-        deduplicated — names and field tuples stay bijective."""
-        from repro.core.speculation import config_name
-        from repro.core.predictors import SpeculationConfig
-
-        configs = []
-        seen = set()
-        for fields in self.field_grid():
-            if fields["pc_index"] in ("none", "full"):
-                fields = dict(fields, pc_bits=0)
-            try:
-                config = SpeculationConfig(
-                    name=config_name(**fields), **fields)
-            except ValueError:
-                continue
-            if config.name in seen:
-                continue
-            seen.add(config.name)
-            configs.append(config)
-        return configs
 
     def digest(self) -> str:
         """Content hash of the wire form — the resume-compatibility

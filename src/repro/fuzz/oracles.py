@@ -395,13 +395,11 @@ def check_bounds(bundle: KernelBundle, run: Any,
     config's class bounds.  Trivial (bailed) reports must claim
     nothing beyond the trivial template.
     """
-    from repro.lint.bounds import (bound_constants,
-                                   module_bounds_from_source,
+    from repro.lint.bounds import (module_bounds_from_source,
                                    trivial_report)
     from repro.runner.units import evaluation_payload
 
     models.ensure()
-    bound_constants(models.power_model, models.adder_model)
     reports = module_bounds_from_source(bundle.source, bundle.path)
     report = reports.get(bundle.fn.__name__)
     if report is None:

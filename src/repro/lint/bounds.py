@@ -712,22 +712,17 @@ class BoundConstants:
 _CONSTANTS: List[Optional[BoundConstants]] = [None]
 
 
-def bound_constants(power_model: object = None,
-                    adder_model: object = None) -> BoundConstants:
-    """Constants for the default model bundle (memoised), or for an
-    explicitly supplied (power model, adder model) pair."""
-    defaults = power_model is None and adder_model is None
-    if defaults and _CONSTANTS[0] is not None:
+def bound_constants() -> BoundConstants:
+    """Constants of the default model bundle (memoised)."""
+    if _CONSTANTS[0] is not None:
         return _CONSTANTS[0]
     from repro.power.calibration import calibrated_model
     from repro.power.components import MODEL_ALU_SUBTYPE_PJ, Component
     from repro.st2.architecture import default_adder_model
     from repro.st2.energy import ADDER_FRACTION
 
-    pm = power_model if power_model is not None \
-        else calibrated_model()
-    am = adder_model if adder_model is not None \
-        else default_adder_model()
+    pm = calibrated_model()
+    am = default_adder_model()
     s_max = float(am.saving(0.0, 0.0))          # type: ignore[attr-defined]
     delta = float(am.slice_recompute_fj         # type: ignore[attr-defined]
                   / am.reference_fj)            # type: ignore[attr-defined]
@@ -740,8 +735,7 @@ def bound_constants(power_model: object = None,
         >= 2.0 * overhead_j
         for sub, frac in ADDER_FRACTION.items())
     constants = BoundConstants(s_max, delta, frac_max, floor_ok)
-    if defaults:
-        _CONSTANTS[0] = constants
+    _CONSTANTS[0] = constants
     return constants
 
 

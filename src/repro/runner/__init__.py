@@ -13,7 +13,7 @@ suite drives the same machinery through :func:`run_suite_units`.
 
 from repro.runner.cache import (ResultCache, code_version,
                                 default_cache_dir, unit_key)
-from repro.runner.manifest import read_manifest, write_manifest
+from repro.runner.manifest import read_manifest
 from repro.runner.options import RunOptions
 from repro.runner.pool import (WorkerLost, WorkerPool, default_workers,
                                run_suite_units, run_units)
@@ -28,5 +28,5 @@ __all__ = [
     "code_version", "default_cache_dir", "default_workers",
     "derive_unit_seed", "execute_unit", "read_manifest",
     "resolve_configs", "results_equal", "run_suite_units", "run_units",
-    "unit_key", "unit_trace_key", "write_manifest",
+    "unit_key", "unit_trace_key",
 ]

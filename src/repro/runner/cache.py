@@ -17,11 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from functools import lru_cache
 from pathlib import Path
 
 from repro import obs
+from repro.runner.manifest import replace_file
 from repro.runner.units import RESULT_FIELDS, UnitSpec
 
 #: Subpackages that render, schedule or *check* results but cannot
@@ -115,18 +115,8 @@ class ResultCache:
 
     def store(self, key: str, result: dict) -> Path:
         self.units_dir.mkdir(parents=True, exist_ok=True)
-        payload = {"key": key, "result": result}
-        fd, tmp = tempfile.mkstemp(dir=self.units_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self.path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        replace_file(self.path(key),
+                     json.dumps({"key": key, "result": result}))
         return self.path(key)
 
     def __len__(self) -> int:

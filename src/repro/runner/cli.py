@@ -31,7 +31,7 @@ from repro import cli_common, obs
 from repro.api import valid_scale
 from repro.kernels.suite import KERNEL_GROUPS, resolve_kernels
 from repro.runner.cache import code_version
-from repro.runner.manifest import run_accounting, write_manifest
+from repro.runner.manifest import ManifestWriter, run_accounting
 from repro.runner.options import RunOptions
 from repro.runner.pool import WorkerLost, run_units
 from repro.runner.units import build_units, resolve_configs
@@ -178,7 +178,10 @@ def main(argv=None) -> int:
     snapshot = options.obs.snapshot()
     meta.update(run_accounting(snapshot))
     meta["wall_time_s"] = time.perf_counter() - t0
-    path = write_manifest(args.out, results, meta=meta)
+    writer = ManifestWriter(args.out, meta=meta, n_units=len(results),
+                            units=results)
+    writer.close()
+    path = writer.path
     metrics_path = obs.write_metrics(obs.metrics_path_for(path),
                                      snapshot, meta=meta)
 

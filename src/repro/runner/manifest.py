@@ -12,18 +12,26 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 MANIFEST_VERSION = 1
+
+#: The process umask, read (by setting it) once at import, before any
+#: thread can race the two calls: :func:`replace_file` gives its files
+#: the mode ``open`` would, not ``mkstemp``'s 0600.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
 
 
 class ManifestWriter:
     """Incremental manifest writer: header and ``units`` first, then
     one flushed unit line per :meth:`add`.
 
-    Built for long-running, killable invocations (``st2-sweep``): the
-    header and ``units`` (a resumed run's finished units) go to a
-    sibling temporary file that then replaces ``path`` whole, so a kill
+    The one manifest writer: ``st2-run`` and ``st2-client`` pass every
+    result as ``units``, ``st2-sweep`` a resumed run's finished units,
+    then each further unit through :meth:`add`.  The header and
+    ``units`` replace ``path`` whole (:func:`replace_file`), so a kill
     at any point leaves either the old manifest or the new one.  A
     process killed mid-:meth:`add` loses at most its final partial
     line, which :func:`read_manifest_tolerant` skips on the next start
@@ -38,16 +46,8 @@ class ManifestWriter:
         header = {"type": "run", "manifest_version": MANIFEST_VERSION,
                   "n_units": n_units}
         header.update(meta or {})
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(json.dumps(header) + "\n")
-                for unit in units:
-                    fh.write(_unit_line(unit))
-            os.replace(tmp, self.path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        replace_file(self.path, json.dumps(header) + "\n"
+                     + "".join(_unit_line(unit) for unit in units))
         self._fh = open(self.path, "a")
 
     def add(self, result) -> None:
@@ -98,50 +98,70 @@ def run_accounting(snapshot: dict) -> dict:
     return meta
 
 
-def write_manifest(path, results, meta: dict = None) -> Path:
-    """Write a runner invocation's results as JSONL.
+def replace_file(path: Path, text: str) -> None:
+    """Replace ``path`` whole with ``text``: write a ``mkstemp`` file
+    beside it, then ``os.replace`` it into place, so a reader (or a
+    kill) sees the old file or the new one, never a torn one.  The
+    temporary name is unique, so concurrent writers of one path never
+    share it; on any failure it is removed and ``path`` is untouched."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}-",
+                               suffix=".tmp")
+    try:
+        os.fchmod(fd, 0o666 & ~_UMASK)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
-    ``results`` are raw unit dicts or typed
-    :class:`~repro.st2.results.RunResult`\\ s — either way the line
-    holds the flat JSON payload.
-    """
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    header = {"type": "run", "manifest_version": MANIFEST_VERSION,
-              "n_units": len(results)}
-    header.update(meta or {})
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for result in results:
-            fh.write(_unit_line(result))
-    return path
+
+def _parse(lines) -> tuple:
+    """``(header, [unit dicts], n_bad_lines)`` of manifest ``lines``:
+    unparseable, non-object, unknown-type and repeated or
+    wrong-version header lines are counted in ``n_bad_lines``."""
+    header = None
+    units = []
+    bad = 0
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            bad += 1
+            continue
+        if not isinstance(record, dict):
+            bad += 1
+            continue
+        kind = record.pop("type", None)
+        if kind == "run" and header is None:
+            if record.get("manifest_version") == MANIFEST_VERSION:
+                header = record
+            else:
+                bad += 1
+        elif kind == "unit":
+            units.append(record)
+        else:
+            bad += 1
+    return header, units, bad
 
 
 def read_manifest(path) -> tuple:
-    """Read back ``(header, [unit result dicts])``."""
-    header = None
-    units = []
+    """Read back ``(header, [unit result dicts])``.
+
+    Raises ``OSError`` when ``path`` cannot be opened and
+    ``ValueError`` for any line :func:`read_manifest_tolerant` would
+    skip, or when no run header of this version is present."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.pop("type", None)
-            if kind == "run":
-                header = record
-            elif kind == "unit":
-                units.append(record)
-            else:
-                raise ValueError(
-                    f"unknown manifest record type {kind!r} in {path}")
+        header, units, bad = _parse(fh)
+    if bad:
+        raise ValueError(f"manifest {path} has {bad} unreadable or "
+                         f"unknown line(s)")
     if header is None:
-        raise ValueError(f"manifest {path} has no run header")
-    if header.get("manifest_version") != MANIFEST_VERSION:
-        raise ValueError(
-            f"unsupported manifest version "
-            f"{header.get('manifest_version')!r} in {path}")
+        raise ValueError(f"manifest {path} has no version "
+                         f"{MANIFEST_VERSION} run header")
     return header, units
 
 
@@ -154,34 +174,9 @@ def read_manifest_tolerant(path) -> tuple:
     supported version) survives — the caller decides whether that
     means "start fresh" or "refuse".
     """
-    header = None
-    units = []
-    bad = 0
     try:
         fh = open(path)
     except OSError:
         return None, [], 0
     with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                bad += 1
-                continue
-            if not isinstance(record, dict):
-                bad += 1
-                continue
-            kind = record.pop("type", None)
-            if kind == "run" and header is None:
-                if record.get("manifest_version") == MANIFEST_VERSION:
-                    header = record
-                else:
-                    bad += 1
-            elif kind == "unit":
-                units.append(record)
-            else:
-                bad += 1
-    return header, units, bad
+        return _parse(fh)

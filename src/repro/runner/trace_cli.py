@@ -13,8 +13,9 @@ same store ``st2-run --trace-store`` reads, so ``capture`` followed by
 a sweep is the capture-once/evaluate-many workflow from EXPERIMENTS.md.
 
 Exit codes follow the shared contract (:mod:`repro.cli_common`):
-0 success, 1 damaged entries found or a capture that lost its worker
-process twice, 2 usage/input errors.  ``ls`` and
+0 success, 1 damaged entries found (``verify``), an entry ``ls`` or
+``capture`` cannot open or a capture that lost its worker process
+twice, 2 usage/input errors.  ``ls`` and
 ``verify`` accept ``--json``.
 """
 
@@ -139,7 +140,7 @@ def _cmd_capture(store: TraceStore, args) -> int:
                 skipped += 1
                 print(f"warm     {header['kernel']:<14} "
                       f"{header['n_rows']:>10,} rows  {key[:12]}")
-    except (WorkerLost, TraceStoreCorrupt) as exc:
+    except WorkerLost as exc:
         return cli_common.fail("st2-trace", str(exc),
                                code=cli_common.EXIT_PROBLEMS)
     print(f"{captured} captured, {skipped} already warm, "
@@ -201,16 +202,13 @@ def _cmd_gc(store: TraceStore, args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    store = TraceStore(args.store)
-    if args.command == "ls":
-        return _cmd_ls(store, args)
-    if args.command == "capture":
-        return _cmd_capture(store, args)
-    if args.command == "verify":
-        return _cmd_verify(store, args)
-    if args.command == "gc":
-        return _cmd_gc(store, args)
-    return cli_common.EXIT_USAGE
+    command = {"ls": _cmd_ls, "capture": _cmd_capture,
+               "verify": _cmd_verify, "gc": _cmd_gc}[args.command]
+    try:
+        return command(TraceStore(args.store), args)
+    except TraceStoreCorrupt as exc:
+        return cli_common.fail("st2-trace", str(exc),
+                               code=cli_common.EXIT_PROBLEMS)
 
 
 def console_main() -> int:

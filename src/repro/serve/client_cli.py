@@ -183,11 +183,14 @@ def _print_status(status, as_json: bool) -> None:
 
 
 def _write_manifest(path, result) -> str:
-    from repro.runner.manifest import write_manifest
+    from repro.runner.manifest import ManifestWriter
 
     meta = dict(result.meta)
     meta["served"] = True
-    return str(write_manifest(path, list(result.units), meta=meta))
+    writer = ManifestWriter(path, meta=meta, n_units=len(result.units),
+                            units=result.units)
+    writer.close()
+    return str(writer.path)
 
 
 def _print_result(result, args) -> None:

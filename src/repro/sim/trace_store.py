@@ -6,7 +6,7 @@ counters and the launch shape.  The store persists that capture exactly
 once per ``(kernel, scale, seed, code_version)`` key and serves it to
 any number of readers as **read-only memory maps**: each column is a
 raw ``.npy`` file mapped directly to the geometry recorded in the
-header (``np.load(mmap_mode="r")`` for entries that predate it), so
+header (``np.load(mmap_mode="r")`` for a zero-length column), so
 concurrent pool workers share the OS page cache instead of each
 decompressing a private ``.npz`` copy.
 
@@ -68,6 +68,19 @@ _MEM_FIELDS = ("global_loads", "global_stores",
                "shared_loads", "shared_stores", "const_loads")
 
 HEADER_NAME = "header.json"
+
+#: Every column file of an entry, as its header names it.
+_COLUMN_NAMES = tuple(f"add_{c}" for c in _ADD_COLUMNS) \
+    + tuple(f"inst_{c}" for c in _INST_COLUMNS)
+
+#: The header keys the store's readers need, as key paths; a header
+#: that lacks one is damaged.
+_HEADER_KEYS = tuple(
+    [(k,) for k in ("kernel", "n_rows", "n_static_pcs", "pc_labels")]
+    + [("launch", k) for k in ("grid_blocks", "block_threads")]
+    + [("mem", f) for f in _MEM_FIELDS]
+    + [("columns", name, k) for name in _COLUMN_NAMES
+       for k in ("dtype", "shape", "offset")])
 
 #: Read-side memo capacity per :class:`TraceStore` instance: number of
 #: served :class:`StoredRun` handles kept alive before the least
@@ -134,10 +147,13 @@ def trace_key(kernel: str, scale: float, seed: int,
 
 
 class TraceStoreCorrupt(RuntimeError):
-    """A published entry whose column file disagrees with the geometry
-    its header records (truncated, empty, missing or oversized), found
-    when the entry is opened.  A same-size bit flip is not caught here:
-    that is what the digests of ``st2-trace verify`` are for."""
+    """A published entry found damaged when it is opened: its
+    ``header.json`` is empty, not a JSON object, of another format
+    version or lacks a key the readers need (``column`` is
+    ``header.json``), or a column file disagrees with the geometry the
+    header records (truncated, empty, missing or oversized).  A
+    same-size bit flip is not caught here: that is what the digests of
+    ``st2-trace verify`` are for."""
 
     def __init__(self, key: str, column: str, reason: str):
         super().__init__(key, column, reason)
@@ -146,9 +162,10 @@ class TraceStoreCorrupt(RuntimeError):
         self.reason = reason
 
     def __str__(self) -> str:
-        return (f"trace-store entry {self.key} is damaged: column "
-                f"{self.column} {self.reason}; remove the entry and "
-                f"re-capture")
+        what = self.column if self.column == HEADER_NAME \
+            else f"column {self.column}"
+        return (f"trace-store entry {self.key} is damaged: {what} "
+                f"{self.reason}; remove the entry and re-capture")
 
 
 def _array_digest(arr: np.ndarray) -> str:
@@ -292,12 +309,33 @@ class TraceStore:
     # -- reading -------------------------------------------------------
 
     def header(self, key: str) -> dict:
-        with open(self.header_path(key)) as fh:
-            header = json.load(fh)
-        if header.get("format_version") != STORE_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported trace-store format "
-                f"{header.get('format_version')!r} in {self.path(key)}")
+        """The parsed ``header.json`` of ``key`` — the store's one
+        reader of it.  Raises ``OSError`` when the file cannot be read
+        and :class:`TraceStoreCorrupt` when it is empty, not a JSON
+        object, of another format version or lacks a needed key."""
+        raw = self.header_path(key).read_bytes()
+        try:
+            header = json.loads(raw)
+        except ValueError:          # torn, or not UTF-8 JSON at all
+            raise TraceStoreCorrupt(
+                key, HEADER_NAME,
+                "is not JSON" if raw else "is empty") from None
+        if not isinstance(header, dict):
+            raise TraceStoreCorrupt(key, HEADER_NAME,
+                                    "is not a JSON object")
+        version = header.get("format_version")
+        if version != STORE_FORMAT_VERSION:
+            raise TraceStoreCorrupt(
+                key, HEADER_NAME, f"records format_version {version!r}, "
+                f"this code reads {STORE_FORMAT_VERSION}")
+        for path in _HEADER_KEYS:
+            node = header
+            for depth, part in enumerate(path, 1):
+                if not isinstance(node, dict) or part not in node:
+                    raise TraceStoreCorrupt(
+                        key, HEADER_NAME,
+                        f"lacks {'.'.join(path[:depth])}")
+                node = node[part]
         return header
 
     def check(self, key: str, header: dict = None) -> None:
@@ -307,16 +345,12 @@ class TraceStore:
         the entry's header when the caller has read it already."""
         if header is None:
             header = self.header(key)
-        geometry = header.get("columns", {})
-        for name in [f"add_{c}" for c in _ADD_COLUMNS] \
-                + [f"inst_{c}" for c in _INST_COLUMNS]:
+        for name in _COLUMN_NAMES:
             try:
                 size = (self.path(key) / f"{name}.npy").stat().st_size
             except FileNotFoundError:
                 raise TraceStoreCorrupt(key, name, "is missing") from None
-            geo = geometry.get(name)
-            if geo is None:
-                continue            # entry predates recorded geometry
+            geo = header["columns"][name]
             expected = int(geo["offset"]) + np.dtype(geo["dtype"]) \
                 .itemsize * int(np.prod(geo["shape"], dtype=np.int64))
             if size != expected:
@@ -352,18 +386,17 @@ class TraceStore:
             header = self.header(key)
             self.check(key, header)
             entry = self.path(key)
-            geometry = header.get("columns", {})
 
             def col(name):
                 nonlocal mapped
-                geo = geometry.get(name)
-                if geo is not None and 0 not in geo["shape"]:
+                geo = header["columns"][name]
+                if 0 not in geo["shape"]:
                     # fast path: map straight to the recorded geometry
                     arr = np.memmap(entry / f"{name}.npy",
                                     dtype=np.dtype(geo["dtype"]),
                                     mode="r", offset=int(geo["offset"]),
                                     shape=tuple(geo["shape"]))
-                else:   # empty column, or entry predates "columns"
+                else:   # np.memmap cannot map a zero-length column
                     arr = np.load(entry / f"{name}.npy", mmap_mode="r",
                                   allow_pickle=False)
                 mapped += int(arr.nbytes)
@@ -448,14 +481,12 @@ class TraceStore:
         problems = []
         try:
             header = self.header(key)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, TraceStoreCorrupt) as exc:
             return [f"unreadable header: {exc}"]
         digests = header.get("digests", {})
         expected_rows = {"add": header.get("n_rows"),
                          "inst": header.get("n_insts")}
-        names = [f"add_{c}" for c in _ADD_COLUMNS] \
-            + [f"inst_{c}" for c in _INST_COLUMNS]
-        for name in names:
+        for name in _COLUMN_NAMES:
             path = self.path(key) / f"{name}.npy"
             try:
                 arr = np.load(path, mmap_mode="r", allow_pickle=False)
@@ -491,7 +522,7 @@ class TraceStore:
         for key in self.keys():
             try:
                 header = self.header(key)
-            except (OSError, ValueError):
+            except (OSError, TraceStoreCorrupt):
                 removed.append(key)         # corrupt: always collect
                 continue
             if current_version is not None \

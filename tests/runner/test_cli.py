@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+from types import SimpleNamespace
 
 import pytest
 
 from repro.kernels.suite import KERNEL_NAMES, resolve_kernels
-from repro.runner import read_manifest, resolve_configs, write_manifest
+from repro.runner import manifest as manifest_module
+from repro.runner import read_manifest, resolve_configs
 from repro.runner.cli import main
+from repro.runner.manifest import ManifestWriter
 
 
 def test_resolve_kernels_groups_and_lists():
@@ -129,12 +133,68 @@ def test_cli_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
 def test_manifest_round_trip(tmp_path):
     results = [{"kernel": "k", "metrics": {"x": float("nan")},
                 "cached": False}]
-    path = write_manifest(tmp_path / "m.jsonl", results,
-                          meta={"workers": 3})
-    header, units = read_manifest(path)
+    writer = ManifestWriter(tmp_path / "m.jsonl", meta={"workers": 3},
+                            n_units=len(results), units=results)
+    writer.close()
+    header, units = read_manifest(writer.path)
+    assert header["n_units"] == 1
     assert header["workers"] == 3
     assert units[0]["kernel"] == "k"
     assert units[0]["metrics"]["x"] != units[0]["metrics"]["x"]  # NaN
+    plain = tmp_path / "plain"          # open()'s mode, not mkstemp's
+    plain.write_text("")
+    assert writer.path.stat().st_mode == plain.stat().st_mode
+
+
+class Interrupted(Exception):
+    pass
+
+
+def fail_second_unit_line():
+    """Patch ``manifest.json`` so the text of the second unit line
+    cannot be built."""
+    written = []
+
+    def dumps(obj, *args, **kwargs):
+        if obj.get("type") == "unit":
+            written.append(obj)
+            if len(written) == 2:
+                raise Interrupted
+        return json.dumps(obj, *args, **kwargs)
+
+    return "json", SimpleNamespace(dumps=dumps, loads=json.loads)
+
+
+def fail_replace():
+    """Patch ``manifest.os`` so the written temporary file cannot be
+    moved into place."""
+    def replace(src, dst):
+        raise Interrupted
+
+    return "os", SimpleNamespace(fchmod=os.fchmod, fdopen=os.fdopen,
+                                 replace=replace)
+
+
+@pytest.mark.parametrize("fault", [fail_second_unit_line, fail_replace])
+def test_failed_manifest_write_keeps_previous_manifest(tmp_path,
+                                                      monkeypatch, fault):
+    """st2-run replaces its manifest whole: a failure while the new
+    one is being built or moved into place leaves the previous
+    manifest byte-identical and no temporary file beside it."""
+    out = tmp_path / "m.jsonl"
+    args = ["--kernels", "qrng_K2", "--configs", "st2,prev",
+            "--workers", "1", "--no-aux", "--no-cache", "--quiet",
+            "--out", str(out)]
+    assert main(args) == 0
+    previous = out.read_bytes()
+    names = sorted(p.name for p in tmp_path.iterdir())
+
+    monkeypatch.setattr(manifest_module, *fault())
+    with pytest.raises(Interrupted):
+        main(args)
+    monkeypatch.undo()
+    assert out.read_bytes() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
 def test_manifest_rejects_bad_records(tmp_path):

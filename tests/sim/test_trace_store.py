@@ -9,7 +9,8 @@ import pytest
 
 from repro.kernels.suite import KERNEL_NAMES, run_suite
 from repro.sim.trace_io import _ADD_COLUMNS, _INST_COLUMNS, trace_nbytes
-from repro.sim.trace_store import (StoredRun, TraceStore, default_store_dir,
+from repro.sim.trace_store import (HEADER_NAME, StoredRun, TraceStore,
+                                   TraceStoreCorrupt, default_store_dir,
                                    scratch_store, trace_key)
 
 SCALE = 0.12
@@ -184,9 +185,8 @@ class TestGetMemo:
 
 
 class TestColumnGeometry:
-    """Columns map directly via the geometry recorded in the header;
-    entries that predate the ``columns`` record fall back to
-    ``np.load`` — byte-identically."""
+    """Columns map directly via the geometry recorded in the
+    header."""
 
     def test_header_records_geometry(self, store):
         header = store.header(trace_key("sgemm", SCALE, 0, "v-test"))
@@ -197,29 +197,22 @@ class TestColumnGeometry:
         assert geo["shape"][0] == header["n_rows"]
         assert geo["offset"] > 0
 
-    def test_legacy_entry_without_geometry(self, suite_runs,
-                                           tmp_path):
+    def test_entry_without_geometry_is_corrupt(self, suite_runs,
+                                               tmp_path):
+        """Every entry this code can open was published with its
+        ``columns`` record, so a header without it is damage."""
         store = TraceStore(tmp_path / "g")
         key = trace_key("binomial", SCALE, 0, "v-g")
         store.put(key, suite_runs["binomial"], code_version="v-g",
                   scale=SCALE, seed=0)
-        direct = store.get(key)
-
         header_path = store.header_path(key)
         header = json.loads(header_path.read_text())
         del header["columns"]
         header_path.write_text(json.dumps(header))
-        fallback = TraceStore(tmp_path / "g").get(key)
-
-        run = suite_runs["binomial"]
-        for col in _ADD_COLUMNS:
-            assert np.array_equal(getattr(fallback.trace, col),
-                                  getattr(run.trace, col)), col
-            assert np.array_equal(getattr(fallback.trace, col),
-                                  getattr(direct.trace, col)), col
-        for col in _INST_COLUMNS:
-            assert np.array_equal(getattr(fallback.insts, col),
-                                  getattr(run.insts, col)), col
+        with pytest.raises(TraceStoreCorrupt) as info:
+            TraceStore(tmp_path / "g").get(key)
+        assert (info.value.column, info.value.reason) \
+            == (HEADER_NAME, "lacks columns")
 
 
 def _race_put(root, key, run, scale, barrier, queue):
