@@ -15,29 +15,27 @@ keeps serving.
 Request lifecycle::
 
     POST /v1/jobs            submit a JobSpec        -> 202 JobStatus
-                             (429 quota/backpressure, 503 draining)
-    POST /v1/jobs:batch      submit several jobs atomically
-                             (all admitted or none) -> 202 [JobStatus]
+                             (400 malformed or larger than a limit,
+                              429 quota/backpressure, 503 draining)
     GET  /v1/jobs/<id>        poll                   -> 200 JobStatus
     GET  /v1/jobs/<id>/events stream NDJSON statuses until terminal
     GET  /v1/jobs/<id>/result fetch                  -> 200 JobResult
-                             (?cursor=&limit= pages the unit list)
     GET  /v1/jobs[?cursor=&limit=]  list in submission order, paged
     GET  /v1/health, /v1/stats; POST /v1/admin/drain
 
 Scheduling: each unit first consults the result cache, then the
 in-flight coalescing map, and only then costs an execution.  Units
 dispatched to the pool are bounded (``shards × DISPATCH_DEPTH``
-outstanding), and the dispatcher always serves the best
-``(priority, submission)`` job — so a long low-priority job cannot
-bury a later high-priority one behind a deep pool queue.
+outstanding), and the dispatcher always takes the next unit of the
+best ``(priority, submission)`` job in the state's one queue — so a
+long low-priority job cannot bury a later high-priority one behind a
+deep pool queue.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import time
 
 from repro import obs
 from repro.api import (SCHEMA_VERSION, ErrorEnvelope, JobResult,
@@ -99,8 +97,6 @@ class ServeApp:
                                        port=port)
         self._loop = None
         self._budget = shards * DISPATCH_DEPTH
-        self._active = []               # running jobs with units left
-        self._cursors = {}              # job_id -> next unit index
         self._waiters = []              # futures resolved on any change
         self._stopped = None            # asyncio.Event once started
 
@@ -171,11 +167,12 @@ class ServeApp:
 
         root = str(self.trace_store.root)
         while self._budget > 0:
-            job = self._next_dispatchable()
-            if job is None:
+            nxt = self.state.next_unit()
+            if nxt is None:
                 return
-            index = self._cursors[job.job_id]
-            self._cursors[job.job_id] += 1
+            job, index = nxt
+            if index == 0:
+                self._notify_change()       # the job is running now
             key = job.keys[index]
             hit = cached_result(self.options, key)
             if hit is not None:
@@ -191,33 +188,6 @@ class ServeApp:
             self.pool.submit(key, run_unit, (root, spec),
                              key=trace_key, label=spec.label)
             self._budget -= 1
-
-    def _next_dispatchable(self):
-        """The best ``(priority, submission)`` job with units left to
-        dispatch, activating queued jobs whenever they beat (or no one
-        is in) the active set."""
-        while True:
-            stale = [j for j in self._active
-                     if self._cursors[j.job_id] >= len(j.units)]
-            for job in stale:
-                self._active.remove(job)
-                del self._cursors[job.job_id]
-            best = min(self._active,
-                       key=lambda j: (j.spec.priority, j.seq)) \
-                if self._active else None
-            queued = self.state.peek_job()
-            if queued is not None and (
-                    best is None
-                    or (queued.spec.priority, queued.seq)
-                    < (best.spec.priority, best.seq)):
-                self.state.next_job()       # pops `queued` itself
-                queued.state = "running"
-                queued.started_s = time.time()
-                self._active.append(queued)
-                self._cursors[queued.job_id] = 0
-                self._notify_change()
-                continue
-            return best
 
     def _on_pool_result(self, key, ok: bool, payload) -> None:
         """Runs on the pool's drain thread: hop onto the loop.
@@ -255,8 +225,6 @@ class ServeApp:
             return self._stats()
         if path == "/v1/jobs" and method == "POST":
             return self._submit(request)
-        if path == "/v1/jobs:batch" and method == "POST":
-            return self._submit_batch(request)
         if path == "/v1/jobs" and method == "GET":
             return self._list_jobs(request)
         if path == "/v1/admin/drain" and method == "POST":
@@ -274,7 +242,7 @@ class ServeApp:
             if not tail and method == "GET":
                 return httpd.json_response(job.status().to_wire())
             if tail == "result" and method == "GET":
-                return self._result(job, request)
+                return self._result(job)
             if tail == "events" and method == "GET":
                 return httpd.Response(
                     status=200, stream=self._events(job),
@@ -320,63 +288,13 @@ class ServeApp:
         try:
             job = self.state.admit(spec, units, keys)
         except RejectError as exc:
-            status = 503 if exc.code == "draining" else 429
+            status = {"bad_request": 400,
+                      "draining": 503}.get(exc.code, 429)
             return _error(status, exc.code, exc.message,
                           retry_after_s=exc.retry_after_s)
         self._pump()
         self._notify_change()
         return httpd.json_response(job.status().to_wire(), status=202)
-
-    def _submit_batch(self, request: httpd.Request) -> httpd.Response:
-        """``POST /v1/jobs:batch`` — admit several jobs atomically.
-
-        The envelope is ``{"schema_version": 1, "jobs": [JobSpec wire
-        docs, ...]}``; the whole batch is validated before any
-        admission, and admission itself is all-or-nothing
-        (:meth:`ServeState.admit_many`), so a 429/503 means no job of
-        the batch exists."""
-        try:
-            doc = request.json()
-        except httpd.BadRequest as exc:
-            return _error(400, "bad_request", str(exc))
-        entries = doc.get("jobs") if isinstance(doc, dict) else None
-        if not isinstance(entries, list) or not entries:
-            obs.add("serve.jobs.rejected.bad_request")
-            return _error(400, "bad_request",
-                          "body must be {\"jobs\": [JobSpec, ...]} "
-                          "with at least one job")
-        version = doc.get("schema_version", SCHEMA_VERSION)
-        if not isinstance(version, int) or version > SCHEMA_VERSION:
-            obs.add("serve.jobs.rejected.bad_request")
-            return _error(400, "bad_request",
-                          f"batch: schema_version {version!r} is "
-                          f"newer than this server "
-                          f"(<= {SCHEMA_VERSION})")
-        from repro.runner.cache import unit_key
-
-        submissions = []
-        for position, entry in enumerate(entries):
-            try:
-                spec = JobSpec.from_wire(entry)
-                units = spec.units()
-            except WireError as exc:
-                obs.add("serve.jobs.rejected.bad_request")
-                return _error(400, "bad_request",
-                              f"batch job [{position}]: {exc}")
-            keys = [unit_key(u, self.code_version) for u in units]
-            submissions.append((spec, units, keys))
-        try:
-            jobs = self.state.admit_many(submissions)
-        except RejectError as exc:
-            status = 503 if exc.code == "draining" else 429
-            return _error(status, exc.code, exc.message,
-                          retry_after_s=exc.retry_after_s)
-        self._pump()
-        self._notify_change()
-        return httpd.json_response(
-            {"schema_version": SCHEMA_VERSION,
-             "jobs": [job.status().to_wire() for job in jobs]},
-            status=202)
 
     @staticmethod
     def _page_args(request: httpd.Request):
@@ -417,7 +335,7 @@ class ServeApp:
              "jobs": [job.status().to_wire() for job in page],
              "next_cursor": next_cursor})
 
-    def _result(self, job, request: httpd.Request) -> httpd.Response:
+    def _result(self, job) -> httpd.Response:
         if not job.terminal:
             return _error(409, "pending",
                           f"job {job.job_id} is {job.state} "
@@ -426,10 +344,6 @@ class ServeApp:
         if job.state == "failed":
             return _error(500, "internal",
                           job.error or "job failed")
-        try:
-            start, count = self._page_args(request)
-        except ValueError as exc:
-            return _error(400, "bad_request", str(exc))
         meta = {
             "job_id": job.job_id,
             "schema_version": SCHEMA_VERSION,
@@ -442,18 +356,9 @@ class ServeApp:
             "units_cached": job.units_cached,
             "units_coalesced": job.units_coalesced,
         }
-        units = job.results if count is None \
-            else job.results[start:start + count]
         result = JobResult(job_id=job.job_id,
-                           units=tuple(units), meta=meta)
-        doc = result.to_wire()
-        if count is not None:
-            # Unit-index pagination rider; readers of the full-result
-            # route never see it, and JobResult.from_wire ignores it.
-            doc["next_cursor"] = str(start + count) \
-                if start + count < len(job.results) else None
-            doc["units_total"] = len(job.results)
-        return httpd.json_response(doc)
+                           units=tuple(job.results), meta=meta)
+        return httpd.json_response(result.to_wire())
 
     async def _events(self, job):
         """NDJSON stream of JobStatus snapshots: one line per change,

@@ -10,7 +10,8 @@ schemas of :mod:`repro.api`::
 
 Every non-2xx response raises :class:`ServeError` carrying the parsed
 :class:`~repro.api.ErrorEnvelope`; :meth:`ServeClient.submit_retry`
-honours ``Retry-After`` on quota/backpressure rejections.
+honours ``Retry-After`` on quota/backpressure rejections.  A job larger
+than a server limit is a 400 and is not retried: it could never fit.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import json
 import time
 from urllib.parse import urlsplit
 
-from repro.api import (SCHEMA_VERSION, ErrorEnvelope, JobResult,
-                       JobSpec, JobStatus, WireError)
+from repro.api import (ErrorEnvelope, JobResult, JobSpec, JobStatus,
+                       WireError)
 
 #: Rejection codes worth retrying after the server-suggested delay.
 RETRYABLE_CODES = ("quota_exhausted", "backpressure")
@@ -187,38 +188,6 @@ class ServeClient:
                     raise
                 time.sleep(delay)
 
-    def submit_batch(self, specs) -> list:
-        """Submit several jobs atomically via ``POST /v1/jobs:batch``
-        (all admitted or none; every spec's ``client`` is overridden
-        with this client's identity).  Returns the list of
-        :class:`JobStatus`, aligned with ``specs``."""
-        docs = []
-        for spec in specs:
-            doc = spec.to_wire()
-            doc["client"] = self.client
-            docs.append(doc)
-        out = self._request(
-            "POST", "/v1/jobs:batch",
-            payload={"schema_version": SCHEMA_VERSION, "jobs": docs})
-        return [JobStatus.from_wire(doc) for doc in out["jobs"]]
-
-    def submit_batch_retry(self, specs,
-                           deadline_s: float = 600.0) -> list:
-        """Batch submit, sleeping out ``Retry-After`` on
-        quota/backpressure rejections until ``deadline_s`` elapses.
-        Safe to retry verbatim: a rejected batch admitted nothing."""
-        t0 = time.monotonic()
-        while True:
-            try:
-                return self.submit_batch(specs)
-            except ServeError as exc:
-                if exc.code not in RETRYABLE_CODES:
-                    raise
-                delay = exc.retry_after_s or 1.0
-                if time.monotonic() - t0 + delay > deadline_s:
-                    raise
-                time.sleep(delay)
-
     def status(self, job_id: str) -> JobStatus:
         return JobStatus.from_wire(
             self._request("GET", f"/v1/jobs/{job_id}"))
@@ -226,30 +195,6 @@ class ServeClient:
     def result(self, job_id: str) -> JobResult:
         return JobResult.from_wire(
             self._request("GET", f"/v1/jobs/{job_id}/result"))
-
-    def result_page(self, job_id: str, cursor: str = None,
-                    limit: int = 200) -> tuple:
-        """One page of a finished job's unit results:
-        ``(JobResult, next_cursor)``.  The returned result carries
-        only this page's units; ``next_cursor`` is ``None`` on the
-        last page."""
-        doc = self._request(
-            "GET", self._query(f"/v1/jobs/{job_id}/result",
-                               cursor=cursor, limit=limit))
-        return JobResult.from_wire(doc), doc.get("next_cursor")
-
-    def iter_results(self, job_id: str, page_size: int = 200):
-        """Yield a finished job's unit result dicts one page at a
-        time — bounded memory on the wire no matter how large the
-        job's grid was."""
-        cursor = None
-        while True:
-            result, cursor = self.result_page(job_id, cursor=cursor,
-                                              limit=page_size)
-            for unit in result.units:
-                yield unit
-            if cursor is None:
-                return
 
     def drain(self) -> dict:
         return self._request("POST", "/v1/admin/drain")

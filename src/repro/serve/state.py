@@ -18,7 +18,8 @@ bit-identical payloads by construction.
 true cost unit — a job is just a bag of units): one client may hold at
 most ``client_quota`` unresolved units, and the server at most
 ``max_queued_units`` across all clients.  Both rejections carry a
-``Retry-After`` estimate derived from the backlog.
+``Retry-After`` estimate derived from the backlog; a job larger than
+either limit could never be admitted, so it is a bad request instead.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ DEFAULT_MAX_QUEUED_UNITS = 4096
 
 
 class RejectError(Exception):
-    """A submission the server refuses right now (quota, backpressure
-    or drain).  Carries everything the 429/503 envelope needs."""
+    """A submission the server refuses (oversized job, quota,
+    backpressure or drain).  Carries everything the 400/429/503
+    envelope needs."""
 
     def __init__(self, code: str, message: str,
                  retry_after_s: float = None):
@@ -54,7 +56,7 @@ class Job:
     __slots__ = ("job_id", "spec", "units", "keys", "state", "results",
                  "units_done", "units_failed", "units_cached",
                  "units_coalesced", "error", "submitted_s",
-                 "started_s", "finished_s", "seq")
+                 "started_s", "finished_s", "seq", "dispatched")
 
     def __init__(self, spec, units, keys, seq: int):
         self.job_id = uuid.uuid4().hex[:12]
@@ -62,6 +64,7 @@ class Job:
         self.units = units              # [UnitSpec, ...]
         self.keys = keys                # aligned result-cache keys
         self.seq = seq                  # submission order tiebreak
+        self.dispatched = 0             # units sent to dispatch so far
         self.state = "queued"
         self.results = [None] * len(units)
         self.units_done = 0
@@ -115,7 +118,7 @@ class ServeState:
         self.max_queued_units = max_queued_units
         self.jobs = {}                  # job_id -> Job
         self.inflight = {}              # unit key -> UnitExec
-        self._heap = []                 # (priority, seq, job_id)
+        self._heap = []                 # (priority, seq, job) to dispatch
         self._seq = itertools.count()
         self._client_units = {}         # client -> unresolved units
         self._unresolved = 0            # across all live jobs
@@ -133,11 +136,20 @@ class ServeState:
         return min(60.0, max(1.0, self._unresolved * mean_s))
 
     def admit(self, spec, units, keys) -> Job:
-        """Queue one job, or raise :class:`RejectError` (draining,
-        client quota, global backpressure)."""
+        """Queue one job, or raise :class:`RejectError` (draining, a
+        job larger than either limit, client quota, global
+        backpressure)."""
         if self.draining:
             raise RejectError(
                 "draining", "server is draining; submit elsewhere")
+        for limit, bound in (("client quota", self.client_quota),
+                             ("server bound", self.max_queued_units)):
+            if len(units) > bound:
+                obs.add("serve.jobs.rejected.bad_request")
+                raise RejectError(
+                    "bad_request",
+                    f"the job's {len(units)} units exceed the {limit} "
+                    f"of {bound}; split it into smaller jobs")
         client = spec.client
         held = self._client_units.get(client, 0)
         if held + len(units) > self.client_quota:
@@ -160,75 +172,27 @@ class ServeState:
         self.jobs[job.job_id] = job
         self._client_units[client] = held + len(units)
         self._unresolved += len(units)
-        heapq.heappush(self._heap, (spec.priority, job.seq, job.job_id))
+        heapq.heappush(self._heap, (spec.priority, job.seq, job))
         obs.add("serve.jobs.submitted")
         obs.add("serve.units.submitted", len(units))
         return job
 
-    def admit_many(self, submissions) -> list:
-        """Queue several jobs atomically — all admitted or none.
-
-        ``submissions`` is ``[(spec, units, keys), ...]``.  Aggregate
-        per-client quota and global backpressure are checked up front,
-        then each job is admitted in order; state is only mutated from
-        the event-loop thread, so once the aggregate checks pass the
-        individual :meth:`admit` calls cannot fail and the batch is
-        prefix-safe by construction.
-        """
-        if self.draining:
-            raise RejectError(
-                "draining", "server is draining; submit elsewhere")
-        if not submissions:
-            raise RejectError("bad_request", "empty batch")
-        per_client = {}
-        total = 0
-        for spec, units, _ in submissions:
-            per_client[spec.client] = \
-                per_client.get(spec.client, 0) + len(units)
-            total += len(units)
-        for client, wanted in sorted(per_client.items()):
-            held = self._client_units.get(client, 0)
-            if held + wanted > self.client_quota:
-                obs.add("serve.jobs.rejected.quota", len(submissions))
-                raise RejectError(
-                    "quota_exhausted",
-                    f"client {client!r} holds {held} unresolved "
-                    f"units; the batch asks {wanted} more, exceeding "
-                    f"the quota of {self.client_quota}",
-                    retry_after_s=self.retry_after_s())
-        if self._unresolved + total > self.max_queued_units:
-            obs.add("serve.jobs.rejected.backpressure",
-                    len(submissions))
-            raise RejectError(
-                "backpressure",
-                f"{self._unresolved} units already unresolved; the "
-                f"batch asks {total} more, exceeding the server bound "
-                f"of {self.max_queued_units}",
-                retry_after_s=self.retry_after_s())
-        obs.add("serve.jobs.batches")
-        return [self.admit(spec, units, keys)
-                for spec, units, keys in submissions]
-
-    def next_job(self):
-        """Pop the best queued job (lowest priority, then submission
-        order); ``None`` when the queue is empty."""
-        while self._heap:
-            _, _, job_id = heapq.heappop(self._heap)
-            job = self.jobs.get(job_id)
-            if job is not None and job.state == "queued":
-                return job
-        return None
-
-    def peek_job(self):
-        """The job :meth:`next_job` would pop, without popping it
-        (stale heap entries are discarded along the way)."""
-        while self._heap:
-            _, _, job_id = self._heap[0]
-            job = self.jobs.get(job_id)
-            if job is not None and job.state == "queued":
-                return job
+    def next_unit(self):
+        """``(job, index)`` of the next unit to dispatch — from the
+        best ``(priority, submission)`` job that still has units to
+        send — or ``None``.  A job turns ``running`` when its first
+        unit goes out and leaves the queue with its last."""
+        if not self._heap:
+            return None
+        job = self._heap[0][2]
+        index = job.dispatched
+        job.dispatched += 1
+        if index == 0:
+            job.state = "running"
+            job.started_s = time.time()
+        if job.dispatched == len(job.units):
             heapq.heappop(self._heap)
-        return None
+        return job, index
 
     @property
     def queued_jobs(self) -> int:

@@ -148,10 +148,11 @@ def trace_key(kernel: str, scale: float, seed: int,
 
 class TraceStoreCorrupt(RuntimeError):
     """A published entry found damaged when it is opened: its
-    ``header.json`` is empty, not a JSON object, of another format
-    version or lacks a key the readers need (``column`` is
-    ``header.json``), or a column file disagrees with the geometry the
-    header records (truncated, empty, missing or oversized).  A
+    ``header.json`` is missing, empty, not a JSON object, of another
+    format version, lacks a key the readers need or records a column
+    geometry they cannot map (``column`` is ``header.json``), or a
+    column file disagrees with the geometry the header records
+    (truncated, empty, missing or oversized).  A
     same-size bit flip is not caught here: that is what the digests of
     ``st2-trace verify`` are for."""
 
@@ -166,6 +167,29 @@ class TraceStoreCorrupt(RuntimeError):
             else f"column {self.column}"
         return (f"trace-store entry {self.key} is damaged: {what} "
                 f"{self.reason}; remove the entry and re-capture")
+
+
+def _is_count(value) -> bool:
+    """True when ``value`` is a JSON non-negative integer."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
+
+
+def _bad_geometry(geo: dict) -> str:
+    """What is wrong with one column's recorded ``{dtype, shape,
+    offset}``, or ``""`` when :meth:`TraceStore.get` can map it."""
+    try:
+        if not isinstance(geo["dtype"], str):
+            raise TypeError
+        np.dtype(geo["dtype"])
+    except (TypeError, ValueError):
+        return f"dtype {geo['dtype']!r}, not a numpy dtype"
+    shape = geo["shape"]
+    if not isinstance(shape, list) or not all(map(_is_count, shape)):
+        return f"shape {shape!r}, not a list of non-negative ints"
+    if not _is_count(geo["offset"]):
+        return f"offset {geo['offset']!r}, not a non-negative int"
+    return ""
 
 
 def _array_digest(arr: np.ndarray) -> str:
@@ -294,14 +318,11 @@ class TraceStore:
                 obs.add("trace_store.put.existing")
                 return False
             if exc.errno in (errno.EEXIST, errno.ENOTEMPTY):
-                # The race signature, yet no readable header: the
-                # destination is debris (e.g. a half-deleted entry),
-                # not a valid publication.  Surface it rather than
-                # pretending the trace exists.
-                raise RuntimeError(
-                    f"trace-store entry {key} exists without a "
-                    f"readable header; remove {self.path(key)} and "
-                    f"re-capture") from exc
+                # The race signature, yet no header: the destination
+                # is debris (e.g. a half-deleted entry), not a valid
+                # publication.  ``gc`` collects it.
+                raise TraceStoreCorrupt(key, HEADER_NAME,
+                                        "is missing") from exc
             raise
         obs.add("trace_store.put.created")
         return True
@@ -312,7 +333,8 @@ class TraceStore:
         """The parsed ``header.json`` of ``key`` — the store's one
         reader of it.  Raises ``OSError`` when the file cannot be read
         and :class:`TraceStoreCorrupt` when it is empty, not a JSON
-        object, of another format version or lacks a needed key."""
+        object, of another format version, lacks a needed key or
+        records a column geometry :meth:`get` cannot map."""
         raw = self.header_path(key).read_bytes()
         try:
             header = json.loads(raw)
@@ -336,6 +358,11 @@ class TraceStore:
                         key, HEADER_NAME,
                         f"lacks {'.'.join(path[:depth])}")
                 node = node[part]
+        for name in _COLUMN_NAMES:
+            reason = _bad_geometry(header["columns"][name])
+            if reason:
+                raise TraceStoreCorrupt(
+                    key, HEADER_NAME, f"records columns.{name}.{reason}")
         return header
 
     def check(self, key: str, header: dict = None) -> None:
@@ -425,14 +452,18 @@ class TraceStore:
 
     # -- maintenance ---------------------------------------------------
 
-    def keys(self) -> list:
-        """Sorted keys of all published entries."""
+    def _entry_dirs(self) -> list:
+        """Sorted names of every entry directory, published or not
+        (publication workspaces are dot-prefixed)."""
         if not self.root.is_dir():
             return []
-        return sorted(
-            child.name for child in self.root.iterdir()
-            if not child.name.startswith(".")
-            and (child / HEADER_NAME).is_file())
+        return sorted(child.name for child in self.root.iterdir()
+                      if not child.name.startswith(".")
+                      and child.is_dir())
+
+    def keys(self) -> list:
+        """Sorted keys of all published entries."""
+        return [key for key in self._entry_dirs() if self.has(key)]
 
     def entries(self) -> list:
         """``[(key, header), ...]`` for every published entry."""
@@ -508,6 +539,10 @@ class TraceStore:
 
         Policy, in order:
 
+        0. *Damaged entries* — always: an entry whose header is
+           unreadable or damaged, or missing (a half-deleted entry;
+           publication renames whole directories, so no live writer
+           leaves one), can never be read.
         1. *Stale versions* — with ``current_version``, every entry
            whose recorded ``code_version`` differs is dead weight: no
            future run can ever read it (its key embeds the old digest).
@@ -519,7 +554,7 @@ class TraceStore:
         """
         removed = []
         survivors = []
-        for key in self.keys():
+        for key in self._entry_dirs():
             try:
                 header = self.header(key)
             except (OSError, TraceStoreCorrupt):

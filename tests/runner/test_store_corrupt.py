@@ -4,7 +4,9 @@ one line and exit code 1 from ``st2-run``, ``st2-sweep run`` and
 ``st2-trace capture`` / ``ls`` — never in numpy's ``mmap length is
 greater than file size`` or a ``JSONDecodeError`` traceback.
 ``st2-trace verify`` reports and ``st2-trace gc`` collects an entry
-whose header is damaged.
+whose header is damaged.  An entry whose ``header.json`` is missing (a
+half-deleted entry) ends the same way when it is re-captured, and any
+``st2-trace gc`` collects it.
 
 Every test runs under the ``SIGALRM`` bound of
 ``tests/runner/test_worker_lost.py``, so a damaged entry that hangs a
@@ -84,6 +86,12 @@ DAMAGE = {
     "header-format-99": (HEADER_NAME,
                          edit_header(lambda h: h.update(
                              format_version=99))),
+    "header-shape-null": (HEADER_NAME,
+                          edit_header(lambda h: h["columns"]["add_pc"]
+                                      .update(shape=None))),
+    "header-dtype-zz": (HEADER_NAME,
+                        edit_header(lambda h: h["columns"]["add_pc"]
+                                    .update(dtype="zz"))),
 }
 HEADER_DAMAGE = sorted(k for k, (f, _) in DAMAGE.items()
                        if f == HEADER_NAME)
@@ -203,3 +211,45 @@ class TestDamagedHeader:
         assert trace_main(["--store", str(root), "gc", "--stale"]) == 0
         assert f"removed {key}" in capsys.readouterr().out
         assert TraceStore(root).keys() == []
+
+
+@pytest.fixture
+def headless(clean_store, tmp_path):
+    """``(store root, key)``: a copy of the clean store whose entry
+    lost its ``header.json``."""
+    import shutil
+
+    root = tmp_path / "traces"
+    shutil.copytree(clean_store, root)
+    key = trace_key(KERNEL, SCALE, 0, code_version())
+    remove(root / key / HEADER_NAME)
+    return root, key
+
+
+class TestHalfDeletedEntry:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_st2_run(self, headless, tmp_path, capsys, workers):
+        root, key = headless
+        rc = run_main(["--kernels", KERNEL, "--configs", "st2",
+                       "--scale", str(SCALE), "--trace-store", str(root),
+                       "--no-cache", "--quiet", "--workers", workers,
+                       "--out", str(tmp_path / "m.jsonl")])
+        assert rc == 1
+        err = one_line_error(capsys)
+        assert err.startswith("st2-run: ") and key in err
+        assert f"{HEADER_NAME} is missing" in err
+
+    def test_st2_trace_capture(self, headless, capsys):
+        root, key = headless
+        rc = trace_main(["--store", str(root), "capture", "--kernels",
+                         KERNEL, "--scale", str(SCALE), "--workers", "1"])
+        assert rc == 1
+        err = one_line_error(capsys)
+        assert err.startswith("st2-trace: ") and key in err
+
+    def test_st2_trace_gc_collects(self, headless, capsys):
+        root, key = headless
+        assert TraceStore(root).keys() == []
+        assert trace_main(["--store", str(root), "gc", "--stale"]) == 0
+        assert f"removed {key}" in capsys.readouterr().out
+        assert not (root / key).exists()

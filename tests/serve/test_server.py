@@ -61,6 +61,16 @@ class TestHealthAndRouting:
                 sc._request("GET", "/v2/everything")
         assert exc.value.status == 404
 
+    def test_batch_route_is_gone(self, server):
+        """``POST /v1/jobs`` is the one submission route."""
+        with ServeClient(server.address) as sc:
+            with pytest.raises(ServeError) as exc:
+                sc._request("POST", "/v1/jobs:batch", payload={
+                    "schema_version": SCHEMA_VERSION,
+                    "jobs": [GRID_SPEC.to_wire()]})
+        assert exc.value.status == 404
+        assert exc.value.code == "not_found"
+
     def test_invalid_json_body_is_400(self, server):
         app = server.app
         conn = http.client.HTTPConnection(app.server.host,
@@ -165,6 +175,73 @@ class TestServedEqualsOffline:
         assert all(s.client == "equiv" for s in mine)
         assert len(everyone) >= len(mine)
 
+    def test_unpaginated_result_unchanged(self, server, completed):
+        """The result route has one shape: the whole JobResult, with
+        no paging riders; a stray ``cursor``/``limit`` changes
+        nothing."""
+        status, _ = completed
+        path = f"/v1/jobs/{status.job_id}/result"
+        with ServeClient(server.address) as sc:
+            doc = sc._request("GET", path)
+            assert sc._request("GET", f"{path}?cursor=1&limit=1") == doc
+        assert "next_cursor" not in doc
+        assert "units_total" not in doc
+        assert len(doc["units"]) == N_UNITS
+
+
+@pytest.fixture(scope="module")
+def listed(server):
+    """One finished single-config job per grid config, submitted one
+    by one as client ``lister``: the listing pagination pages them."""
+    with ServeClient(server.address, client="lister") as sc:
+        statuses = [sc.submit(JobSpec(kernels=GRID_KERNELS,
+                                      configs=(config,),
+                                      scale=GRID_SCALE, aux=False))
+                    for config in GRID_CONFIGS]
+        return [sc.wait(s.job_id, timeout=120) for s in statuses]
+
+
+class TestJobListingPagination:
+    def test_pages_cover_the_listing_exactly(self, server, listed):
+        with ServeClient(server.address) as sc:
+            everything = sc.jobs()
+            paged = list(sc.iter_jobs(page_size=2))
+        assert [s.job_id for s in paged] \
+            == [s.job_id for s in everything]
+
+    def test_limit_slices_and_hands_back_a_cursor(self, server,
+                                                  listed):
+        with ServeClient(server.address) as sc:
+            page, cursor = sc.jobs_page(limit=1)
+            assert len(page) == 1
+            assert cursor is not None
+            rest, _ = sc.jobs_page(cursor=cursor, limit=1000)
+        assert page[0].job_id not in {s.job_id for s in rest}
+
+    def test_unpaginated_listing_has_no_cursor_riders(self, server,
+                                                      listed):
+        """No limit means the whole listing and a null cursor."""
+        with ServeClient(server.address) as sc:
+            doc = sc._request("GET", "/v1/jobs")
+        assert doc["next_cursor"] is None
+        assert len(doc["jobs"]) >= len(GRID_CONFIGS)
+
+    def test_client_filter_composes_with_pagination(self, server,
+                                                    listed):
+        with ServeClient(server.address) as sc:
+            mine = list(sc.iter_jobs(client="lister", page_size=1))
+        assert [s.job_id for s in mine] == [s.job_id for s in listed]
+
+    def test_bad_cursor_is_400(self, server):
+        with ServeClient(server.address) as sc:
+            with pytest.raises(ServeError) as exc:
+                sc._request("GET", "/v1/jobs?cursor=zap")
+        assert exc.value.status == 400
+        with ServeClient(server.address) as sc:
+            with pytest.raises(ServeError) as exc:
+                sc._request("GET", "/v1/jobs?limit=0")
+        assert exc.value.status == 400
+
 
 class TestSharedCommitPath:
     def test_cache_entries_equal_run_units(self, tmp_path):
@@ -237,6 +314,41 @@ class TestCoalescing:
         assert coalesced >= 0.9 * (duplicates - cached)
 
 
+class TestDispatchOrder:
+    def test_urgent_job_takes_the_next_freed_slots(self, tmp_path):
+        """One shard keeps 8 units out: a 10-unit priority-0 job fills
+        the window, so a later 2-unit priority -1 job gets the next two
+        freed slots and the first job's last two units wait for it."""
+        from repro import obs
+        from repro.runner.cache import ResultCache, unit_key
+        from repro.serve.app import ServeApp
+        from repro.sim.trace_store import TraceStore
+
+        app = ServeApp(shards=1, trace_store=TraceStore(tmp_path / "t"),
+                       cache=ResultCache(tmp_path / "c"),
+                       use_cache=False, registry=obs.Obs())
+        submitted = []                  # result-cache keys, in order
+        app.pool.submit = lambda task_id, *a, **k: submitted.append(task_id)
+
+        def admit(spec, n_units):
+            units = spec.units()[:n_units]
+            keys = [unit_key(u, app.code_version) for u in units]
+            job = app.state.admit(spec, units, keys)
+            app._pump()
+            return job
+
+        a = admit(JobSpec(kernels=("all",), seed=1), 10)
+        b = admit(JobSpec(kernels=("all",), seed=2, priority=-1), 2)
+        resolved = 0
+        while resolved < len(submitted):
+            app._finish_exec(submitted[resolved], False, "x")
+            resolved += 1
+        owner = dict.fromkeys(a.keys, "A") | dict.fromkeys(b.keys, "B")
+        assert [owner[key] for key in submitted] \
+            == ["A"] * 8 + ["B"] * 2 + ["A"] * 2
+        assert a.state == b.state == "failed"
+
+
 class TestRejections:
     """Quota / backpressure / pending paths on a server whose pool
     never finishes anything (deterministic occupancy)."""
@@ -285,6 +397,26 @@ class TestRejections:
             with pytest.raises(ServeError) as exc:
                 sc.submit_retry(GRID_SPEC, deadline_s=0.0)
         assert exc.value.code == "quota_exhausted"
+
+    def test_job_larger_than_the_quota_is_400(self, reject_server,
+                                              stuck_job):
+        """6 units can never fit the quota of 4: a 400 with no
+        Retry-After, which ``submit_retry`` does not sleep out."""
+        import time
+
+        huge = JobSpec(kernels=GRID_KERNELS,
+                       configs=("st2", "valhalla", "prev"),
+                       scale=GRID_SCALE, aux=False)
+        with ServeClient(reject_server.address, client="huge") as sc:
+            t0 = time.monotonic()
+            with pytest.raises(ServeError) as exc:
+                sc.submit_retry(huge, deadline_s=600)
+            assert time.monotonic() - t0 < 30
+            assert sc.jobs(client="huge") == []
+        assert exc.value.status == 400
+        assert exc.value.code == "bad_request"
+        assert exc.value.retry_after_s is None
+        assert "quota of 4" in str(exc.value)
 
     def test_unfinished_result_is_409_pending(self, reject_server,
                                               stuck_job):

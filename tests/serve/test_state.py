@@ -71,6 +71,22 @@ class TestAdmission:
         assert counters(registry)["serve.jobs.rejected.backpressure"] \
             == 1
 
+    @pytest.mark.parametrize("quota, bound", [(100, 200), (300, 200)])
+    def test_job_larger_than_a_limit_is_a_bad_request(self, registry,
+                                                     quota, bound):
+        """276 units can never fit a client quota of 100 or a server
+        bound of 200: no retry can help, so it is not a 429."""
+        state = ServeState(client_quota=quota, max_queued_units=bound)
+        grid = JobSpec(kernels=("all",), configs=("ladder",))
+        units = grid.units()
+        with pytest.raises(RejectError) as exc:
+            state.admit(grid, units, [f"k{i}" for i in range(len(units))])
+        assert exc.value.code == "bad_request"
+        assert exc.value.retry_after_s is None
+        assert str(min(quota, bound)) in exc.value.message
+        assert state.stats()["jobs"] == 0
+        assert counters(registry)["serve.jobs.rejected.bad_request"] == 1
+
     def test_draining_refuses_everything(self, registry):
         state = ServeState()
         state.draining = True
@@ -93,29 +109,34 @@ class TestAdmission:
 class TestQueue:
     def test_priority_then_submission_order(self, registry):
         state = ServeState()
-        late_urgent = None
         first = state.admit(spec(priority=0), *units_and_keys(1, "a"))
         second = state.admit(spec(priority=0), *units_and_keys(1, "b"))
         late_urgent = state.admit(spec(priority=-1),
                                   *units_and_keys(1, "c"))
-        order = [state.next_job() for _ in range(3)]
-        assert order == [late_urgent, first, second]
-        assert state.next_job() is None
+        order = [state.next_unit() for _ in range(3)]
+        assert order == [(late_urgent, 0), (first, 0), (second, 0)]
+        assert state.next_unit() is None
 
-    def test_peek_does_not_pop(self, registry):
+    def test_units_go_out_in_order_then_the_job_leaves(self, registry):
         state = ServeState()
-        job = state.admit(spec(), *units_and_keys(1))
-        assert state.peek_job() is job
-        assert state.peek_job() is job          # still there
-        assert state.next_job() is job
-        assert state.peek_job() is None
+        job = state.admit(spec(), *units_and_keys(3))
+        assert (job.state, job.started_s) == ("queued", None)
+        assert state.next_unit() == (job, 0)
+        assert job.state == "running"
+        assert job.started_s is not None
+        assert [state.next_unit() for _ in range(2)] \
+            == [(job, 1), (job, 2)]
+        assert state.next_unit() is None
+        assert state.stats()["jobs_queued"] == 0
 
-    def test_peek_skips_stale_entries(self, registry):
+    def test_later_urgent_job_overtakes_a_running_one(self, registry):
         state = ServeState()
-        gone = state.admit(spec(), *units_and_keys(1, "a"))
-        kept = state.admit(spec(), *units_and_keys(1, "b"))
-        gone.state = "running"                  # activated elsewhere
-        assert state.peek_job() is kept
+        slow = state.admit(spec(priority=0), *units_and_keys(3, "a"))
+        assert state.next_unit() == (slow, 0)
+        urgent = state.admit(spec(priority=-1), *units_and_keys(1, "b"))
+        assert [state.next_unit() for _ in range(3)] \
+            == [(urgent, 0), (slow, 1), (slow, 2)]
+        assert state.next_unit() is None
 
 
 class TestCoalescing:
@@ -193,61 +214,3 @@ class TestCompletion:
         assert status.priority == 2
         assert status.client == "ci"
         assert not status.terminal
-
-
-class TestAdmitMany:
-    def test_batch_admits_in_submission_order(self, registry):
-        state = ServeState(client_quota=16, max_queued_units=32)
-        jobs = state.admit_many([
-            (spec(client="a"), *units_and_keys(2, "x")),
-            (spec(client="b"), *units_and_keys(3, "y")),
-        ])
-        assert [j.seq for j in jobs] == sorted(j.seq for j in jobs)
-        assert state.stats()["clients"] == {"a": 2, "b": 3}
-        assert counters(registry)["serve.jobs.batches"] == 1
-        assert counters(registry)["serve.jobs.submitted"] == 2
-
-    def test_aggregate_quota_rejects_whole_batch(self, registry):
-        """Each job alone fits the quota; together they do not — and
-        nothing is admitted."""
-        state = ServeState(client_quota=4, max_queued_units=100)
-        with pytest.raises(RejectError) as exc:
-            state.admit_many([
-                (spec(client="a"), *units_and_keys(3, "x")),
-                (spec(client="a"), *units_and_keys(3, "y")),
-            ])
-        assert exc.value.code == "quota_exhausted"
-        assert state.stats()["jobs"] == 0
-        assert state.stats()["units_unresolved"] == 0
-
-    def test_aggregate_backpressure_rejects_whole_batch(self,
-                                                        registry):
-        state = ServeState(client_quota=100, max_queued_units=5)
-        with pytest.raises(RejectError) as exc:
-            state.admit_many([
-                (spec(client="a"), *units_and_keys(3, "x")),
-                (spec(client="b"), *units_and_keys(3, "y")),
-            ])
-        assert exc.value.code == "backpressure"
-        assert state.stats()["jobs"] == 0
-
-    def test_quota_counts_already_held_units(self, registry):
-        state = ServeState(client_quota=4, max_queued_units=100)
-        state.admit(spec(client="a"), *units_and_keys(3))
-        with pytest.raises(RejectError):
-            state.admit_many(
-                [(spec(client="a"), *units_and_keys(2, "v"))])
-        assert state.stats()["clients"] == {"a": 3}
-
-    def test_empty_batch_is_bad_request(self, registry):
-        with pytest.raises(RejectError) as exc:
-            ServeState().admit_many([])
-        assert exc.value.code == "bad_request"
-
-    def test_draining_rejects_batches(self, registry):
-        state = ServeState()
-        state.draining = True
-        with pytest.raises(RejectError) as exc:
-            state.admit_many(
-                [(spec(), *units_and_keys(1))])
-        assert exc.value.code == "draining"

@@ -263,16 +263,19 @@ class TestConcurrentPublication:
     def test_debris_without_header_raises(self, suite_runs, tmp_path,
                                           monkeypatch):
         """A blocking directory that is *not* a published entry (no
-        header) must surface, never masquerade as a cache hit."""
+        header) must surface as a damaged entry, never masquerade as
+        a cache hit."""
         store = TraceStore(tmp_path / "debris")
         run = suite_runs["binomial"]
         key = trace_key("binomial", SCALE, 0, "v-d")
         debris = store.path(key)
         debris.mkdir(parents=True)
         (debris / "leftover.npy").write_bytes(b"junk")
-        with pytest.raises(RuntimeError, match="readable header"):
+        with pytest.raises(TraceStoreCorrupt) as info:
             store.put(key, run, code_version="v-d", scale=SCALE,
                       seed=0)
+        assert (info.value.key, info.value.column, info.value.reason) \
+            == (key, HEADER_NAME, "is missing")
 
     def test_multiprocess_race_single_creator(self, suite_runs,
                                               tmp_path):
@@ -384,6 +387,17 @@ class TestVerifyAndGc:
             - small_store.nbytes(oldest)
         removed = small_store.gc(max_bytes=budget)
         assert removed == [oldest]
+
+    def test_gc_collects_a_headless_entry(self, small_store):
+        """A half-deleted entry is invisible to ``keys()`` yet
+        collected by any ``gc``; publication renames whole
+        directories, so no live writer leaves one."""
+        headless = small_store.keys()[0]
+        small_store.header_path(headless).unlink()
+        assert headless not in small_store.keys()
+        assert small_store.gc(current_version="v-old") == [headless]
+        assert not small_store.path(headless).exists()
+        assert len(small_store) == 2
 
     def test_gc_dry_run_removes_nothing(self, small_store):
         removed = small_store.gc(current_version="other", dry_run=True)
